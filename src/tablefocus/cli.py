@@ -128,6 +128,10 @@ def cmd_eval(args) -> int:
     instances, skipped = load_dataset(args.dataset, format=args.dataset_format)
     if skipped:
         print(f"skipped {skipped} malformed records", file=sys.stderr)
+    if args.limit is not None:
+        if args.limit < 1:
+            raise ValueError("--limit must be >= 1")
+        instances = instances[: args.limit]
 
     def run_one(instance):
         answer, trace = run_instance(
@@ -227,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--dataset-format", dest="dataset_format", default="jsonl",
                     choices=("jsonl", "wikitq-tsv", "tabfact-json"))
+    ev.add_argument("--limit", type=int, help="evaluate only the first N instances")
     ev.add_argument("--parallelism", type=int, default=1)
     ev.add_argument("--buckets", action="store_true", help="print per-quartile accuracy")
     ev.add_argument("--cost", action="store_true", help="print predicted vs tallied cost")

@@ -6,31 +6,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gateway as gw
-from .core import render_markdown
 from .normalize import NormalizedTable
 from .sqlrows import RowSet
 from .structure import RankedColumns, TableOfFocus, construct_focus
-from .trace import ReasoningTrace, digest
-
-
-@dataclass(frozen=True)
-class SufficiencyVerdict:
-    sufficient: bool
-    raw_reply: str
+from .trace import ReasoningTrace
 
 
 @dataclass(frozen=True)
 class VerbalizedTable:
     text: str
-    source_focus_hash: str
 
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("verbalized text must be non-empty")
-
-
-def focus_hash(focus: TableOfFocus) -> str:
-    return digest(render_markdown(focus.table, with_addresses=False))
 
 
 def estimate_information(
@@ -38,7 +26,7 @@ def estimate_information(
     question: str,
     lm: gw.Gateway,
     trace: ReasoningTrace | None = None,
-) -> SufficiencyVerdict:
+) -> bool:
     """Ask whether the focus table suffices; unparseable replies default to sufficient.
 
     The optimistic default is deliberate: a spurious "insufficient" inflates the
@@ -47,17 +35,16 @@ def estimate_information(
     """
     request, response = lm.complete(
         "information_estimation",
-        {"table": render_markdown(focus.table), "question": question},
+        {"table": focus.markdown, "question": question},
     )
     if trace is not None:
         trace.record_lm("information_estimation", gw.request_key(request), response.text)
     try:
-        verdict = gw.parse_bool(response.text)
+        return gw.parse_bool(response.text)
     except gw.UnparseableReply:
         if trace is not None:
             trace.warn("sufficiency reply unparseable; defaulted to sufficient")
-        verdict = True
-    return SufficiencyVerdict(sufficient=verdict, raw_reply=response.text)
+        return True
 
 
 def reconstruct_focus(
@@ -81,8 +68,7 @@ def reconstruct_focus(
     columns = list(initial_columns)
     while True:
         focus = construct_focus(table, rows, columns, reconstruction_count=len(columns) - len(initial_columns))
-        verdict = estimate_information(focus, question, lm, trace=trace)
-        if verdict.sufficient or not candidates:
+        if estimate_information(focus, question, lm, trace=trace) or not candidates:
             return focus
         columns.append(candidates.pop(0))
 
@@ -95,7 +81,7 @@ def verbalize(
     """Model description of the focus table; empty replies get a mechanical fallback."""
     if focus.table.column_count < 1:
         raise ValueError("cannot verbalize a table with no columns")
-    request, response = lm.complete("verbalization", {"table": render_markdown(focus.table)})
+    request, response = lm.complete("verbalization", {"table": focus.markdown})
     if trace is not None:
         trace.record_lm("verbalization", gw.request_key(request), response.text)
     text = response.text.strip()
@@ -103,7 +89,7 @@ def verbalize(
         text = mechanical_description(focus)
         if trace is not None:
             trace.warn("empty verbalization reply; used the mechanical fallback description")
-    return VerbalizedTable(text=text, source_focus_hash=focus_hash(focus))
+    return VerbalizedTable(text=text)
 
 
 def mechanical_description(focus: TableOfFocus) -> str:

@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
@@ -256,11 +256,4 @@ def measure(table: Table, tokenizer: Callable[[str], int] = heuristic_token_coun
         column_count=n,
         area=m * n,
         token_estimate=tokenizer(render_markdown(table, False)),
-    )
-
-
-def full_selection(table: Table) -> CellSelection:
-    return CellSelection(
-        row_indices=tuple(range(table.row_count)),
-        column_indices=tuple(range(table.column_count)),
     )

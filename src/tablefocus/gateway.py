@@ -12,7 +12,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
@@ -94,7 +94,6 @@ class PromptTemplate:
 @dataclass(frozen=True)
 class LmRequest:
     template_id: str
-    bindings: tuple[tuple[str, str], ...]
     rendered: str
     temperature: float = 0.0
     max_tokens: int = 2048
@@ -167,14 +166,21 @@ class HttpBackend:
             raise TransportError(str(exc)) from exc
         if resp.status_code // 100 != 2:
             raise ProviderError(resp.status_code, resp.text)
-        data = resp.json()
-        usage = data.get("usage", {})
-        return LmResponse(
-            text=data["choices"][0]["message"]["content"],
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-            backend_id=f"http:{self.model}",
-        )
+        try:
+            data = resp.json()
+            text = data["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {type(text).__name__}, not text")
+            usage = data.get("usage") or {}
+            return LmResponse(
+                text=text,
+                prompt_tokens=int(usage.get("prompt_tokens", 0)),
+                completion_tokens=int(usage.get("completion_tokens", 0)),
+                backend_id=f"http:{self.model}",
+            )
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            # A 2xx reply without the chat-completions shape is a provider fault.
+            raise ProviderError(resp.status_code, resp.text) from exc
 
 
 class ScriptedBackend:
@@ -197,13 +203,13 @@ class Cassette:
     are serialized by an internal lock.
     """
 
-    MODES = ("record", "replay", "passthrough")
+    MODES = ("record", "replay")
 
     def __init__(self, path: str | Path, mode: str, inner: Backend | None = None):
         if mode not in self.MODES:
             raise ValueError(f"unknown cassette mode: {mode!r}")
-        if mode in ("record", "passthrough") and inner is None:
-            raise ValueError(f"{mode} mode requires an inner backend")
+        if mode == "record" and inner is None:
+            raise ValueError("record mode requires an inner backend")
         self.path = Path(path)
         self.mode = mode
         self.inner = inner
@@ -254,21 +260,15 @@ class Cassette:
 
     def send(self, request: LmRequest) -> LmResponse:
         key = request_key(request)
-        if self.mode == "replay":
-            hit = self.lookup(key)
-            if hit is None:
-                raise CassetteMiss(f"no cassette entry for {request.template_id} ({key})")
+        hit = self.lookup(key)
+        if hit is not None:
             return hit
-        if self.mode == "record":
-            hit = self.lookup(key)
-            if hit is not None:
-                return hit
-            assert self.inner is not None
-            response = self.inner.send(request)
-            self.store(request, response)
-            return response
+        if self.mode == "replay":
+            raise CassetteMiss(f"no cassette entry for {request.template_id} ({key})")
         assert self.inner is not None
-        return self.inner.send(request)
+        response = self.inner.send(request)
+        self.store(request, response)
+        return response
 
 
 def load_templates(directory: str | Path | None = None) -> dict[str, PromptTemplate]:
@@ -305,7 +305,6 @@ class Gateway:
         rendered = render_prompt(template, bindings)
         return LmRequest(
             template_id=template_id,
-            bindings=tuple(sorted((k, str(v)) for k, v in bindings.items())),
             rendered=rendered,
             temperature=self.temperature,
             max_tokens=self.max_tokens,
@@ -314,11 +313,6 @@ class Gateway:
     def complete(self, template_id: str, bindings: Mapping[str, str]) -> tuple[LmRequest, LmResponse]:
         request = self.build_request(template_id, bindings)
         return request, self.backend.send(request)
-
-
-def complete(request: LmRequest, backend: Backend) -> LmResponse:
-    """Send one prepared request through a backend handle."""
-    return backend.send(request)
 
 
 _AFFIRM = ("yes", "true", "sufficient")

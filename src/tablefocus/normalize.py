@@ -8,7 +8,7 @@ left verbatim and flagged in provenance instead of raising.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 from .core import Table, transpose

@@ -3,9 +3,7 @@ understanding, then adaptive reasoning, with trace and cost accounting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any
+from dataclasses import dataclass, field
 
 from . import gateway as gw
 from .content import reconstruct_focus, verbalize
@@ -17,8 +15,8 @@ from .structure import (
     DEFAULT_B_MAX,
     DEFAULT_PEEK_SIZE,
     column_lookup,
-    construct_focus,
     extract_structure,
+    peek_markdown,
     rank_columns,
     row_lookup,
 )
@@ -72,22 +70,14 @@ def run_instance(
     k = min(config.peek_size, max(normalized.table.row_count, 1))
     n = normalized.table.column_count
 
+    peek_md = peek_markdown(normalized, config.peek_size)
     focus = None
     try:
-        info = extract_structure(normalized, config.peek_size, lm, trace=trace)
-        ranked = rank_columns(normalized, question, config.peek_size, lm, trace=trace)
-        initial = column_lookup(
-            ranked,
-            question,
-            config.b_max,
-            lm,
-            table=normalized,
-            k=config.peek_size,
-            key_column=info.key_column,
-            trace=trace,
-        )
+        key_column = extract_structure(normalized, peek_md, lm, trace=trace)
+        ranked = rank_columns(normalized, question, peek_md, lm, trace=trace)
+        initial = column_lookup(ranked, question, config.b_max, lm, peek_md, key_column=key_column, trace=trace)
         schema = build_schema(normalized)
-        rows = row_lookup(normalized, question, lm, k=config.peek_size, schema=schema, trace=trace)
+        rows = row_lookup(normalized, question, lm, peek_md, schema, trace=trace)
         focus = reconstruct_focus(normalized, question, rows, initial, ranked, lm, trace=trace)
         verbal = verbalize(focus, lm, trace=trace)
 
@@ -128,12 +118,13 @@ def run_instance(
 
 
 def build_backend(config: PipelineConfig, inner: gw.Backend | None = None) -> gw.Backend:
-    """Wire the configured cassette mode around an optional network backend."""
+    """Wire the configured cassette mode around an optional network backend.
+
+    Passthrough sends every request straight to ``inner`` and stores nothing.
+    """
     if config.backend_mode == "passthrough":
         if inner is None:
             raise ValueError("passthrough mode requires a network backend")
-        if config.cassette_path:
-            return gw.Cassette(config.cassette_path, "passthrough", inner=inner)
         return inner
     if config.cassette_path is None:
         raise ValueError(f"{config.backend_mode} mode requires a cassette path")

@@ -14,10 +14,10 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gateway as gw
-from .content import VerbalizedTable, mechanical_description
+from .content import VerbalizedTable
 from .core import render_markdown
 from .normalize import NormalizedTable
 from .structure import TableOfFocus
@@ -49,11 +49,6 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.value not in ("textual", "symbolic"):
             raise ValueError(f"unknown strategy: {self.value!r}")
-
-
-@dataclass(frozen=True)
-class Guidance:
-    text: str
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ def assess_strategy(
     """Choose textual or symbolic reasoning; unparseable replies default to textual."""
     request, response = lm.complete(
         "strategy_assessment",
-        {"table": render_markdown(focus.table), "description": verbal.text, "question": question},
+        {"table": focus.markdown, "description": verbal.text, "question": question},
     )
     if trace is not None:
         trace.record_lm("strategy_assessment", gw.request_key(request), response.text)
@@ -152,10 +147,10 @@ def generate_guidance(
     question: str,
     lm: gw.Gateway,
     trace: ReasoningTrace | None = None,
-) -> Guidance:
+) -> str:
     request, response = lm.complete(
         "textual_guidance",
-        {"table": render_markdown(focus.table), "description": verbal.text, "question": question},
+        {"table": focus.markdown, "description": verbal.text, "question": question},
     )
     if trace is not None:
         trace.record_lm("textual_guidance", gw.request_key(request), response.text)
@@ -164,14 +159,14 @@ def generate_guidance(
         text = "Answer step by step."
         if trace is not None:
             trace.warn("empty guidance reply; used the default guidance")
-    return Guidance(text=text)
+    return text
 
 
 def symbolic_reasoning(
     focus: TableOfFocus,
     verbal: VerbalizedTable,
     question: str,
-    guidance: Guidance,
+    guidance: str,
     lm: gw.Gateway,
     trace: ReasoningTrace | None = None,
 ) -> str:
@@ -179,10 +174,10 @@ def symbolic_reasoning(
     request, response = lm.complete(
         "symbolic_reasoning",
         {
-            "table": render_markdown(focus.table),
+            "table": focus.markdown,
             "description": verbal.text,
             "question": question,
-            "guidance": guidance.text,
+            "guidance": guidance,
         },
     )
     if trace is not None:
@@ -221,7 +216,8 @@ def execute_program(
 
     The focus table is written as table.csv and exported via TM_TABLE_PATH; the
     question via TM_QUESTION. The child gets a minimal environment, a memory
-    cap, and a wall-clock timeout.
+    cap, and a wall-clock timeout. An interpreter that cannot be started
+    reports exit status 127, as a shell would.
     """
     with tempfile.TemporaryDirectory(prefix="tf-exec-") as workdir:
         program_path = os.path.join(workdir, f"program{profile.extension}")
@@ -258,6 +254,9 @@ def execute_program(
             duration = (time.monotonic() - start) * 1000.0
             stdout = exc.stdout.decode("utf-8", "replace") if isinstance(exc.stdout, bytes) else (exc.stdout or "")
             return ExecutionResult(stdout=stdout, exit_status=-1, duration_ms=duration, timed_out=True)
+        except OSError:
+            duration = (time.monotonic() - start) * 1000.0
+            return ExecutionResult(stdout="", exit_status=127, duration_ms=duration, timed_out=False)
 
 
 def looks_abstaining(text: str) -> bool:
@@ -309,60 +308,48 @@ def answer_adaptive(
     """One terminal answer per run, with bounded fallbacks and a complete trace.
 
     ``reasoning_table="full"`` reasons over the full normalized table plus the
-    verbalized focus from the start instead of only on fallback.
+    verbalized focus from the start instead of only on fallback. Model
+    failures (``GatewayError``) propagate; ``run_instance`` degrades them.
     """
     trace = trace if trace is not None else ReasoningTrace()
-    focus_markdown = render_markdown(focus.table)
-    full_markdown = render_markdown(table.table)
-    primary_markdown = full_markdown if reasoning_table == "full" else focus_markdown
+    strategy = assess_strategy(focus, verbal, question, lm, trace=trace)
+    trace.strategy = strategy.value
+    raw: str | None = None
+
+    if strategy.value == "symbolic":
+        guidance = generate_guidance(focus, verbal, question, lm, trace=trace)
+        trace.guidance = guidance
+        program = symbolic_reasoning(focus, verbal, question, guidance, lm, trace=trace)
+        trace.program = program
+        result = execute_program(program, focus, profile=profile, question=question)
+        trace.record_exec(result.exit_status, result.timed_out, digest(result.stdout))
+        if result.timed_out or result.exit_status != 0 or not result.answer_line:
+            reason = (
+                "timeout" if result.timed_out
+                else "nonzero exit" if result.exit_status != 0
+                else "empty output"
+            )
+            trace.fallbacks.append(f"textual (executor {reason})")
+        else:
+            raw = result.answer_line
+    if raw is None:
+        markdown = render_markdown(table.table) if reasoning_table == "full" else focus.markdown
+        raw = textual_reasoning(markdown, verbal, question, lm, trace=trace)
 
     try:
-        strategy = assess_strategy(focus, verbal, question, lm, trace=trace)
-        trace.strategy = strategy.value
-        raw: str | None = None
+        answer = format_answer(question, raw, task_kind, lm, trace=trace)
+    except EmptyAnswer:
+        trace.warn("empty formatted answer")
+        answer = Answer(value="", task_kind=task_kind, abstained=True)
 
-        if strategy.value == "symbolic":
-            guidance = generate_guidance(focus, verbal, question, lm, trace=trace)
-            trace.guidance = guidance.text
-            program = symbolic_reasoning(focus, verbal, question, guidance, lm, trace=trace)
-            trace.program = program
-            result = execute_program(program, focus, profile=profile, question=question)
-            trace.execution = {
-                "exit_status": result.exit_status,
-                "timed_out": result.timed_out,
-                "stdout_digest": digest(result.stdout),
-            }
-            trace.record_exec(result.exit_status, result.timed_out, digest(result.stdout))
-            if result.timed_out or result.exit_status != 0 or not result.answer_line:
-                reason = (
-                    "timeout" if result.timed_out
-                    else "nonzero exit" if result.exit_status != 0
-                    else "empty output"
-                )
-                trace.fallbacks.append(f"textual (executor {reason})")
-                raw = textual_reasoning(primary_markdown, verbal, question, lm, trace=trace)
-            else:
-                raw = result.answer_line
-        else:
-            raw = textual_reasoning(primary_markdown, verbal, question, lm, trace=trace)
-
+    needs_full_retry = (answer.abstained or focus.table.row_count == 0) and full_table_fallback
+    if needs_full_retry and reasoning_table != "full":
+        trace.fallbacks.append("full_table_retry")
+        raw = textual_reasoning(render_markdown(table.table), verbal, question, lm, trace=trace)
         try:
             answer = format_answer(question, raw, task_kind, lm, trace=trace)
         except EmptyAnswer:
-            trace.warn("empty formatted answer")
             answer = Answer(value="", task_kind=task_kind, abstained=True)
-
-        needs_full_retry = (answer.abstained or focus.table.row_count == 0) and full_table_fallback
-        if needs_full_retry and reasoning_table != "full":
-            trace.fallbacks.append("full_table_retry")
-            raw = textual_reasoning(full_markdown, verbal, question, lm, trace=trace)
-            try:
-                answer = format_answer(question, raw, task_kind, lm, trace=trace)
-            except EmptyAnswer:
-                answer = Answer(value="", task_kind=task_kind, abstained=True)
-    except Exception as exc:  # terminal failure still yields an answer plus trace
-        trace.warn(f"terminal failure: {type(exc).__name__}: {exc}")
-        answer = Answer(value="", task_kind=task_kind, abstained=True)
 
     trace.answer = {"value": answer.value, "task_kind": answer.task_kind, "abstained": answer.abstained}
     return answer, trace

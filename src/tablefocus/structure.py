@@ -13,22 +13,11 @@ from dataclasses import dataclass
 from . import gateway as gw
 from .core import CellSelection, Table, peek, project, render_markdown
 from .normalize import NormalizedTable
-from .sqlrows import RowSet, SqlError, SqlSchema, build_schema, execute_row_lookup, is_aggregate_query
+from .sqlrows import RowSet, SqlError, SqlSchema, execute_row_lookup, is_aggregate_query
 from .trace import ReasoningTrace
 
 DEFAULT_PEEK_SIZE = 25
 DEFAULT_B_MAX = 6
-
-
-@dataclass(frozen=True)
-class StructureInfo:
-    headers: tuple[str, ...]
-    key_column: str
-    peek_used: int
-
-    def __post_init__(self) -> None:
-        if self.key_column not in self.headers:
-            raise ValueError("key column must be one of the headers")
 
 
 @dataclass(frozen=True)
@@ -39,28 +28,30 @@ class RankedColumns:
 @dataclass(frozen=True)
 class TableOfFocus:
     table: Table
+    markdown: str  # the rendering every focus prompt sends
     selected_rows: RowSet
     selected_columns: tuple[str, ...]
     reconstruction_count: int
     condensation_ratio: float
 
 
-def _peek_markdown(table: NormalizedTable, k: int) -> str:
+def peek_markdown(table: NormalizedTable, k: int) -> str:
+    """The first ``k`` rows as markdown: the view every structure prompt sends."""
+    if k < 1:
+        raise ValueError("peek size must be >= 1")
     return render_markdown(peek(table.table, k), with_addresses=False)
 
 
 def extract_structure(
     table: NormalizedTable,
-    k: int,
+    peek_md: str,
     lm: gw.Gateway,
     trace: ReasoningTrace | None = None,
-) -> StructureInfo:
-    """Headers come from the table itself; the key column comes from the model,
-    validated against the headers and repaired to the first header if invalid."""
-    if k < 1:
-        raise ValueError("peek size must be >= 1")
+) -> str:
+    """The key column: named by the model, validated against the table's headers
+    and repaired to the first header if invalid."""
     headers = table.table.headers
-    request, response = lm.complete("structure_extraction", {"table": _peek_markdown(table, k)})
+    request, response = lm.complete("structure_extraction", {"table": peek_md})
     if trace is not None:
         trace.record_lm("structure_extraction", gw.request_key(request), response.text)
 
@@ -78,13 +69,13 @@ def extract_structure(
         key = headers[0]
         if trace is not None:
             trace.warn(f"key column reply {candidate!r} names no header; repaired to {key!r}")
-    return StructureInfo(headers=headers, key_column=key, peek_used=min(k, table.table.row_count))
+    return key
 
 
 def rank_columns(
     table: NormalizedTable,
     question: str,
-    k: int,
+    peek_md: str,
     lm: gw.Gateway,
     trace: ReasoningTrace | None = None,
 ) -> RankedColumns:
@@ -92,7 +83,7 @@ def rank_columns(
     headers = table.table.headers
     request, response = lm.complete(
         "column_ranking",
-        {"table": _peek_markdown(table, k), "headers": ", ".join(headers), "question": question},
+        {"table": peek_md, "headers": ", ".join(headers), "question": question},
     )
     if trace is not None:
         trace.record_lm("column_ranking", gw.request_key(request), response.text)
@@ -119,8 +110,7 @@ def column_lookup(
     question: str,
     b_max: int,
     lm: gw.Gateway,
-    table: NormalizedTable,
-    k: int = DEFAULT_PEEK_SIZE,
+    peek_md: str,
     key_column: str | None = None,
     trace: ReasoningTrace | None = None,
 ) -> tuple[str, ...]:
@@ -129,7 +119,7 @@ def column_lookup(
         raise ValueError("b_max must be >= 1")
     request, response = lm.complete(
         "column_lookup",
-        {"table": _peek_markdown(table, k), "headers": ", ".join(ranked.order), "question": question},
+        {"table": peek_md, "headers": ", ".join(ranked.order), "question": question},
     )
     if trace is not None:
         trace.record_lm("column_lookup", gw.request_key(request), response.text)
@@ -159,19 +149,18 @@ def row_lookup(
     table: NormalizedTable,
     question: str,
     lm: gw.Gateway,
-    k: int = DEFAULT_PEEK_SIZE,
-    schema: SqlSchema | None = None,
+    peek_md: str,
+    schema: SqlSchema,
     trace: ReasoningTrace | None = None,
 ) -> RowSet:
     """Generate and execute row-filtering SQL; every failure degrades to all rows.
 
-    The prompt is rendered from a peek of the table, but the SQL executes
-    against the full normalized table so the row set covers all rows.
+    The prompt shows only a peek of the table, but the SQL executes against
+    the full normalized table (``schema``) so the row set covers all rows.
     """
-    schema = schema or build_schema(table)
     request, response = lm.complete(
         "row_lookup_sql",
-        {"table": _peek_markdown(table, k), "schema": schema.describe(), "question": question},
+        {"table": peek_md, "schema": schema.describe(), "question": question},
     )
     if trace is not None:
         trace.record_lm("row_lookup_sql", gw.request_key(request), response.text)
@@ -212,6 +201,7 @@ def construct_focus(
     ratio = area_focus / area_full if area_full > 0 else 1.0
     return TableOfFocus(
         table=focus_table,
+        markdown=render_markdown(focus_table),
         selected_rows=rows,
         selected_columns=tuple(table.table.headers[j] for j in col_indices),
         reconstruction_count=reconstruction_count,

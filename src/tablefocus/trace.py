@@ -28,7 +28,6 @@ class ReasoningTrace:
     strategy: str | None = None
     guidance: str | None = None
     program: str | None = None
-    execution: dict[str, Any] | None = None
     condensation_ratio: float | None = None
     config: dict[str, Any] = field(default_factory=dict)
     answer: dict[str, Any] | None = None
@@ -75,7 +74,6 @@ class ReasoningTrace:
             "strategy": self.strategy,
             "guidance": self.guidance,
             "program": self.program,
-            "execution": self.execution,
             "condensation_ratio": self.condensation_ratio,
             "cost": {
                 "components": self.cost_components,

@@ -158,7 +158,7 @@ class TestDeterministicGoldens:
         by_id = {c.id: c for c in GOLDEN_CASES}
         _, riders_trace = record_run(by_id["riders-symbolic"], tmp_path / "r")
         assert riders_trace.strategy == "symbolic"
-        assert riders_trace.execution["exit_status"] == 0
+        assert [s["exit_status"] for s in riders_trace.steps if s["kind"] == "exec"] == [0]
         _, tenure_trace = record_run(by_id["tenure-textual"], tmp_path / "t")
         assert tenure_trace.strategy == "textual"
         assert tenure_trace.program is None
@@ -214,7 +214,7 @@ class TestDegradationLadder:
         answer, trace = _inject(replies, config)
         assert answer.value == "7"
         assert any("timeout" in f for f in trace.fallbacks)
-        assert trace.execution["timed_out"] is True
+        assert [s["timed_out"] for s in trace.steps if s["kind"] == "exec"] == [True]
 
     def test_executor_crash_falls_back_to_textual(self):
         replies = _base_replies(
@@ -225,6 +225,20 @@ class TestDegradationLadder:
         answer, trace = _inject(replies)
         assert answer.value == "7"
         assert any("nonzero exit" in f for f in trace.fallbacks)
+
+    def test_missing_interpreter_falls_back_to_textual(self):
+        replies = _base_replies(
+            strategy_assessment=["symbolic"],
+            textual_guidance=["g"],
+            symbolic_reasoning=["```python\nprint(7)\n```"],
+        )
+        config = PipelineConfig(
+            backend_mode="passthrough", executor=ExecutorProfile(command=("/nonexistent/python3",))
+        )
+        answer, trace = _inject(replies, config)
+        assert answer.value == "7"
+        assert any("nonzero exit" in f for f in trace.fallbacks)
+        assert [s["exit_status"] for s in trace.steps if s["kind"] == "exec"] == [127]
 
     def test_unparseable_strategy_defaults_to_textual(self):
         answer, trace = _inject(_base_replies(strategy_assessment=["hmm, not sure"]))

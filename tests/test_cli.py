@@ -123,20 +123,25 @@ class TestRunCommand:
         assert capsys.readouterr().out.strip() == case.expected
 
 
+def _write_dataset(case, path, count):
+    """A jsonl dataset of ``count`` copies of one golden case."""
+    records = []
+    for i in range(count):
+        records.append(json.dumps({
+            "id": f"r{i}",
+            "question": case.question,
+            "answers": [case.expected],
+            "table": {"header": list(case.table.headers),
+                      "rows": [list(r) for r in case.table.rows]},
+        }))
+    path.write_text("\n".join(records) + "\n")
+    return path
+
+
 class TestEvalCommand:
     def test_eval_replay(self, riders_setup, tmp_path, capsys):
         case, cassette, _ = riders_setup
-        dataset = tmp_path / "d.jsonl"
-        records = []
-        for i in range(4):
-            records.append(json.dumps({
-                "id": f"r{i}",
-                "question": case.question,
-                "answers": [case.expected],
-                "table": {"header": list(case.table.headers),
-                          "rows": [list(r) for r in case.table.rows]},
-            }))
-        dataset.write_text("\n".join(records) + "\n")
+        dataset = _write_dataset(case, tmp_path / "d.jsonl", 4)
         report_path = tmp_path / "report.json"
         code = main([
             "eval",
@@ -155,6 +160,32 @@ class TestEvalCommand:
         assert report["correct"] == 4
         assert report["strategy_counts"] == {"symbolic": 4}
         assert len(list((tmp_path / "traces").glob("*.json"))) == 4
+
+    def test_eval_limit(self, riders_setup, tmp_path, capsys):
+        case, cassette, _ = riders_setup
+        dataset = _write_dataset(case, tmp_path / "d.jsonl", 3)
+        code = main([
+            "eval",
+            "--dataset", str(dataset),
+            "--mode", "replay",
+            "--cassette", str(cassette),
+            "--limit", "1",
+        ])
+        assert code == 0
+        assert "total: 1 " in capsys.readouterr().out
+
+    def test_eval_limit_must_be_positive(self, riders_setup, tmp_path, capsys):
+        case, cassette, _ = riders_setup
+        dataset = _write_dataset(case, tmp_path / "d.jsonl", 2)
+        code = main([
+            "eval",
+            "--dataset", str(dataset),
+            "--mode", "replay",
+            "--cassette", str(cassette),
+            "--limit", "0",
+        ])
+        assert code == 1
+        assert "--limit" in capsys.readouterr().err
 
     def test_eval_missing_dataset(self, riders_setup, tmp_path, capsys):
         _, cassette, _ = riders_setup

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from tablefocus import gateway as gw
 from tablefocus.content import (
     estimate_information,
-    focus_hash,
     mechanical_description,
     reconstruct_focus,
     verbalize,
@@ -30,18 +30,16 @@ def _focus(columns=("Rider",)):
 class TestEstimateInformation:
     def test_affirmative(self):
         lm = make_gateway({"information_estimation": ["Yes, that suffices."]})
-        assert estimate_information(_focus(), "q", lm).sufficient is True
+        assert estimate_information(_focus(), "q", lm) is True
 
     def test_negative(self):
         lm = make_gateway({"information_estimation": ["No - missing the wins."]})
-        verdict = estimate_information(_focus(), "q", lm)
-        assert verdict.sufficient is False
-        assert "missing" in verdict.raw_reply
+        assert estimate_information(_focus(), "q", lm) is False
 
     def test_unparseable_defaults_to_sufficient(self):
         lm = make_gateway({"information_estimation": ["hmm, perhaps"]})
         trace = ReasoningTrace()
-        assert estimate_information(_focus(), "q", lm, trace=trace).sufficient is True
+        assert estimate_information(_focus(), "q", lm, trace=trace) is True
         assert any("defaulted to sufficient" in w for w in trace.warnings)
 
 
@@ -87,11 +85,14 @@ class TestReconstructFocus:
 
 class TestVerbalize:
     def test_reply_used_and_hash_bound(self):
+        # The request is keyed by the focus's own markdown, so the reply is bound to that focus.
         lm = make_gateway({"verbalization": ["Six riders with win counts."]})
         focus = _focus(("Rider", "Wins"))
-        got = verbalize(focus, lm)
+        trace = ReasoningTrace()
+        got = verbalize(focus, lm, trace=trace)
         assert got.text == "Six riders with win counts."
-        assert got.source_focus_hash == focus_hash(focus)
+        expected = lm.build_request("verbalization", {"table": focus.markdown})
+        assert trace.steps[0]["request_key"] == gw.request_key(expected)
 
     def test_empty_reply_uses_mechanical_fallback(self):
         lm = make_gateway({"verbalization": ["   "]})
@@ -113,9 +114,4 @@ class TestVerbalize:
         from tablefocus.content import VerbalizedTable
 
         with pytest.raises(ValueError):
-            VerbalizedTable(text="", source_focus_hash="x")
-
-    def test_focus_hash_deterministic_and_content_sensitive(self):
-        a, b = _focus(("Rider",)), _focus(("Wins",))
-        assert focus_hash(a) == focus_hash(_focus(("Rider",)))
-        assert focus_hash(a) != focus_hash(b)
+            VerbalizedTable(text="")

@@ -14,7 +14,6 @@ from tablefocus.core import (
     SizeMetrics,
     Table,
     TransposeError,
-    full_selection,
     heuristic_token_count,
     measure,
     parse_table,
@@ -223,10 +222,6 @@ class TestProject:
             project(t, CellSelection(row_indices=(1,), column_indices=(0,)))
         with pytest.raises(IndexError):
             project(t, CellSelection(row_indices=(0,), column_indices=(1,)))
-
-    def test_full_selection_is_identity(self):
-        t = Table.make(["a", "b"], [["1", "2"]])
-        assert project(t, full_selection(t)) == t
 
 
 class TestMeasure:

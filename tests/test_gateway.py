@@ -11,7 +11,7 @@ from tablefocus import gateway as gw
 
 
 def _request(template_id="column_lookup", rendered="hello"):
-    return gw.LmRequest(template_id=template_id, bindings=(), rendered=rendered)
+    return gw.LmRequest(template_id=template_id, rendered=rendered)
 
 
 class TestPromptTemplate:
@@ -110,14 +110,6 @@ class TestCassette:
         with pytest.raises(gw.CassetteMiss):
             rep.send(_request())
 
-    def test_passthrough_never_stores(self, tmp_path):
-        inner = _CountingBackend()
-        cas = gw.Cassette(tmp_path / "c", "passthrough", inner=inner)
-        cas.send(_request())
-        cas.send(_request())
-        assert inner.calls == 2
-        assert cas.keys() == []
-
     def test_entry_file_shape(self, tmp_path):
         rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend("out"))
         request = _request()
@@ -125,6 +117,46 @@ class TestCassette:
         entry = json.loads((tmp_path / "c" / f"{gw.request_key(request)}.json").read_text())
         assert entry["request"]["template_id"] == "column_lookup"
         assert entry["response"]["text"] == "out"
+
+
+class _FakeReply:
+    def __init__(self, status_code, text):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class TestHttpBackend:
+    def _send(self, monkeypatch, status, text):
+        import requests
+
+        monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeReply(status, text))
+        return gw.HttpBackend("http://localhost:1", "m").send(_request())
+
+    def test_well_formed_reply(self, monkeypatch):
+        body = {"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": 3, "completion_tokens": 1}}
+        got = self._send(monkeypatch, 200, json.dumps(body))
+        assert (got.text, got.prompt_tokens, got.completion_tokens) == ("hi", 3, 1)
+
+    @pytest.mark.parametrize("text", [
+        "<html>not json</html>",
+        "{}",
+        '{"choices": []}',
+        '{"choices": [{"message": {}}]}',
+        '{"choices": [{"message": {"content": null}}]}',
+        '["not", "an", "object"]',
+    ])
+    def test_malformed_2xx_reply_is_provider_error(self, monkeypatch, text):
+        with pytest.raises(gw.ProviderError) as info:
+            self._send(monkeypatch, 200, text)
+        assert (info.value.status, info.value.body) == (200, text)
+
+    def test_error_status_is_provider_error(self, monkeypatch):
+        with pytest.raises(gw.ProviderError) as info:
+            self._send(monkeypatch, 503, "busy")
+        assert info.value.status == 503
 
 
 class TestTemplatesAndGateway:
@@ -146,10 +178,6 @@ class TestTemplatesAndGateway:
         assert request.temperature == 0.0
         assert "q" in request.rendered
         assert response.text == "42"
-
-    def test_module_level_complete(self):
-        backend = gw.ScriptedBackend({"column_lookup": ["ok"]})
-        assert gw.complete(_request(), backend).text == "ok"
 
     def test_negative_token_counts_rejected(self):
         with pytest.raises(ValueError):

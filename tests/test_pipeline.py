@@ -45,6 +45,15 @@ class TestBuildBackend:
         with pytest.raises(ValueError):
             build_backend(PipelineConfig(backend_mode="record"), inner=gw.ScriptedBackend({}))
 
+    def test_passthrough_never_stores(self, tmp_path):
+        inner = gw.ScriptedBackend({"column_lookup": ["a", "b"]})
+        config = PipelineConfig(backend_mode="passthrough", cassette_path=str(tmp_path / "c"))
+        lm = gw.Gateway(build_backend(config, inner=inner))
+        bindings = {"table": "t", "headers": "h", "question": "q"}
+        replies = [lm.complete("column_lookup", bindings)[1].text for _ in range(2)]
+        assert replies == ["a", "b"]  # both calls reached the inner backend
+        assert not (tmp_path / "c").exists()
+
     def test_replay_returns_cassette(self, tmp_path):
         backend = build_backend(PipelineConfig(backend_mode="replay", cassette_path=str(tmp_path)))
         assert isinstance(backend, gw.Cassette)
@@ -93,7 +102,7 @@ class TestScriptedFlows:
         assert trace.strategy == "symbolic"
         assert trace.guidance
         assert trace.program
-        assert trace.execution["exit_status"] == 0
+        assert [s["exit_status"] for s in trace.steps if s["kind"] == "exec"] == [0]
 
     def test_cassette_miss_degrades_to_abstention(self, tmp_path):
         case = GOLDEN_CASES[0]
@@ -104,6 +113,29 @@ class TestScriptedFlows:
         assert any("CassetteMiss" in w for w in trace.warnings)
         assert trace.cost_parameters["a"] == 0.0
         assert trace.cost_total == pytest.approx(predicted_cost(6, 3, 0, 0, 0))
+
+    def test_terminal_failure_yields_abstained_answer(self):
+        case = GOLDEN_CASES[0]
+        stages = ("structure_extraction", "column_ranking", "column_lookup", "row_lookup_sql",
+                  "information_estimation", "verbalization")
+        lm = make_gateway({t: case.replies[t] for t in stages})  # no strategy_assessment reply
+        answer, trace = run_instance(case.table, case.question, lm, SCRIPTED_CONFIG)
+        assert answer.abstained
+        assert any(w.startswith("pipeline degraded: TransportError") for w in trace.warnings)
+        assert trace.answer == {"value": "", "task_kind": "qa", "abstained": True}
+
+    def test_backend_bug_is_not_swallowed(self):
+        case = GOLDEN_CASES[0]
+        scripted = gw.ScriptedBackend(case.replies)
+
+        class Broken:
+            def send(self, request):
+                if request.template_id == "strategy_assessment":
+                    raise KeyError("bug")
+                return scripted.send(request)
+
+        with pytest.raises(KeyError):
+            run_instance(case.table, case.question, gw.Gateway(Broken()), SCRIPTED_CONFIG)
 
     def test_normalization_toggle_is_equivalent_on_clean_table(self):
         case = GOLDEN_CASES[1]  # tenure-textual

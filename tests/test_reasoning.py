@@ -28,7 +28,7 @@ from conftest import RIDERS_TABLE, make_gateway
 
 NORM = skip_normalization(RIDERS_TABLE)
 FOCUS = construct_focus(NORM, RowSet(indices=(0, 2, 4), sql="..."), ["Rider", "Country", "Wins"])
-VERBAL = VerbalizedTable(text="Three Belgian riders with wins 3, 2, 2.", source_focus_hash="h")
+VERBAL = VerbalizedTable(text="Three Belgian riders with wins 3, 2, 2.")
 
 
 class TestStrategyAndAnswerTypes:
@@ -92,6 +92,10 @@ class TestExecuteProgram:
         lines = text.strip().splitlines()
         assert lines[0] == "Rider,Country,Wins"
         assert len(lines) == 4
+
+    def test_missing_interpreter_reports_127(self):
+        result = execute_program("print(1)", FOCUS, profile=ExecutorProfile(command=("/nonexistent/python3",)))
+        assert result == ExecutionResult(stdout="", exit_status=127, duration_ms=result.duration_ms, timed_out=False)
 
     def test_nonzero_exit(self):
         result = execute_program("import sys; sys.exit(3)", FOCUS)
@@ -177,7 +181,7 @@ class TestAnswerAdaptive:
         assert answer.value == "7"
         assert trace.strategy == "symbolic"
         assert trace.program == "print(3 + 2 + 2)"
-        assert trace.execution["exit_status"] == 0
+        assert [s["exit_status"] for s in trace.steps if s["kind"] == "exec"] == [0]
 
     def test_executor_failure_falls_back_to_textual(self):
         lm = make_gateway({
@@ -240,9 +244,7 @@ class TestAnswerAdaptive:
         assert "Hans Weber" in first.rendered
         assert answer.value == "1"
 
-    def test_terminal_failure_yields_abstained_answer(self):
+    def test_gateway_failure_propagates(self):
         lm = make_gateway({})  # every call raises TransportError
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm)
-        assert answer.abstained
-        assert any("terminal failure" in w for w in trace.warnings)
-        assert trace.answer == {"value": "", "task_kind": "qa", "abstained": True}
+        with pytest.raises(gw.TransportError):
+            answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm)

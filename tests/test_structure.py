@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from tablefocus.core import render_markdown
 from tablefocus.normalize import skip_normalization
 from tablefocus.sqlrows import RowSet, build_schema
 from tablefocus.structure import (
@@ -11,6 +12,7 @@ from tablefocus.structure import (
     column_lookup,
     construct_focus,
     extract_structure,
+    peek_markdown,
     rank_columns,
     row_lookup,
 )
@@ -19,60 +21,56 @@ from tablefocus.trace import ReasoningTrace
 from conftest import RIDERS_TABLE, make_gateway
 
 NORM = skip_normalization(RIDERS_TABLE)
+PEEK = peek_markdown(NORM, 25)
+SCHEMA = build_schema(NORM)
 
 
 class TestExtractStructure:
     def test_key_column_parsed(self):
         lm = make_gateway({"structure_extraction": ["key column: Wins"]})
-        info = extract_structure(NORM, 25, lm)
-        assert info.key_column == "Wins"
-        assert info.headers == ("Rider", "Country", "Wins")
-        assert info.peek_used == 6
+        assert extract_structure(NORM, PEEK, lm) == "Wins"
 
     def test_case_insensitive_match(self):
         lm = make_gateway({"structure_extraction": ["Key Column - wins"]})
-        assert extract_structure(NORM, 25, lm).key_column == "Wins"
+        assert extract_structure(NORM, PEEK, lm) == "Wins"
 
     def test_substring_repair(self):
         lm = make_gateway({"structure_extraction": ["key column: the Country field"]})
-        assert extract_structure(NORM, 25, lm).key_column == "Country"
+        assert extract_structure(NORM, PEEK, lm) == "Country"
 
     def test_invalid_reply_repaired_to_first_header(self):
         lm = make_gateway({"structure_extraction": ["key column: Nonsense"]})
         trace = ReasoningTrace()
-        info = extract_structure(NORM, 25, lm, trace=trace)
-        assert info.key_column == "Rider"
+        assert extract_structure(NORM, PEEK, lm, trace=trace) == "Rider"
         assert any("repaired" in w for w in trace.warnings)
 
     def test_peek_size_validation(self):
-        lm = make_gateway({"structure_extraction": ["key column: Rider"]})
         with pytest.raises(ValueError):
-            extract_structure(NORM, 0, lm)
+            peek_markdown(NORM, 0)
 
-    def test_key_must_be_a_header(self):
-        from tablefocus.structure import StructureInfo
-
-        with pytest.raises(ValueError):
-            StructureInfo(headers=("a",), key_column="b", peek_used=1)
+    def test_peek_markdown_shows_first_k_rows(self):
+        lines = peek_markdown(NORM, 2).splitlines()
+        assert len(lines) == 4  # header, separator, two rows
+        assert "Paolo Conti" in lines[-1]
 
 
 class TestRankColumns:
     def test_valid_permutation(self):
         lm = make_gateway({"column_ranking": ["Wins, Country, Rider"]})
-        got = rank_columns(NORM, "q", 25, lm)
+        got = rank_columns(NORM, "q", PEEK, lm)
         assert got.order == ("Wins", "Country", "Rider")
 
     def test_repairs_missing_and_unknown(self):
         lm = make_gateway({"column_ranking": ["Wins, Bogus, Wins"]})
         trace = ReasoningTrace()
-        got = rank_columns(NORM, "q", 25, lm, trace=trace)
+        got = rank_columns(NORM, "q", PEEK, lm, trace=trace)
         assert got.order == ("Wins", "Rider", "Country")
         assert any("dropped" in w for w in trace.warnings)
 
     def test_unparseable_falls_back_to_original_order(self):
         lm = make_gateway({"column_ranking": ["  \n "]})
         trace = ReasoningTrace()
-        got = rank_columns(NORM, "q", 25, lm, trace=trace)
+        got = rank_columns(NORM, "q", PEEK, lm, trace=trace)
         assert got.order == ("Rider", "Country", "Wins")
         assert trace.warnings
 
@@ -82,42 +80,42 @@ class TestColumnLookup:
 
     def test_selection_with_key_appended(self):
         lm = make_gateway({"column_lookup": ["Country, Wins"]})
-        got = column_lookup(self.RANKED, "q", 6, lm, table=NORM, key_column="Rider")
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, key_column="Rider")
         assert got == ("Country", "Wins", "Rider")
 
     def test_key_not_duplicated(self):
         lm = make_gateway({"column_lookup": ["Rider, Wins"]})
-        got = column_lookup(self.RANKED, "q", 6, lm, table=NORM, key_column="Rider")
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, key_column="Rider")
         assert got == ("Rider", "Wins")
 
     def test_b_max_cap(self):
         lm = make_gateway({"column_lookup": ["Wins, Country, Rider"]})
-        got = column_lookup(self.RANKED, "q", 2, lm, table=NORM)
+        got = column_lookup(self.RANKED, "q", 2, lm, PEEK)
         assert got == ("Wins", "Country")
 
     def test_unparseable_falls_back_to_top_ranked(self):
         lm = make_gateway({"column_lookup": ["none of these"]})
         trace = ReasoningTrace()
-        got = column_lookup(self.RANKED, "q", 6, lm, table=NORM, trace=trace)
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, trace=trace)
         assert got == ("Wins",)
         assert trace.warnings
 
     def test_b_max_validation(self):
         lm = make_gateway({"column_lookup": ["Wins"]})
         with pytest.raises(ValueError):
-            column_lookup(self.RANKED, "q", 0, lm, table=NORM)
+            column_lookup(self.RANKED, "q", 0, lm, PEEK)
 
 
 class TestRowLookup:
     def test_valid_sql_filters_rows(self):
         lm = make_gateway({"row_lookup_sql": ["```sql\nSELECT * FROM t WHERE country = 'Belgium'\n```"]})
-        got = row_lookup(NORM, "q", lm)
+        got = row_lookup(NORM, "q", lm, PEEK, SCHEMA)
         assert got.indices == (0, 2, 4)
 
     def test_invalid_sql_degrades_to_all_rows(self):
         lm = make_gateway({"row_lookup_sql": ["SELEC * FORM t"]})
         trace = ReasoningTrace()
-        got = row_lookup(NORM, "q", lm, trace=trace)
+        got = row_lookup(NORM, "q", lm, PEEK, SCHEMA, trace=trace)
         assert got.indices == tuple(range(6))
         assert got.empty_reason.startswith("sql failure")
         assert any("selected all rows" in w for w in trace.warnings)
@@ -125,14 +123,14 @@ class TestRowLookup:
     def test_aggregate_only_selects_all_rows(self):
         lm = make_gateway({"row_lookup_sql": ["SELECT COUNT(*) FROM t"]})
         trace = ReasoningTrace()
-        got = row_lookup(NORM, "q", lm, trace=trace)
+        got = row_lookup(NORM, "q", lm, PEEK, SCHEMA, trace=trace)
         assert got.indices == tuple(range(6))
         assert "aggregate" in got.empty_reason
 
     def test_executes_against_full_table_despite_peek(self):
         # The prompt renders a 2-row peek, but matching happens over all rows.
         lm = make_gateway({"row_lookup_sql": ["SELECT * FROM t WHERE country = 'France'"]})
-        got = row_lookup(NORM, "q", lm, k=2)
+        got = row_lookup(NORM, "q", lm, peek_markdown(NORM, 2), SCHEMA)
         assert got.indices == (5,)
 
 
@@ -156,6 +154,10 @@ class TestConstructFocus:
     def test_condensation_ratio(self):
         focus = construct_focus(NORM, self.ROWS, ["Rider", "Wins"])
         assert focus.condensation_ratio == pytest.approx((3 * 2) / (6 * 3))
+
+    def test_markdown_renders_the_focus(self):
+        focus = construct_focus(NORM, self.ROWS, ["Rider", "Wins"])
+        assert focus.markdown == render_markdown(focus.table)
 
     def test_reconstruction_count_carried(self):
         focus = construct_focus(NORM, self.ROWS, ["Rider"], reconstruction_count=2)
