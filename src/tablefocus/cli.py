@@ -58,50 +58,39 @@ def _read_table_text(source: str) -> str:
     return Path(source).read_text(encoding="utf-8")
 
 
-def _merge(cli_value, file_values: dict, key: str, default):
-    # Precedence: CLI flag > config file > default.
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        return file_values[key]
-    return default
+def _merge(file_values: dict, **cli_values) -> dict:
+    """Each key's CLI value, else its config-file value. Keys set by neither are
+    left out, so the constructor they are passed to applies its own default."""
+    merged = {key: file_values[key] for key in cli_values if key in file_values}
+    merged.update((key, value) for key, value in cli_values.items() if value is not None)
+    return merged
 
 
 def _build_pipeline_config(args, file_values: dict) -> PipelineConfig:
+    timeout = _merge(file_values, executor_timeout_s=args.executor_timeout_s)
     return PipelineConfig(
-        peek_size=_merge(args.peek_size, file_values, "peek_size", 25),
-        b_max=_merge(args.b_max, file_values, "b_max", 6),
-        executor=ExecutorProfile(
-            timeout_s=_merge(
-                getattr(args, "executor_timeout_s", None), file_values, "executor_timeout_s", 10.0
-            )
+        executor=ExecutorProfile(timeout_s=timeout["executor_timeout_s"]) if timeout else ExecutorProfile(),
+        **_merge(
+            file_values,
+            peek_size=args.peek_size,
+            b_max=args.b_max,
+            backend_mode=args.mode,
+            cassette_path=args.cassette,
+            normalization=False if args.no_normalize else None,
+            full_table_fallback=False if args.no_full_table_fallback else None,
+            reasoning_table=args.reasoning_table,
         ),
-        backend_mode=_merge(args.mode, file_values, "backend_mode", "replay"),
-        cassette_path=_merge(args.cassette, file_values, "cassette_path", None),
-        normalization=not args.no_normalize if args.no_normalize else _merge(None, file_values, "normalization", True),
-        full_table_fallback=(
-            not args.no_full_table_fallback
-            if args.no_full_table_fallback
-            else _merge(None, file_values, "full_table_fallback", True)
-        ),
-        reasoning_table=_merge(args.reasoning_table, file_values, "reasoning_table", "focus"),
     )
 
 
 def _build_gateway(args, file_values: dict, config: PipelineConfig) -> gw.Gateway:
-    templates_dir = _merge(args.templates, file_values, "templates", None)
-    templates = gw.load_templates(templates_dir)
+    templates = gw.load_templates(_merge(file_values, templates=args.templates).get("templates"))
     inner = None
     if config.backend_mode in ("record", "passthrough"):
-        base_url = _merge(args.base_url, file_values, "base_url", None)
-        model = _merge(args.model, file_values, "model", None)
-        if not base_url or not model:
+        provider = _merge(file_values, base_url=args.base_url, model=args.model, api_key_env=args.api_key_env)
+        if not provider.get("base_url") or not provider.get("model"):
             raise ValueError(f"{config.backend_mode} mode requires --base-url and --model")
-        inner = gw.HttpBackend(
-            base_url=base_url,
-            model=model,
-            api_key_env=_merge(args.api_key_env, file_values, "api_key_env", "TF_API_KEY"),
-        )
+        inner = gw.HttpBackend(**provider)
     backend = build_backend(config, inner=inner)
     return gw.Gateway(backend, templates=templates)
 
@@ -140,6 +129,7 @@ def cmd_eval(args) -> int:
         return answer, trace.to_dict()
 
     report = evaluate(instances, run_one, parallelism=args.parallelism, trace_dir=args.trace_dir)
+    report.skipped_records = skipped
     report_dict = report.to_dict()
     print(f"total: {report.total}  correct: {report.correct}  accuracy: {report.accuracy:.4f}")
     if args.buckets and report.bucket_accuracy:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import gateway as gw
 from .normalize import NormalizedTable
 from .sqlrows import RowSet
-from .structure import RankedColumns, TableOfFocus, construct_focus
+from .structure import TableOfFocus, construct_focus
 from .trace import ReasoningTrace
 
 
@@ -21,29 +21,18 @@ class VerbalizedTable:
             raise ValueError("verbalized text must be non-empty")
 
 
-def estimate_information(
-    focus: TableOfFocus,
-    question: str,
-    lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
-) -> bool:
+def estimate_information(focus: TableOfFocus, question: str, lm: gw.Gateway, trace: ReasoningTrace) -> bool:
     """Ask whether the focus table suffices; unparseable replies default to sufficient.
 
     The optimistic default is deliberate: a spurious "insufficient" inflates the
     reconstruction count, while a spurious "sufficient" is recoverable by the
     full-table retry at reasoning time.
     """
-    request, response = lm.complete(
-        "information_estimation",
-        {"table": focus.markdown, "question": question},
-    )
-    if trace is not None:
-        trace.record_lm("information_estimation", gw.request_key(request), response.text)
+    reply = lm.complete("information_estimation", {"table": focus.markdown, "question": question}, trace)
     try:
-        return gw.parse_bool(response.text)
+        return gw.parse_bool(reply)
     except gw.UnparseableReply:
-        if trace is not None:
-            trace.warn("sufficiency reply unparseable; defaulted to sufficient")
+        trace.warn("sufficiency reply unparseable; defaulted to sufficient")
         return True
 
 
@@ -52,9 +41,9 @@ def reconstruct_focus(
     question: str,
     rows: RowSet,
     initial_columns: tuple[str, ...],
-    ranked: RankedColumns,
+    ranked: tuple[str, ...],
     lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
+    trace: ReasoningTrace,
 ) -> TableOfFocus:
     """Grow the focus column set until a sufficiency check passes or candidates run out.
 
@@ -64,31 +53,23 @@ def reconstruct_focus(
     """
     if not initial_columns:
         raise ValueError("initial column set must be non-empty")
-    candidates = [c for c in ranked.order if c not in initial_columns]
+    candidates = [c for c in ranked if c not in initial_columns]
     columns = list(initial_columns)
     while True:
         focus = construct_focus(table, rows, columns, reconstruction_count=len(columns) - len(initial_columns))
-        if estimate_information(focus, question, lm, trace=trace) or not candidates:
+        if estimate_information(focus, question, lm, trace) or not candidates:
             return focus
         columns.append(candidates.pop(0))
 
 
-def verbalize(
-    focus: TableOfFocus,
-    lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
-) -> VerbalizedTable:
+def verbalize(focus: TableOfFocus, lm: gw.Gateway, trace: ReasoningTrace) -> VerbalizedTable:
     """Model description of the focus table; empty replies get a mechanical fallback."""
     if focus.table.column_count < 1:
         raise ValueError("cannot verbalize a table with no columns")
-    request, response = lm.complete("verbalization", {"table": focus.markdown})
-    if trace is not None:
-        trace.record_lm("verbalization", gw.request_key(request), response.text)
-    text = response.text.strip()
+    text = lm.complete("verbalization", {"table": focus.markdown}, trace).strip()
     if not text:
         text = mechanical_description(focus)
-        if trace is not None:
-            trace.warn("empty verbalization reply; used the mechanical fallback description")
+        trace.warn("empty verbalization reply; used the mechanical fallback description")
     return VerbalizedTable(text=text)
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
+from .trace import ReasoningTrace
+
 TEMPLATE_IDS = (
     "structure_extraction",
     "column_ranking",
@@ -59,6 +61,10 @@ class EmptyList(UnparseableReply):
 
 class CassetteMiss(GatewayError):
     pass
+
+
+class CorruptEntry(GatewayError):
+    """A cassette entry is not JSON or lacks ``response.text``."""
 
 
 class TransportError(GatewayError):
@@ -224,14 +230,19 @@ class Cassette:
         entry = self._entry_path(key)
         if not entry.is_file():
             return None
-        data = json.loads(entry.read_text(encoding="utf-8"))
-        resp = data["response"]
-        return LmResponse(
-            text=resp["text"],
-            prompt_tokens=resp.get("prompt_tokens", 0),
-            completion_tokens=resp.get("completion_tokens", 0),
-            backend_id=resp.get("backend_id", "cassette"),
-        )
+        try:
+            resp = json.loads(entry.read_text(encoding="utf-8"))["response"]
+            response = LmResponse(
+                text=resp["text"],
+                prompt_tokens=resp.get("prompt_tokens", 0),
+                completion_tokens=resp.get("completion_tokens", 0),
+                backend_id=resp.get("backend_id", "cassette"),
+            )
+        except (ValueError, LookupError, TypeError) as exc:
+            raise CorruptEntry(f"cassette entry {key} is unreadable: {exc}") from exc
+        if not isinstance(response.text, str):
+            raise CorruptEntry(f"cassette entry {key} has no response text")
+        return response
 
     def store(self, request: LmRequest, response: LmResponse) -> None:
         entry = {
@@ -248,10 +259,16 @@ class Cassette:
                 "backend_id": response.backend_id,
             },
         }
+        path = self._entry_path(request_key(request))
+        # Write a temp file that `*.json` does not match, then rename it into
+        # place, so a crash mid-write never leaves a truncated entry.
+        temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with self._lock:
-            self._entry_path(request_key(request)).write_text(
-                json.dumps(entry, indent=2, ensure_ascii=False), encoding="utf-8"
-            )
+            try:
+                temp.write_text(json.dumps(entry, indent=2, ensure_ascii=False), encoding="utf-8")
+                os.replace(temp, path)
+            finally:
+                temp.unlink(missing_ok=True)
 
     def keys(self) -> list[str]:
         if not self.path.is_dir():
@@ -288,31 +305,19 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
 class Gateway:
     """Template registry plus a backend; the one object pipeline stages call."""
 
-    def __init__(
-        self,
-        backend: Backend,
-        templates: Mapping[str, PromptTemplate] | None = None,
-        temperature: float = 0.0,
-        max_tokens: int = 2048,
-    ):
+    def __init__(self, backend: Backend, templates: Mapping[str, PromptTemplate] | None = None):
         self.backend = backend
         self.templates = dict(templates) if templates is not None else load_templates()
-        self.temperature = temperature
-        self.max_tokens = max_tokens
 
     def build_request(self, template_id: str, bindings: Mapping[str, str]) -> LmRequest:
-        template = self.templates[template_id]
-        rendered = render_prompt(template, bindings)
-        return LmRequest(
-            template_id=template_id,
-            rendered=rendered,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-        )
+        return LmRequest(template_id=template_id, rendered=render_prompt(self.templates[template_id], bindings))
 
-    def complete(self, template_id: str, bindings: Mapping[str, str]) -> tuple[LmRequest, LmResponse]:
+    def complete(self, template_id: str, bindings: Mapping[str, str], trace: ReasoningTrace) -> str:
+        """Send one prompt, record it as an ``lm`` step of ``trace``, and return the reply text."""
         request = self.build_request(template_id, bindings)
-        return request, self.backend.send(request)
+        reply = self.backend.send(request).text
+        trace.record_lm(template_id, request_key(request), reply)
+        return reply
 
 
 _AFFIRM = ("yes", "true", "sufficient")

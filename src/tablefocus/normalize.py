@@ -174,6 +174,32 @@ def detect_orientation(table: Table) -> Orientation:
     return Orientation(value=value, confidence=confidence)
 
 
+def _unique_headers(table: Table) -> tuple[Table, tuple[tuple[str, ...], ...]]:
+    """Rename repeated headers to ``name (2)``, ``name (3)``, ... and note each rename.
+
+    Names compare case-insensitively, as the model-reply parsers match them,
+    and a new name never takes one already in use. Returns the input table
+    itself, with empty notes, when every header is distinct.
+    """
+    taken = {h.lower() for h in table.headers}
+    if len(taken) == len(table.headers):
+        return table, tuple(() for _ in table.headers)
+    seen: set[str] = set()
+    headers: list[str] = []
+    notes: list[tuple[str, ...]] = []
+    for header in table.headers:
+        name, n = header, 2
+        if header.lower() in seen:
+            while f"{header} ({n})".lower() in taken:
+                n += 1
+            name = f"{header} ({n})"
+            taken.add(name.lower())
+        seen.add(name.lower())
+        headers.append(name)
+        notes.append(() if name == header else (f"header {header!r} repeated; renamed to {name!r}",))
+    return Table.make(headers, table.rows, name=table.name), tuple(notes)
+
+
 _CANONICALIZERS = {
     "integer": parse_integer,
     "decimal": parse_decimal,
@@ -189,7 +215,7 @@ def normalize(table: Table) -> NormalizedTable:
     """
     orientation = detect_orientation(table)
     transposed = orientation.value == "column_major"
-    work = transpose(table) if transposed else table
+    work, renames = _unique_headers(transpose(table) if transposed else table)
 
     kinds: list[ColumnKind] = []
     provenance: list[tuple[str, ...]] = []
@@ -198,12 +224,12 @@ def normalize(table: Table) -> NormalizedTable:
         cells = work.column(j)
         if not cells:
             kinds.append(ColumnKind(kind="text", parse_ratio=0.0))
-            provenance.append(())
+            provenance.append(renames[j])
             columns.append(cells)
             continue
         kind = infer_column_kind(cells)
         kinds.append(kind)
-        notes: list[str] = []
+        notes = list(renames[j])
         if kind.kind in _CANONICALIZERS:
             canonicalizer = _CANONICALIZERS[kind.kind]
             out: list[str] = []
@@ -231,7 +257,9 @@ def normalize(table: Table) -> NormalizedTable:
 
 
 def skip_normalization(table: Table) -> NormalizedTable:
-    """Wrap an already-clean table without touching it (benchmark bypass)."""
+    """Wrap an already-clean table without touching it (benchmark bypass),
+    apart from renaming repeated headers."""
+    table, renames = _unique_headers(table)
     kinds = tuple(
         infer_column_kind(table.column(j)) if table.row_count else ColumnKind("text", 0.0)
         for j in range(table.column_count)
@@ -240,5 +268,5 @@ def skip_normalization(table: Table) -> NormalizedTable:
         table=table,
         column_kinds=kinds,
         transposed=False,
-        provenance=tuple(() for _ in table.headers),
+        provenance=renames,
     )

@@ -73,13 +73,13 @@ def run_instance(
     peek_md = peek_markdown(normalized, config.peek_size)
     focus = None
     try:
-        key_column = extract_structure(normalized, peek_md, lm, trace=trace)
-        ranked = rank_columns(normalized, question, peek_md, lm, trace=trace)
-        initial = column_lookup(ranked, question, config.b_max, lm, peek_md, key_column=key_column, trace=trace)
+        key_column = extract_structure(normalized, peek_md, lm, trace)
+        ranked = rank_columns(normalized, question, peek_md, lm, trace)
+        initial = column_lookup(ranked, question, config.b_max, lm, peek_md, trace, key_column=key_column)
         schema = build_schema(normalized)
-        rows = row_lookup(normalized, question, lm, peek_md, schema, trace=trace)
-        focus = reconstruct_focus(normalized, question, rows, initial, ranked, lm, trace=trace)
-        verbal = verbalize(focus, lm, trace=trace)
+        rows = row_lookup(normalized, question, lm, peek_md, schema, trace)
+        focus = reconstruct_focus(normalized, question, rows, initial, ranked, lm, trace)
+        verbal = verbalize(focus, lm, trace)
 
         answer, trace = answer_adaptive(
             normalized,
@@ -88,8 +88,8 @@ def run_instance(
             question,
             task_kind,
             lm,
+            trace,
             profile=config.executor,
-            trace=trace,
             full_table_fallback=config.full_table_fallback,
             reasoning_table=config.reasoning_table,
         )

@@ -43,15 +43,6 @@ class EmptyAnswer(Exception):
 
 
 @dataclass(frozen=True)
-class Strategy:
-    value: str  # textual | symbolic
-
-    def __post_init__(self) -> None:
-        if self.value not in ("textual", "symbolic"):
-            raise ValueError(f"unknown strategy: {self.value!r}")
-
-
-@dataclass(frozen=True)
 class ExecutionResult:
     stdout: str
     exit_status: int
@@ -106,22 +97,19 @@ def assess_strategy(
     verbal: VerbalizedTable,
     question: str,
     lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
-) -> Strategy:
-    """Choose textual or symbolic reasoning; unparseable replies default to textual."""
-    request, response = lm.complete(
+    trace: ReasoningTrace,
+) -> str:
+    """Choose ``"textual"`` or ``"symbolic"`` reasoning; unparseable replies default to textual."""
+    reply = lm.complete(
         "strategy_assessment",
         {"table": focus.markdown, "description": verbal.text, "question": question},
+        trace,
     )
-    if trace is not None:
-        trace.record_lm("strategy_assessment", gw.request_key(request), response.text)
     try:
-        choice = gw.parse_choice(response.text, ["textual", "symbolic"], synonyms=_STRATEGY_SYNONYMS)
+        return gw.parse_choice(reply, ["textual", "symbolic"], synonyms=_STRATEGY_SYNONYMS)
     except gw.UnparseableReply:
-        if trace is not None:
-            trace.warn("strategy reply unparseable; defaulted to textual")
-        choice = "textual"
-    return Strategy(value=choice)
+        trace.warn("strategy reply unparseable; defaulted to textual")
+        return "textual"
 
 
 def textual_reasoning(
@@ -129,16 +117,14 @@ def textual_reasoning(
     verbal: VerbalizedTable,
     question: str,
     lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
+    trace: ReasoningTrace,
 ) -> str:
     """Full chain-of-thought reply, unmodified; extraction happens in format_answer."""
-    request, response = lm.complete(
+    return lm.complete(
         "textual_reasoning",
         {"table": table_markdown, "description": verbal.text, "question": question},
+        trace,
     )
-    if trace is not None:
-        trace.record_lm("textual_reasoning", gw.request_key(request), response.text)
-    return response.text
 
 
 def generate_guidance(
@@ -146,19 +132,16 @@ def generate_guidance(
     verbal: VerbalizedTable,
     question: str,
     lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
+    trace: ReasoningTrace,
 ) -> str:
-    request, response = lm.complete(
+    text = lm.complete(
         "textual_guidance",
         {"table": focus.markdown, "description": verbal.text, "question": question},
-    )
-    if trace is not None:
-        trace.record_lm("textual_guidance", gw.request_key(request), response.text)
-    text = response.text.strip()
+        trace,
+    ).strip()
     if not text:
         text = "Answer step by step."
-        if trace is not None:
-            trace.warn("empty guidance reply; used the default guidance")
+        trace.warn("empty guidance reply; used the default guidance")
     return text
 
 
@@ -168,21 +151,15 @@ def symbolic_reasoning(
     question: str,
     guidance: str,
     lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
+    trace: ReasoningTrace,
 ) -> str:
     """Program text extracted from the model reply (first fence, else whole reply)."""
-    request, response = lm.complete(
+    reply = lm.complete(
         "symbolic_reasoning",
-        {
-            "table": focus.markdown,
-            "description": verbal.text,
-            "question": question,
-            "guidance": guidance,
-        },
+        {"table": focus.markdown, "description": verbal.text, "question": question, "guidance": guidance},
+        trace,
     )
-    if trace is not None:
-        trace.record_lm("symbolic_reasoning", gw.request_key(request), response.text)
-    return gw.extract_code_block(response.text)
+    return gw.extract_code_block(reply)
 
 
 def focus_as_csv(focus: TableOfFocus) -> str:
@@ -269,15 +246,12 @@ def format_answer(
     raw: str,
     task_kind: str,
     lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
+    trace: ReasoningTrace,
 ) -> Answer:
     """Condense a raw reasoning result into the final short-form answer."""
     if not raw.strip():
         raise EmptyAnswer("raw reasoning result is empty")
-    request, response = lm.complete("answer_formatting", {"question": question, "reasoning": raw})
-    if trace is not None:
-        trace.record_lm("answer_formatting", gw.request_key(request), response.text)
-    formatted = response.text.strip()
+    formatted = lm.complete("answer_formatting", {"question": question, "reasoning": raw}, trace).strip()
     if not formatted:
         raise EmptyAnswer("formatted answer is blank")
     if looks_abstaining(formatted):
@@ -300,8 +274,8 @@ def answer_adaptive(
     question: str,
     task_kind: str,
     lm: gw.Gateway,
+    trace: ReasoningTrace,
     profile: ExecutorProfile = ExecutorProfile(),
-    trace: ReasoningTrace | None = None,
     full_table_fallback: bool = True,
     reasoning_table: str = "focus",
 ) -> tuple[Answer, ReasoningTrace]:
@@ -311,15 +285,13 @@ def answer_adaptive(
     verbalized focus from the start instead of only on fallback. Model
     failures (``GatewayError``) propagate; ``run_instance`` degrades them.
     """
-    trace = trace if trace is not None else ReasoningTrace()
-    strategy = assess_strategy(focus, verbal, question, lm, trace=trace)
-    trace.strategy = strategy.value
+    trace.strategy = assess_strategy(focus, verbal, question, lm, trace)
     raw: str | None = None
 
-    if strategy.value == "symbolic":
-        guidance = generate_guidance(focus, verbal, question, lm, trace=trace)
+    if trace.strategy == "symbolic":
+        guidance = generate_guidance(focus, verbal, question, lm, trace)
         trace.guidance = guidance
-        program = symbolic_reasoning(focus, verbal, question, guidance, lm, trace=trace)
+        program = symbolic_reasoning(focus, verbal, question, guidance, lm, trace)
         trace.program = program
         result = execute_program(program, focus, profile=profile, question=question)
         trace.record_exec(result.exit_status, result.timed_out, digest(result.stdout))
@@ -334,10 +306,10 @@ def answer_adaptive(
             raw = result.answer_line
     if raw is None:
         markdown = render_markdown(table.table) if reasoning_table == "full" else focus.markdown
-        raw = textual_reasoning(markdown, verbal, question, lm, trace=trace)
+        raw = textual_reasoning(markdown, verbal, question, lm, trace)
 
     try:
-        answer = format_answer(question, raw, task_kind, lm, trace=trace)
+        answer = format_answer(question, raw, task_kind, lm, trace)
     except EmptyAnswer:
         trace.warn("empty formatted answer")
         answer = Answer(value="", task_kind=task_kind, abstained=True)
@@ -345,9 +317,9 @@ def answer_adaptive(
     needs_full_retry = (answer.abstained or focus.table.row_count == 0) and full_table_fallback
     if needs_full_retry and reasoning_table != "full":
         trace.fallbacks.append("full_table_retry")
-        raw = textual_reasoning(render_markdown(table.table), verbal, question, lm, trace=trace)
+        raw = textual_reasoning(render_markdown(table.table), verbal, question, lm, trace)
         try:
-            answer = format_answer(question, raw, task_kind, lm, trace=trace)
+            answer = format_answer(question, raw, task_kind, lm, trace)
         except EmptyAnswer:
             answer = Answer(value="", task_kind=task_kind, abstained=True)
 

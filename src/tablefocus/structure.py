@@ -21,11 +21,6 @@ DEFAULT_B_MAX = 6
 
 
 @dataclass(frozen=True)
-class RankedColumns:
-    order: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class TableOfFocus:
     table: Table
     markdown: str  # the rendering every focus prompt sends
@@ -42,20 +37,11 @@ def peek_markdown(table: NormalizedTable, k: int) -> str:
     return render_markdown(peek(table.table, k), with_addresses=False)
 
 
-def extract_structure(
-    table: NormalizedTable,
-    peek_md: str,
-    lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
-) -> str:
+def extract_structure(table: NormalizedTable, peek_md: str, lm: gw.Gateway, trace: ReasoningTrace) -> str:
     """The key column: named by the model, validated against the table's headers
     and repaired to the first header if invalid."""
     headers = table.table.headers
-    request, response = lm.complete("structure_extraction", {"table": peek_md})
-    if trace is not None:
-        trace.record_lm("structure_extraction", gw.request_key(request), response.text)
-
-    reply = response.text
+    reply = lm.complete("structure_extraction", {"table": peek_md}, trace)
     match = re.search(r"key\s*column\s*[:\-]\s*(.+)", reply, re.IGNORECASE)
     candidate = (match.group(1) if match else reply).strip().strip("\"'`.")
     lowered = {h.lower(): h for h in headers}
@@ -67,8 +53,7 @@ def extract_structure(
                 break
     if key is None:
         key = headers[0]
-        if trace is not None:
-            trace.warn(f"key column reply {candidate!r} names no header; repaired to {key!r}")
+        trace.warn(f"key column reply {candidate!r} names no header; repaired to {key!r}")
     return key
 
 
@@ -77,23 +62,21 @@ def rank_columns(
     question: str,
     peek_md: str,
     lm: gw.Gateway,
-    trace: ReasoningTrace | None = None,
-) -> RankedColumns:
+    trace: ReasoningTrace,
+) -> tuple[str, ...]:
     """Model-provided relevance order, repaired into a true permutation of the headers."""
     headers = table.table.headers
-    request, response = lm.complete(
+    reply = lm.complete(
         "column_ranking",
         {"table": peek_md, "headers": ", ".join(headers), "question": question},
+        trace,
     )
-    if trace is not None:
-        trace.record_lm("column_ranking", gw.request_key(request), response.text)
     try:
-        items, dropped = gw.parse_delimited_list(response.text, expected_universe=headers)
+        items, dropped = gw.parse_delimited_list(reply, expected_universe=headers)
     except gw.EmptyList:
-        if trace is not None:
-            trace.warn("column ranking reply unparseable; fell back to original header order")
-        return RankedColumns(order=tuple(headers))
-    if dropped and trace is not None:
+        trace.warn("column ranking reply unparseable; fell back to original header order")
+        return tuple(headers)
+    if dropped:
         trace.warn(f"column ranking dropped unknown items: {dropped}")
     order: list[str] = []
     for item in items:
@@ -102,34 +85,32 @@ def rank_columns(
     for header in headers:  # repair omissions in original order
         if header not in order:
             order.append(header)
-    return RankedColumns(order=tuple(order))
+    return tuple(order)
 
 
 def column_lookup(
-    ranked: RankedColumns,
+    ranked: tuple[str, ...],
     question: str,
     b_max: int,
     lm: gw.Gateway,
     peek_md: str,
+    trace: ReasoningTrace,
     key_column: str | None = None,
-    trace: ReasoningTrace | None = None,
 ) -> tuple[str, ...]:
     """Select the initial focus columns, capped at b_max, never empty, key included."""
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
-    request, response = lm.complete(
+    reply = lm.complete(
         "column_lookup",
-        {"table": peek_md, "headers": ", ".join(ranked.order), "question": question},
+        {"table": peek_md, "headers": ", ".join(ranked), "question": question},
+        trace,
     )
-    if trace is not None:
-        trace.record_lm("column_lookup", gw.request_key(request), response.text)
     try:
-        items, dropped = gw.parse_delimited_list(response.text, expected_universe=ranked.order)
+        items, dropped = gw.parse_delimited_list(reply, expected_universe=ranked)
     except gw.EmptyList:
-        if trace is not None:
-            trace.warn("column lookup reply unparseable; fell back to the top-ranked column")
-        items, dropped = [ranked.order[0]], []
-    if dropped and trace is not None:
+        trace.warn("column lookup reply unparseable; fell back to the top-ranked column")
+        items, dropped = [ranked[0]], []
+    if dropped:
         trace.warn(f"column lookup dropped unknown items: {dropped}")
 
     selected: list[str] = []
@@ -139,7 +120,7 @@ def column_lookup(
         if len(selected) >= b_max:
             break
     if not selected:
-        selected = [ranked.order[0]]
+        selected = [ranked[0]]
     if key_column is not None and key_column not in selected:
         selected.append(key_column)
     return tuple(selected)
@@ -151,32 +132,29 @@ def row_lookup(
     lm: gw.Gateway,
     peek_md: str,
     schema: SqlSchema,
-    trace: ReasoningTrace | None = None,
+    trace: ReasoningTrace,
 ) -> RowSet:
     """Generate and execute row-filtering SQL; every failure degrades to all rows.
 
     The prompt shows only a peek of the table, but the SQL executes against
     the full normalized table (``schema``) so the row set covers all rows.
     """
-    request, response = lm.complete(
+    reply = lm.complete(
         "row_lookup_sql",
         {"table": peek_md, "schema": schema.describe(), "question": question},
+        trace,
     )
-    if trace is not None:
-        trace.record_lm("row_lookup_sql", gw.request_key(request), response.text)
-    sql = gw.extract_code_block(response.text).strip()
+    sql = gw.extract_code_block(reply).strip()
     m = table.table.row_count
     all_rows = tuple(range(m))
 
     if is_aggregate_query(sql) and "where" not in sql.lower():
-        if trace is not None:
-            trace.warn("row lookup SQL is aggregate-only; selected all rows")
+        trace.warn("row lookup SQL is aggregate-only; selected all rows")
         return RowSet(indices=all_rows, sql=sql, empty_reason="aggregate-only query; selected all rows")
     try:
         return execute_row_lookup(table, sql, schema=schema)
     except SqlError as exc:
-        if trace is not None:
-            trace.warn(f"row lookup SQL failed ({type(exc).__name__}: {exc}); selected all rows")
+        trace.warn(f"row lookup SQL failed ({type(exc).__name__}: {exc}); selected all rows")
         return RowSet(indices=all_rows, sql=sql, empty_reason=f"sql failure: {type(exc).__name__}")
 
 

@@ -32,14 +32,14 @@ class ReasoningTrace:
     config: dict[str, Any] = field(default_factory=dict)
     answer: dict[str, Any] | None = None
 
-    def record_lm(self, template_id: str, key: str, reply: str, warnings: list[str] | None = None) -> None:
+    def record_lm(self, template_id: str, key: str, reply: str) -> None:
         self.steps.append(
             {
                 "kind": "lm",
                 "template_id": template_id,
                 "request_key": key,
                 "reply_digest": digest(reply),
-                "warnings": list(warnings or []),
+                "warnings": [],
             }
         )
 

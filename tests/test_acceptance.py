@@ -19,7 +19,6 @@ from tablefocus.normalize import normalize, skip_normalization
 from tablefocus.pipeline import PipelineConfig, run_instance
 from tablefocus.reasoning import Answer, ExecutorProfile
 from tablefocus.sqlrows import execute_row_lookup
-from tablefocus.structure import RankedColumns
 from tablefocus.content import reconstruct_focus
 from tablefocus.sqlrows import RowSet
 from tablefocus.trace import ReasoningTrace
@@ -74,7 +73,7 @@ class TestReconstructionConformance:
             trace = ReasoningTrace()
             rows = RowSet(indices=(0, 1), sql="SELECT * FROM t")
             focus = reconstruct_focus(
-                table, "q", rows, initial, RankedColumns(order=tuple(ranked)), lm, trace=trace
+                table, "q", rows, initial, tuple(ranked), lm, trace=trace
             )
 
             assert set(focus.selected_columns) == set(expected_cols)
@@ -254,6 +253,16 @@ class TestDegradationLadder:
         answer, trace = _inject(replies)
         assert answer.value == "7"
         assert "full_table_retry" in trace.fallbacks
+
+    def test_corrupt_cassette_entry_degrades(self, tmp_path):
+        case = {c.id: c for c in GOLDEN_CASES}["tenure-textual"]
+        record_run(case, tmp_path / "c")
+        first = sorted((tmp_path / "c").glob("*.json"))[0]
+        first.write_bytes(first.read_bytes()[:40])
+        answer, trace = replay_run(case, tmp_path / "c")
+        assert answer.abstained
+        assert trace.answer["abstained"] is True
+        assert any(w.startswith("pipeline degraded: CorruptEntry") for w in trace.warnings)
 
     def test_persistent_abstention_still_terminates(self):
         replies = _base_replies(

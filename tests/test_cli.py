@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from tablefocus.cli import load_config_file, main
+from tablefocus.cli import _build_pipeline_config, build_parser, load_config_file, main
 from tablefocus.core import render_markdown
+from tablefocus.pipeline import PipelineConfig
+from tablefocus.reasoning import ExecutorProfile
 
 from conftest import GOLDEN_CASES, record_run
 
@@ -123,6 +125,23 @@ class TestRunCommand:
         assert capsys.readouterr().out.strip() == case.expected
 
 
+class TestBuildPipelineConfig:
+    def _config(self, argv, file_values=None):
+        args = build_parser().parse_args(["run", "--table", "t", "--question", "q"] + argv)
+        return _build_pipeline_config(args, file_values or {})
+
+    def test_unset_options_take_the_dataclass_defaults(self):
+        assert self._config(["--cassette", "c"]) == PipelineConfig(cassette_path="c")
+
+    def test_flag_beats_file_beats_default(self):
+        file_values = {"cassette_path": "c", "peek_size": 10, "b_max": 3, "normalization": True,
+                       "executor_timeout_s": 2.0}
+        config = self._config(["--peek-size", "5", "--no-normalize"], file_values)
+        assert (config.peek_size, config.b_max, config.normalization) == (5, 3, False)
+        assert config.executor == ExecutorProfile(timeout_s=2.0)
+        assert config.full_table_fallback is True
+
+
 def _write_dataset(case, path, count):
     """A jsonl dataset of ``count`` copies of one golden case."""
     records = []
@@ -160,6 +179,22 @@ class TestEvalCommand:
         assert report["correct"] == 4
         assert report["strategy_counts"] == {"symbolic": 4}
         assert len(list((tmp_path / "traces").glob("*.json"))) == 4
+
+    def test_report_counts_skipped_records(self, riders_setup, tmp_path, capsys):
+        case, cassette, _ = riders_setup
+        dataset = _write_dataset(case, tmp_path / "d.jsonl", 2)
+        dataset.write_text(dataset.read_text() + '{"id": "broken", "question": \n')
+        report_path = tmp_path / "report.json"
+        code = main([
+            "eval",
+            "--dataset", str(dataset),
+            "--mode", "replay",
+            "--cassette", str(cassette),
+            "--report-out", str(report_path),
+        ])
+        assert code == 0
+        assert "skipped 1 malformed records" in capsys.readouterr().err
+        assert json.loads(report_path.read_text())["skipped_records"] == 1
 
     def test_eval_limit(self, riders_setup, tmp_path, capsys):
         case, cassette, _ = riders_setup

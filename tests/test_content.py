@@ -13,14 +13,14 @@ from tablefocus.content import (
 )
 from tablefocus.normalize import skip_normalization
 from tablefocus.sqlrows import RowSet
-from tablefocus.structure import RankedColumns, construct_focus
+from tablefocus.structure import construct_focus
 from tablefocus.trace import ReasoningTrace
 
 from conftest import RIDERS_TABLE, make_gateway
 
 NORM = skip_normalization(RIDERS_TABLE)
 ALL_ROWS = RowSet(indices=tuple(range(6)), sql="SELECT * FROM t")
-RANKED = RankedColumns(order=("Country", "Wins", "Rider"))
+RANKED = ("Country", "Wins", "Rider")
 
 
 def _focus(columns=("Rider",)):
@@ -30,11 +30,11 @@ def _focus(columns=("Rider",)):
 class TestEstimateInformation:
     def test_affirmative(self):
         lm = make_gateway({"information_estimation": ["Yes, that suffices."]})
-        assert estimate_information(_focus(), "q", lm) is True
+        assert estimate_information(_focus(), "q", lm, ReasoningTrace()) is True
 
     def test_negative(self):
         lm = make_gateway({"information_estimation": ["No - missing the wins."]})
-        assert estimate_information(_focus(), "q", lm) is False
+        assert estimate_information(_focus(), "q", lm, ReasoningTrace()) is False
 
     def test_unparseable_defaults_to_sufficient(self):
         lm = make_gateway({"information_estimation": ["hmm, perhaps"]})
@@ -46,20 +46,20 @@ class TestEstimateInformation:
 class TestReconstructFocus:
     def test_sufficient_on_first_pass(self):
         lm = make_gateway({"information_estimation": ["Yes"]})
-        focus = reconstruct_focus(NORM, "q", ALL_ROWS, ("Rider",), RANKED, lm)
+        focus = reconstruct_focus(NORM, "q", ALL_ROWS, ("Rider",), RANKED, lm, ReasoningTrace())
         assert focus.selected_columns == ("Rider",)
         assert focus.reconstruction_count == 0
 
     def test_grows_until_sufficient(self):
         lm = make_gateway({"information_estimation": ["No", "No", "Yes"]})
-        focus = reconstruct_focus(NORM, "q", ALL_ROWS, ("Rider",), RANKED, lm)
+        focus = reconstruct_focus(NORM, "q", ALL_ROWS, ("Rider",), RANKED, lm, ReasoningTrace())
         # Candidates are appended in ranked order: Country first, then Wins.
         assert set(focus.selected_columns) == {"Rider", "Country", "Wins"}
         assert focus.reconstruction_count == 2
 
     def test_stops_when_candidates_exhausted(self):
         lm = make_gateway({"information_estimation": ["No", "No", "No"]})
-        focus = reconstruct_focus(NORM, "q", ALL_ROWS, ("Rider",), RANKED, lm)
+        focus = reconstruct_focus(NORM, "q", ALL_ROWS, ("Rider",), RANKED, lm, ReasoningTrace())
         assert focus.reconstruction_count == 2
         assert focus.table.column_count == 3
 
@@ -73,14 +73,14 @@ class TestReconstructFocus:
     def test_rows_are_frozen(self):
         rows = RowSet(indices=(1, 3), sql="SELECT ...")
         lm = make_gateway({"information_estimation": ["No", "Yes"]})
-        focus = reconstruct_focus(NORM, "q", rows, ("Rider",), RANKED, lm)
+        focus = reconstruct_focus(NORM, "q", rows, ("Rider",), RANKED, lm, ReasoningTrace())
         assert focus.selected_rows == rows
         assert focus.table.row_count == 2
 
     def test_empty_initial_columns_rejected(self):
         lm = make_gateway({"information_estimation": ["Yes"]})
         with pytest.raises(ValueError):
-            reconstruct_focus(NORM, "q", ALL_ROWS, (), RANKED, lm)
+            reconstruct_focus(NORM, "q", ALL_ROWS, (), RANKED, lm, ReasoningTrace())
 
 
 class TestVerbalize:

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from tablefocus import gateway as gw
+from tablefocus.trace import ReasoningTrace, digest
 
 
 def _request(template_id="column_lookup", rendered="hello"):
@@ -118,6 +119,24 @@ class TestCassette:
         assert entry["request"]["template_id"] == "column_lookup"
         assert entry["response"]["text"] == "out"
 
+    def test_store_leaves_only_the_entry(self, tmp_path):
+        rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend("out"))
+        rec.send(_request())
+        assert [p.name for p in (tmp_path / "c").iterdir()] == [f"{gw.request_key(_request())}.json"]
+
+    @pytest.mark.parametrize("text", [
+        '{"request": {"template_id": "column_lookup", "rend',
+        '{"response": {}}',
+        '{"response": {"text": null}}',
+        '["not", "an", "entry"]',
+    ])
+    def test_corrupt_entry_raises_gateway_error(self, tmp_path, text):
+        rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend())
+        rec.send(_request())
+        (tmp_path / "c" / f"{gw.request_key(_request())}.json").write_text(text)
+        with pytest.raises(gw.CorruptEntry):
+            gw.Cassette(tmp_path / "c", "replay").send(_request())
+
 
 class _FakeReply:
     def __init__(self, status_code, text):
@@ -171,13 +190,21 @@ class TestTemplatesAndGateway:
             gw.load_templates(tmp_path)
 
     def test_complete_returns_request_and_response(self):
+        # complete returns the reply text and records the call as one lm step.
         gateway = gw.Gateway(gw.ScriptedBackend({"answer_formatting": ["42"]}))
-        request, response = gateway.complete(
-            "answer_formatting", {"question": "q", "reasoning": "r"}
-        )
+        bindings = {"question": "q", "reasoning": "r"}
+        trace = ReasoningTrace()
+        assert gateway.complete("answer_formatting", bindings, trace) == "42"
+        request = gateway.build_request("answer_formatting", bindings)
         assert request.temperature == 0.0
         assert "q" in request.rendered
-        assert response.text == "42"
+        assert trace.steps == [{
+            "kind": "lm",
+            "template_id": "answer_formatting",
+            "request_key": gw.request_key(request),
+            "reply_digest": digest("42"),
+            "warnings": [],
+        }]
 
     def test_negative_token_counts_rejected(self):
         with pytest.raises(ValueError):

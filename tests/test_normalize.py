@@ -257,3 +257,24 @@ class TestSkipNormalization:
     def test_zero_rows(self):
         out = skip_normalization(Table.make(["a"], []))
         assert out.column_kinds == (ColumnKind("text", 0.0),)
+
+
+class TestRepeatedHeaders:
+    def test_repeats_renamed_with_provenance(self):
+        out = normalize(Table.make(["Year", "Year", "Team", "year"], [["1990", "1991", "A", "1992"]]))
+        assert out.table.headers == ("Year", "Year (2)", "Team", "year (3)")
+        assert out.table.column(1) == ["1991"]
+        assert out.provenance[0] == ()
+        assert out.provenance[1] == ("header 'Year' repeated; renamed to 'Year (2)'",)
+
+    def test_new_name_never_takes_one_in_use(self):
+        out = skip_normalization(Table.make(["a", "A", "a (2)"], [["1", "2", "3"]]))
+        assert out.table.headers == ("a", "A (3)", "a (2)")
+        assert out.provenance == ((), ("header 'A' repeated; renamed to 'A (3)'",), ())
+
+    def test_repeats_from_transpose_renamed(self):
+        t = Table.make(["Field", "Alice", "Bob"], [["Age", "34", "28"], ["Age", "35", "29"], ["City", "Paris", "Rome"]])
+        out = normalize(t)
+        assert out.transposed
+        assert out.table.headers == ("Field", "Age", "Age (2)", "City")
+        assert out.table.column(2) == ["35", "29"]

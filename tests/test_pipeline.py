@@ -7,6 +7,7 @@ import pytest
 from tablefocus import gateway as gw
 from tablefocus.evaluation import predicted_cost
 from tablefocus.pipeline import PipelineConfig, build_backend, run_instance
+from tablefocus.trace import ReasoningTrace
 
 from conftest import GOLDEN_CASES, GoldenCase, make_gateway
 
@@ -50,7 +51,7 @@ class TestBuildBackend:
         config = PipelineConfig(backend_mode="passthrough", cassette_path=str(tmp_path / "c"))
         lm = gw.Gateway(build_backend(config, inner=inner))
         bindings = {"table": "t", "headers": "h", "question": "q"}
-        replies = [lm.complete("column_lookup", bindings)[1].text for _ in range(2)]
+        replies = [lm.complete("column_lookup", bindings, ReasoningTrace()) for _ in range(2)]
         assert replies == ["a", "b"]  # both calls reached the inner backend
         assert not (tmp_path / "c").exists()
 

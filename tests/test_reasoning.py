@@ -12,7 +12,6 @@ from tablefocus.reasoning import (
     Answer,
     ExecutionResult,
     ExecutorProfile,
-    Strategy,
     answer_adaptive,
     assess_strategy,
     execute_program,
@@ -32,10 +31,6 @@ VERBAL = VerbalizedTable(text="Three Belgian riders with wins 3, 2, 2.")
 
 
 class TestStrategyAndAnswerTypes:
-    def test_strategy_validation(self):
-        with pytest.raises(ValueError):
-            Strategy("magical")
-
     def test_fact_verification_answers_constrained(self):
         with pytest.raises(ValueError):
             Answer(value="maybe", task_kind="fact_verification")
@@ -56,7 +51,7 @@ class TestStrategyAndAnswerTypes:
 class TestAssessStrategy:
     def test_direct_labels(self):
         lm = make_gateway({"strategy_assessment": ["symbolic"]})
-        assert assess_strategy(FOCUS, VERBAL, "q", lm).value == "symbolic"
+        assert assess_strategy(FOCUS, VERBAL, "q", lm, ReasoningTrace()) == "symbolic"
 
     @pytest.mark.parametrize("reply,expected", [
         ("write python code", "symbolic"),
@@ -66,12 +61,12 @@ class TestAssessStrategy:
     ])
     def test_synonyms(self, reply, expected):
         lm = make_gateway({"strategy_assessment": [reply]})
-        assert assess_strategy(FOCUS, VERBAL, "q", lm).value == expected
+        assert assess_strategy(FOCUS, VERBAL, "q", lm, ReasoningTrace()) == expected
 
     def test_unparseable_defaults_to_textual(self):
         lm = make_gateway({"strategy_assessment": ["whatever works"]})
         trace = ReasoningTrace()
-        assert assess_strategy(FOCUS, VERBAL, "q", lm, trace=trace).value == "textual"
+        assert assess_strategy(FOCUS, VERBAL, "q", lm, trace=trace) == "textual"
         assert any("defaulted to textual" in w for w in trace.warnings)
 
 
@@ -120,7 +115,7 @@ class TestExecuteProgram:
 class TestFormatAnswer:
     def test_plain_qa(self):
         lm = make_gateway({"answer_formatting": ["  7  "]})
-        got = format_answer("q", "reasoning...", "qa", lm)
+        got = format_answer("q", "reasoning...", "qa", lm, ReasoningTrace())
         assert got == Answer(value="7", task_kind="qa")
 
     def test_abstention_markers(self):
@@ -128,22 +123,22 @@ class TestFormatAnswer:
         assert looks_abstaining("Not enough information given")
         assert not looks_abstaining("42")
         lm = make_gateway({"answer_formatting": ["The question cannot be answered."]})
-        assert format_answer("q", "r", "qa", lm).abstained
+        assert format_answer("q", "r", "qa", lm, ReasoningTrace()).abstained
 
     def test_fact_verification_parsing(self):
         lm = make_gateway({"answer_formatting": ["The claim is true", "no way", "perhaps"]})
-        assert format_answer("q", "r", "fact_verification", lm).value == "True"
-        assert format_answer("q", "r", "fact_verification", lm).value == "False"
-        assert format_answer("q", "r", "fact_verification", lm).abstained
+        assert format_answer("q", "r", "fact_verification", lm, ReasoningTrace()).value == "True"
+        assert format_answer("q", "r", "fact_verification", lm, ReasoningTrace()).value == "False"
+        assert format_answer("q", "r", "fact_verification", lm, ReasoningTrace()).abstained
 
     def test_empty_inputs_raise(self):
         from tablefocus.reasoning import EmptyAnswer
 
         lm = make_gateway({"answer_formatting": [""]})
         with pytest.raises(EmptyAnswer):
-            format_answer("q", "   ", "qa", lm)
+            format_answer("q", "   ", "qa", lm, ReasoningTrace())
         with pytest.raises(EmptyAnswer):
-            format_answer("q", "r", "qa", lm)
+            format_answer("q", "r", "qa", lm, ReasoningTrace())
 
 
 class _RecordingBackend:
@@ -165,7 +160,7 @@ class TestAnswerAdaptive:
             "textual_reasoning": ["sum is 7. Answer: 7"],
             "answer_formatting": ["7"],
         })
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm)
+        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
         assert answer == Answer(value="7", task_kind="qa")
         assert trace.strategy == "textual"
         assert trace.fallbacks == []
@@ -177,7 +172,7 @@ class TestAnswerAdaptive:
             "symbolic_reasoning": ["```python\nprint(3 + 2 + 2)\n```"],
             "answer_formatting": ["7"],
         })
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm)
+        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
         assert answer.value == "7"
         assert trace.strategy == "symbolic"
         assert trace.program == "print(3 + 2 + 2)"
@@ -191,7 +186,7 @@ class TestAnswerAdaptive:
             "textual_reasoning": ["Answer: 7"],
             "answer_formatting": ["7"],
         })
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm)
+        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
         assert answer.value == "7"
         assert any("nonzero exit" in f for f in trace.fallbacks)
 
@@ -204,7 +199,7 @@ class TestAnswerAdaptive:
             "answer_formatting": ["7"],
         })
         answer, trace = answer_adaptive(
-            NORM, FOCUS, VERBAL, "q", "qa", lm, profile=ExecutorProfile(timeout_s=0.5)
+            NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace(), profile=ExecutorProfile(timeout_s=0.5)
         )
         assert answer.value == "7"
         assert any("timeout" in f for f in trace.fallbacks)
@@ -216,7 +211,7 @@ class TestAnswerAdaptive:
             "answer_formatting": ["cannot answer", "1"],
         })
         lm = gw.Gateway(backend)
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm)
+        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
         assert answer.value == "1"
         assert "full_table_retry" in trace.fallbacks
         retry = [r for r in backend.requests if r.template_id == "textual_reasoning"][1]
@@ -228,7 +223,7 @@ class TestAnswerAdaptive:
             "textual_reasoning": ["cannot answer"],
             "answer_formatting": ["cannot answer"],
         })
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, full_table_fallback=False)
+        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace(), full_table_fallback=False)
         assert answer.abstained
         assert "full_table_retry" not in trace.fallbacks
 
@@ -239,7 +234,7 @@ class TestAnswerAdaptive:
             "answer_formatting": ["1"],
         })
         lm = gw.Gateway(backend)
-        answer, _ = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, reasoning_table="full")
+        answer, _ = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace(), reasoning_table="full")
         first = [r for r in backend.requests if r.template_id == "textual_reasoning"][0]
         assert "Hans Weber" in first.rendered
         assert answer.value == "1"
@@ -247,4 +242,4 @@ class TestAnswerAdaptive:
     def test_gateway_failure_propagates(self):
         lm = make_gateway({})  # every call raises TransportError
         with pytest.raises(gw.TransportError):
-            answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm)
+            answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from tablefocus.core import render_markdown
+from tablefocus.core import Table, render_markdown
 from tablefocus.normalize import skip_normalization
 from tablefocus.sqlrows import RowSet, build_schema
 from tablefocus.structure import (
-    RankedColumns,
     column_lookup,
     construct_focus,
     extract_structure,
@@ -28,15 +27,15 @@ SCHEMA = build_schema(NORM)
 class TestExtractStructure:
     def test_key_column_parsed(self):
         lm = make_gateway({"structure_extraction": ["key column: Wins"]})
-        assert extract_structure(NORM, PEEK, lm) == "Wins"
+        assert extract_structure(NORM, PEEK, lm, ReasoningTrace()) == "Wins"
 
     def test_case_insensitive_match(self):
         lm = make_gateway({"structure_extraction": ["Key Column - wins"]})
-        assert extract_structure(NORM, PEEK, lm) == "Wins"
+        assert extract_structure(NORM, PEEK, lm, ReasoningTrace()) == "Wins"
 
     def test_substring_repair(self):
         lm = make_gateway({"structure_extraction": ["key column: the Country field"]})
-        assert extract_structure(NORM, PEEK, lm) == "Country"
+        assert extract_structure(NORM, PEEK, lm, ReasoningTrace()) == "Country"
 
     def test_invalid_reply_repaired_to_first_header(self):
         lm = make_gateway({"structure_extraction": ["key column: Nonsense"]})
@@ -57,40 +56,40 @@ class TestExtractStructure:
 class TestRankColumns:
     def test_valid_permutation(self):
         lm = make_gateway({"column_ranking": ["Wins, Country, Rider"]})
-        got = rank_columns(NORM, "q", PEEK, lm)
-        assert got.order == ("Wins", "Country", "Rider")
+        got = rank_columns(NORM, "q", PEEK, lm, ReasoningTrace())
+        assert got == ("Wins", "Country", "Rider")
 
     def test_repairs_missing_and_unknown(self):
         lm = make_gateway({"column_ranking": ["Wins, Bogus, Wins"]})
         trace = ReasoningTrace()
         got = rank_columns(NORM, "q", PEEK, lm, trace=trace)
-        assert got.order == ("Wins", "Rider", "Country")
+        assert got == ("Wins", "Rider", "Country")
         assert any("dropped" in w for w in trace.warnings)
 
     def test_unparseable_falls_back_to_original_order(self):
         lm = make_gateway({"column_ranking": ["  \n "]})
         trace = ReasoningTrace()
         got = rank_columns(NORM, "q", PEEK, lm, trace=trace)
-        assert got.order == ("Rider", "Country", "Wins")
+        assert got == ("Rider", "Country", "Wins")
         assert trace.warnings
 
 
 class TestColumnLookup:
-    RANKED = RankedColumns(order=("Wins", "Country", "Rider"))
+    RANKED = ("Wins", "Country", "Rider")
 
     def test_selection_with_key_appended(self):
         lm = make_gateway({"column_lookup": ["Country, Wins"]})
-        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, key_column="Rider")
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, ReasoningTrace(), key_column="Rider")
         assert got == ("Country", "Wins", "Rider")
 
     def test_key_not_duplicated(self):
         lm = make_gateway({"column_lookup": ["Rider, Wins"]})
-        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, key_column="Rider")
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, ReasoningTrace(), key_column="Rider")
         assert got == ("Rider", "Wins")
 
     def test_b_max_cap(self):
         lm = make_gateway({"column_lookup": ["Wins, Country, Rider"]})
-        got = column_lookup(self.RANKED, "q", 2, lm, PEEK)
+        got = column_lookup(self.RANKED, "q", 2, lm, PEEK, ReasoningTrace())
         assert got == ("Wins", "Country")
 
     def test_unparseable_falls_back_to_top_ranked(self):
@@ -103,13 +102,13 @@ class TestColumnLookup:
     def test_b_max_validation(self):
         lm = make_gateway({"column_lookup": ["Wins"]})
         with pytest.raises(ValueError):
-            column_lookup(self.RANKED, "q", 0, lm, PEEK)
+            column_lookup(self.RANKED, "q", 0, lm, PEEK, ReasoningTrace())
 
 
 class TestRowLookup:
     def test_valid_sql_filters_rows(self):
         lm = make_gateway({"row_lookup_sql": ["```sql\nSELECT * FROM t WHERE country = 'Belgium'\n```"]})
-        got = row_lookup(NORM, "q", lm, PEEK, SCHEMA)
+        got = row_lookup(NORM, "q", lm, PEEK, SCHEMA, ReasoningTrace())
         assert got.indices == (0, 2, 4)
 
     def test_invalid_sql_degrades_to_all_rows(self):
@@ -130,7 +129,7 @@ class TestRowLookup:
     def test_executes_against_full_table_despite_peek(self):
         # The prompt renders a 2-row peek, but matching happens over all rows.
         lm = make_gateway({"row_lookup_sql": ["SELECT * FROM t WHERE country = 'France'"]})
-        got = row_lookup(NORM, "q", lm, peek_markdown(NORM, 2), SCHEMA)
+        got = row_lookup(NORM, "q", lm, peek_markdown(NORM, 2), SCHEMA, ReasoningTrace())
         assert got.indices == (5,)
 
 
@@ -158,6 +157,11 @@ class TestConstructFocus:
     def test_markdown_renders_the_focus(self):
         focus = construct_focus(NORM, self.ROWS, ["Rider", "Wins"])
         assert focus.markdown == render_markdown(focus.table)
+
+    def test_repeated_headers_stay_distinct(self):
+        norm = skip_normalization(Table.make(["Year", "Year", "Team"], [["1990", "1991", "Ajax"]]))
+        focus = construct_focus(norm, RowSet(indices=(0,), sql=""), ["Year", "Team"])
+        assert focus.table.rows == (("1990", "Ajax"),)
 
     def test_reconstruction_count_carried(self):
         focus = construct_focus(NORM, self.ROWS, ["Rider"], reconstruction_count=2)
