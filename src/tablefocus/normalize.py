@@ -35,6 +35,27 @@ _DATE_FORMATS = (
     "%d %B %Y",
 )
 
+# Per format, a looser regex that every string strptime accepts with that format
+# also fullmatches: strptime reads format whitespace as \s+, %d may be
+# space-padded, and month names depend on the locale. So skipping strptime where
+# the shape fails changes no result, and most cells fail the union of all
+# shapes at once. strptime caches only 5 compiled formats, so trying all 11 on
+# every cell recompiles them on most calls.
+_DIRECTIVE_SHAPES = {"%Y": r"\d{4}", "%y": r"\d{2}", "%m": r"\d{1,2}", "%d": r"\s?\d{1,2}", "%b": ".+?", "%B": ".+?"}
+
+
+def _date_shape(fmt: str) -> re.Pattern[str]:
+    pieces = re.split(r"(%.|\s+)", fmt)
+    return re.compile(
+        "".join(
+            _DIRECTIVE_SHAPES[p] if p.startswith("%") else r"\s+" if p.isspace() else re.escape(p) for p in pieces
+        )
+    )
+
+
+_DATE_SHAPES = tuple((fmt, _date_shape(fmt)) for fmt in _DATE_FORMATS)
+_ANY_DATE_SHAPE = re.compile("|".join(shape.pattern for _, shape in _DATE_SHAPES))
+
 
 @dataclass(frozen=True)
 class ColumnKind:
@@ -97,9 +118,11 @@ def parse_decimal(cell: str) -> str | None:
 def parse_date(cell: str) -> str | None:
     """ISO-8601 form of a date cell, or None."""
     s = cell.strip()
-    if not s or not any(ch.isdigit() for ch in s):
+    if not s or not _ANY_DATE_SHAPE.fullmatch(s):
         return None
-    for fmt in _DATE_FORMATS:
+    for fmt, shape in _DATE_SHAPES:
+        if not shape.fullmatch(s):
+            continue
         try:
             return datetime.strptime(s, fmt).date().isoformat()
         except ValueError:
@@ -107,11 +130,24 @@ def parse_date(cell: str) -> str | None:
     return None
 
 
-_PRIMITIVES = (
-    ("integer", parse_integer),
-    ("decimal", parse_decimal),
-    ("date", parse_date),
-)
+# The order of the parsed forms; on a tie the earlier, more specific kind wins
+# (integers also parse as decimals).
+_KINDS = ("integer", "decimal", "date")
+
+
+class _Parses(dict):
+    """Memo for one call: cell -> its (integer, decimal, date) canonical forms,
+    None where the cell does not parse as that kind."""
+
+    def __missing__(self, cell: str) -> tuple[str | None, str | None, str | None]:
+        parsed = self[cell] = (parse_integer(cell), parse_decimal(cell), parse_date(cell))
+        return parsed
+
+
+def _counts(cells: list[str], parses: _Parses) -> list[int]:
+    """How many cells parse as each kind of ``_KINDS``."""
+    parsed = [parses[cell] for cell in cells]
+    return [sum(1 for p in parsed if p[k] is not None) for k in range(len(_KINDS))]
 
 
 def infer_column_kind(cells: list[str]) -> ColumnKind:
@@ -121,26 +157,23 @@ def infer_column_kind(cells: list[str]) -> ColumnKind:
     The inference is invariant under canonicalization: canonical forms parse
     back to the same kind, which keeps normalization idempotent.
     """
+    return _infer_kind(cells, _Parses())
+
+
+def _infer_kind(cells: list[str], parses: _Parses) -> ColumnKind:
     if not cells:
         raise ValueError("cannot infer kind of an empty column")
-    ratios = {}
-    for kind, parser in _PRIMITIVES:
-        ratios[kind] = sum(1 for c in cells if parser(c) is not None) / len(cells)
-    best_kind = max(ratios, key=lambda k: (ratios[k], -_kind_rank(k)))
-    best = ratios[best_kind]
+    counts = _counts(cells, parses)
+    best_count = max(counts)
+    best = best_count / len(cells)
     if best >= KIND_THRESHOLD:
-        return ColumnKind(kind=best_kind, parse_ratio=best)
+        return ColumnKind(kind=_KINDS[counts.index(best_count)], parse_ratio=best)
     if best >= MIXED_THRESHOLD:
         return ColumnKind(kind="mixed", parse_ratio=best)
     return ColumnKind(kind="text", parse_ratio=best)
 
 
-def _kind_rank(kind: str) -> int:
-    # Tie-break toward the most specific primitive (integers also parse as decimals).
-    return {"integer": 0, "decimal": 1, "date": 2}[kind]
-
-
-def _homogeneity(table: Table) -> float:
+def _homogeneity(table: Table, parses: _Parses) -> float:
     """Fraction of columns whose data cells share one inferred primitive type.
 
     A column counts as homogeneous when every cell parses as the same primitive
@@ -150,11 +183,7 @@ def _homogeneity(table: Table) -> float:
         return 0.0
     homogeneous = 0
     for j in range(table.column_count):
-        best = max(
-            sum(1 for c in table.column(j) if parser(c) is not None) / table.row_count
-            for _, parser in _PRIMITIVES
-        )
-        if best in (0.0, 1.0):
+        if max(_counts(table.column(j), parses)) in (0, table.row_count):
             homogeneous += 1
     return homogeneous / table.column_count
 
@@ -165,10 +194,14 @@ def detect_orientation(table: Table) -> Orientation:
     Ties (and tables too small to judge) default to row_major. Confidence is
     0.5 plus half the score margin, so a tie reads as maximal uncertainty.
     """
+    return _detect_orientation(table, _Parses())
+
+
+def _detect_orientation(table: Table, parses: _Parses) -> Orientation:
     if table.row_count < 1 or table.column_count < 2:
         return Orientation(value="row_major", confidence=0.5)
-    score_row = _homogeneity(table)
-    score_col = _homogeneity(transpose(table))
+    score_row = _homogeneity(table, parses)
+    score_col = _homogeneity(transpose(table), parses)
     confidence = 0.5 + abs(score_row - score_col) / 2.0
     value = "row_major" if score_row >= score_col else "column_major"
     return Orientation(value=value, confidence=confidence)
@@ -200,20 +233,14 @@ def _unique_headers(table: Table) -> tuple[Table, tuple[tuple[str, ...], ...]]:
     return Table.make(headers, table.rows, name=table.name), tuple(notes)
 
 
-_CANONICALIZERS = {
-    "integer": parse_integer,
-    "decimal": parse_decimal,
-    "date": parse_date,
-}
-
-
 def normalize(table: Table) -> NormalizedTable:
     """Produce the normalized table: orientation fixed, typed columns canonicalized.
 
     Total and idempotent; unparseable cells in a typed column stay verbatim and
-    are flagged in the per-column provenance.
+    are flagged in the per-column provenance. Each distinct cell is parsed once.
     """
-    orientation = detect_orientation(table)
+    parses = _Parses()
+    orientation = _detect_orientation(table, parses)
     transposed = orientation.value == "column_major"
     work, renames = _unique_headers(transpose(table) if transposed else table)
 
@@ -227,14 +254,14 @@ def normalize(table: Table) -> NormalizedTable:
             provenance.append(renames[j])
             columns.append(cells)
             continue
-        kind = infer_column_kind(cells)
+        kind = _infer_kind(cells, parses)
         kinds.append(kind)
         notes = list(renames[j])
-        if kind.kind in _CANONICALIZERS:
-            canonicalizer = _CANONICALIZERS[kind.kind]
+        if kind.kind in _KINDS:
+            k = _KINDS.index(kind.kind)
             out: list[str] = []
             for i, cell in enumerate(cells):
-                canonical = canonicalizer(cell)
+                canonical = parses[cell][k]
                 if canonical is None:
                     notes.append(f"row {i + 1}: kept verbatim (not parseable as {kind.kind})")
                     out.append(cell)
@@ -260,8 +287,9 @@ def skip_normalization(table: Table) -> NormalizedTable:
     """Wrap an already-clean table without touching it (benchmark bypass),
     apart from renaming repeated headers."""
     table, renames = _unique_headers(table)
+    parses = _Parses()
     kinds = tuple(
-        infer_column_kind(table.column(j)) if table.row_count else ColumnKind("text", 0.0)
+        _infer_kind(table.column(j), parses) if table.row_count else ColumnKind("text", 0.0)
         for j in range(table.column_count)
     )
     return NormalizedTable(

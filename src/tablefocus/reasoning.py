@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import signal
 import subprocess
 import tempfile
 import time
@@ -177,7 +178,7 @@ def _limit_resources(memory_mb: int):
 
             limit = memory_mb * 1024 * 1024
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        except Exception:
+        except (ImportError, ValueError, OSError):
             pass
 
     return apply
@@ -193,8 +194,9 @@ def execute_program(
 
     The focus table is written as table.csv and exported via TM_TABLE_PATH; the
     question via TM_QUESTION. The child gets a minimal environment, a memory
-    cap, and a wall-clock timeout. An interpreter that cannot be started
-    reports exit status 127, as a shell would.
+    cap, and a wall-clock timeout, on which its whole process group is killed.
+    An interpreter that cannot be started reports exit status 127, as a shell
+    would.
     """
     with tempfile.TemporaryDirectory(prefix="tf-exec-") as workdir:
         program_path = os.path.join(workdir, f"program{profile.extension}")
@@ -211,29 +213,32 @@ def execute_program(
         }
         start = time.monotonic()
         try:
-            completed = subprocess.run(
+            proc = subprocess.Popen(
                 list(profile.command) + [program_path],
                 cwd=workdir,
                 env=env,
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
                 text=True,
-                timeout=profile.timeout_s,
+                start_new_session=True,
                 preexec_fn=_limit_resources(profile.memory_mb),
             )
-            duration = (time.monotonic() - start) * 1000.0
-            return ExecutionResult(
-                stdout=completed.stdout,
-                exit_status=completed.returncode,
-                duration_ms=duration,
-                timed_out=False,
-            )
-        except subprocess.TimeoutExpired as exc:
-            duration = (time.monotonic() - start) * 1000.0
-            stdout = exc.stdout.decode("utf-8", "replace") if isinstance(exc.stdout, bytes) else (exc.stdout or "")
-            return ExecutionResult(stdout=stdout, exit_status=-1, duration_ms=duration, timed_out=True)
         except OSError:
             duration = (time.monotonic() - start) * 1000.0
             return ExecutionResult(stdout="", exit_status=127, duration_ms=duration, timed_out=False)
+        with proc:
+            try:
+                stdout, _ = proc.communicate(timeout=profile.timeout_s)
+            except subprocess.TimeoutExpired as exc:
+                # The program leads its own process group, so this also kills
+                # every process it started. Output is not drained further: a
+                # process that left the group could hold the pipe open forever.
+                os.killpg(proc.pid, signal.SIGKILL)
+                duration = (time.monotonic() - start) * 1000.0
+                stdout = (exc.stdout or b"").decode("utf-8", "replace")
+                return ExecutionResult(stdout=stdout, exit_status=-1, duration_ms=duration, timed_out=True)
+        duration = (time.monotonic() - start) * 1000.0
+        return ExecutionResult(stdout=stdout, exit_status=proc.returncode, duration_ms=duration, timed_out=False)
 
 
 def looks_abstaining(text: str) -> bool:

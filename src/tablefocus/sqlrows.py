@@ -150,9 +150,11 @@ def _load(table: NormalizedTable, schema: SqlSchema) -> sqlite3.Connection:
     cols = ", ".join(f'"{s}" {_AFFINITY.get(k, "TEXT")}' for _, s, k in schema.columns)
     conn.execute(f'CREATE TABLE {schema.table_name} ({cols}, "{schema.row_id_column}" INTEGER)')
     placeholders = ", ".join("?" for _ in range(len(schema.columns) + 1))
-    for i, row in enumerate(table.table.rows):
-        values = [_numeric_value(cell, kind) for cell, (_, _, kind) in zip(row, schema.columns)]
-        conn.execute(f"INSERT INTO {schema.table_name} VALUES ({placeholders})", values + [i])
+    kinds = [kind for _, _, kind in schema.columns]
+    conn.executemany(
+        f"INSERT INTO {schema.table_name} VALUES ({placeholders})",
+        ([*map(_numeric_value, row, kinds), i] for i, row in enumerate(table.table.rows)),
+    )
     conn.commit()
     return conn
 

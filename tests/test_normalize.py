@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import calendar
+import importlib
+import random
+import re
+from datetime import datetime
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,6 +24,82 @@ from tablefocus.normalize import (
     parse_integer,
     skip_normalization,
 )
+
+
+# Reference for parse_date: strptime with every format in turn, no shape check.
+_DATE_FORMATS = (
+    "%Y-%m-%d",
+    "%Y/%m/%d",
+    "%m/%d/%Y",
+    "%m/%d/%y",
+    "%m-%d-%Y",
+    "%b %d, %Y",
+    "%B %d, %Y",
+    "%b %d %Y",
+    "%B %d %Y",
+    "%d %b %Y",
+    "%d %B %Y",
+)
+
+
+def _reference_parse_date(cell: str) -> str | None:
+    """ISO-8601 form of a date cell, or None."""
+    s = cell.strip()
+    if not s or not any(ch.isdigit() for ch in s):
+        return None
+    for fmt in _DATE_FORMATS:
+        try:
+            return datetime.strptime(s, fmt).date().isoformat()
+        except ValueError:
+            continue
+    return None
+
+
+_MONTH_NAMES = calendar.month_abbr[1:] + calendar.month_name[1:]
+
+
+@st.composite
+def _mixed_case(draw, word):
+    flips = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(ch.swapcase() if flip else ch for ch, flip in zip(word, flips))
+
+
+_NUMBER = st.integers(0, 99_999).map(str)  # 1 to 5 digits
+
+
+def _padded(lo: int, hi: int):
+    return st.integers(lo, hi).flatmap(lambda n: st.sampled_from([str(n), f"{n:02d}"]))
+
+
+_MONTH = st.sampled_from(_MONTH_NAMES).flatmap(_mixed_case)
+_WORD = st.sampled_from(["Sept", "Marc", "Mayday", "Cedar", "n/a", "x"])
+_DATE_SEPARATOR = st.sampled_from(["-", "/", ", ", " ", "  ", "\t", "\u00a0"])
+_DIRECTIVE_PIECES = {
+    "%Y": st.integers(1, 9999).map("{:04d}".format) | _NUMBER,
+    "%y": st.integers(0, 99).map("{:02d}".format) | _NUMBER,
+    "%m": _padded(0, 13),
+    "%d": _padded(0, 32),
+    "%b": _MONTH | _WORD,
+    "%B": _MONTH | _WORD,
+}
+
+
+@st.composite
+def _date_like(draw):
+    """Numbers, month names and other words joined by separators. Half follow
+    a format of _DATE_FORMATS, swapping each of its separators one time in
+    four; half take up to four pieces in any order. Some are padded or trailed."""
+    if draw(st.booleans()):
+        template = re.split(r"(%[a-zA-Z])", draw(st.sampled_from(_DATE_FORMATS)))
+        pieces = [
+            draw(_DIRECTIVE_PIECES[t]) if t.startswith("%") else t if draw(st.integers(0, 3)) else draw(_DATE_SEPARATOR)
+            for t in template
+        ]
+    else:
+        pieces = []
+        for i, kind in enumerate(draw(st.lists(st.sampled_from([_NUMBER, _MONTH, _WORD]), min_size=1, max_size=4))):
+            pieces += [draw(_DATE_SEPARATOR), draw(kind)] if i else [draw(kind)]
+    return draw(st.sampled_from(["", " ", "\u00a0"])) + "".join(pieces) + draw(st.sampled_from(["", " ", ","]))
 
 
 class TestPrimitiveParsers:
@@ -77,6 +159,11 @@ class TestPrimitiveParsers:
     @pytest.mark.parametrize("raw", ["", "yesterday", "13/13/2000", "March", "2000"])
     def test_date_rejects(self, raw):
         assert parse_date(raw) is None
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_date_like())
+    def test_date_matches_reference(self, raw):
+        assert parse_date(raw) == _reference_parse_date(raw)
 
     @pytest.mark.parametrize(
         "raw", ["42", "-3", "3.50", ".25", "1999-03-05"]
@@ -226,6 +313,32 @@ class TestNormalize:
                 transposed=False,
                 provenance=((), ()),
             )
+
+    def test_each_distinct_date_cell_reaches_strptime_once(self, monkeypatch):
+        rng = random.Random(4)
+        months = calendar.month_abbr[1:]
+        rows = [
+            [
+                f"{rng.choice(['Cedar', 'Maple', 'Harbor'])} {rng.randint(100, 99_999)}",
+                f"{rng.randint(1, 99_999):,}",
+                f"${rng.randint(1, 99_999):,}.{rng.randint(0, 99):02d}",
+                f"{rng.choice(months)} {rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
+            ]
+            for _ in range(200)
+        ]
+        table = Table.make(["Store", "Units", "Revenue", "Opened"], rows)
+        parsed: list[str] = []
+
+        class CountingDatetime(datetime):
+            @classmethod
+            def strptime(cls, date_string, fmt):
+                parsed.append(date_string)
+                return super().strptime(date_string, fmt)
+
+        monkeypatch.setattr(importlib.import_module("tablefocus.normalize"), "datetime", CountingDatetime)
+        out = normalize(table)
+        assert out.column_kinds[3].kind == "date"
+        assert sorted(parsed) == sorted({row[3] for row in rows})
 
     @settings(max_examples=300, deadline=None)
     @given(wild_tables())

@@ -3,6 +3,10 @@ and the fallback ladder."""
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 from tablefocus import gateway as gw
@@ -70,6 +74,16 @@ class TestAssessStrategy:
         assert any("defaulted to textual" in w for w in trace.warnings)
 
 
+def _dead(pid: int) -> bool:
+    """Gone, or a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
 class TestExecuteProgram:
     def test_table_and_question_exposed_via_env(self):
         program = (
@@ -106,6 +120,28 @@ class TestExecuteProgram:
         result = execute_program("while True: pass", FOCUS, profile=profile)
         assert result.timed_out
         assert result.exit_status == -1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_timeout_kills_grandchildren(self, tmp_path):
+        pid_file = tmp_path / "grandchild.pid"
+        program = (
+            "import subprocess, time\n"
+            "child = subprocess.Popen(['sleep', '20'])\n"
+            f"with open({str(pid_file)!r}, 'w') as fh:\n"
+            "    fh.write(str(child.pid))\n"
+            "time.sleep(20)\n"
+        )
+        result = execute_program(program, FOCUS, profile=ExecutorProfile(timeout_s=1.0))
+        assert result.timed_out and result.exit_status == -1
+        pid = int(pid_file.read_text())
+        try:
+            deadline = time.monotonic() + 2.0
+            while not _dead(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _dead(pid), "grandchild survived the timeout"
+        finally:
+            if not _dead(pid):
+                os.kill(pid, signal.SIGKILL)
 
     def test_runs_in_isolated_workdir(self):
         result = execute_program("import os; print(os.getcwd())", FOCUS)

@@ -14,6 +14,7 @@ from tablefocus.sqlrows import (
     SqlSemanticError,
     SqlSyntaxError,
     SqlTimeout,
+    _load,
     build_schema,
     check_policy,
     execute_row_lookup,
@@ -37,6 +38,35 @@ def _fixture_table():
             ],
         )
     )
+
+
+class TestLoad:
+    def test_rows_bind_by_kind_in_order(self):
+        table = skip_normalization(
+            Table.make(
+                ["Rider", "Wins", "Avg"],
+                [
+                    ["Jacky", "3", "1.5"],
+                    ["Paolo", "5", "2"],
+                    ["Bram", "n/a", "0.25"],
+                    ["Hans", "1", "4.0"],
+                    ["Ida", "2", "3.5"],
+                ],
+            )
+        )
+        assert [k.kind for k in table.column_kinds] == ["text", "integer", "decimal"]
+        conn = _load(table, build_schema(table))
+        try:
+            rows = conn.execute("SELECT * FROM t ORDER BY _row_id").fetchall()
+        finally:
+            conn.close()
+        assert rows == [
+            ("Jacky", 3, 1.5, 0),
+            ("Paolo", 5, 2.0, 1),
+            ("Bram", None, 0.25, 2),  # unparseable in an integer column binds as NULL
+            ("Hans", 1, 4.0, 3),
+            ("Ida", 2, 3.5, 4),
+        ]
 
 
 class TestSanitizeIdentifier:
