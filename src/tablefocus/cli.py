@@ -169,20 +169,17 @@ def cmd_cassette(args) -> int:
     path = Path(args.path)
     if not path.is_dir():
         raise ValueError(f"cassette directory not found: {path}")
-    entries = sorted(path.glob("*.json"))
+    cassette = gw.Cassette(path, "replay")
+    entries = cassette.entries()
     if args.action == "inspect":
-        for entry in entries:
-            data = json.loads(entry.read_text(encoding="utf-8"))
-            template_id = data.get("request", {}).get("template_id", "?")
-            print(f"{entry.stem}  {template_id}")
+        for key, template_id in entries:
+            print(f"{key}  {'?' if template_id is None else template_id}")
         print(f"{len(entries)} entries", file=sys.stderr)
         return 0
     removed = 0
-    for entry in entries:
-        data = json.loads(entry.read_text(encoding="utf-8"))
-        template_id = data.get("request", {}).get("template_id")
+    for key, template_id in entries:
         if args.template_id is None or template_id == args.template_id:
-            entry.unlink()
+            cassette.remove(key)
             removed += 1
     print(f"removed {removed} entries", file=sys.stderr)
     return 0

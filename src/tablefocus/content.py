@@ -3,22 +3,11 @@ re-construction, and verbalization into a natural-language description."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import gateway as gw
 from .normalize import NormalizedTable
 from .sqlrows import RowSet
 from .structure import TableOfFocus, construct_focus
 from .trace import ReasoningTrace
-
-
-@dataclass(frozen=True)
-class VerbalizedTable:
-    text: str
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("verbalized text must be non-empty")
 
 
 def estimate_information(focus: TableOfFocus, question: str, lm: gw.Gateway, trace: ReasoningTrace) -> bool:
@@ -62,7 +51,7 @@ def reconstruct_focus(
         columns.append(candidates.pop(0))
 
 
-def verbalize(focus: TableOfFocus, lm: gw.Gateway, trace: ReasoningTrace) -> VerbalizedTable:
+def verbalize(focus: TableOfFocus, lm: gw.Gateway, trace: ReasoningTrace) -> str:
     """Model description of the focus table; empty replies get a mechanical fallback."""
     if focus.table.column_count < 1:
         raise ValueError("cannot verbalize a table with no columns")
@@ -70,7 +59,7 @@ def verbalize(focus: TableOfFocus, lm: gw.Gateway, trace: ReasoningTrace) -> Ver
     if not text:
         text = mechanical_description(focus)
         trace.warn("empty verbalization reply; used the mechanical fallback description")
-    return VerbalizedTable(text=text)
+    return text
 
 
 def mechanical_description(focus: TableOfFocus) -> str:

@@ -189,19 +189,11 @@ def _escape_cell(cell: str) -> str:
     return cell.replace("|", "\\|").replace("\n", " ")
 
 
-def render_markdown(table: Table, with_addresses: bool = False) -> str:
-    """Render canonical pipe-delimited markdown with a single space around pipes.
-
-    ``with_addresses`` prepends a "#" column carrying 1-based row numbers.
-    """
-    headers = list(table.headers)
-    rows = [list(r) for r in table.rows]
-    if with_addresses:
-        headers = ["#"] + headers
-        rows = [[str(i + 1)] + row for i, row in enumerate(rows)]
-    lines = ["| " + " | ".join(_escape_cell(h) for h in headers) + " |"]
-    lines.append("| " + " | ".join("---" for _ in headers) + " |")
-    for row in rows:
+def render_markdown(table: Table) -> str:
+    """Render canonical pipe-delimited markdown with a single space around pipes."""
+    lines = ["| " + " | ".join(_escape_cell(h) for h in table.headers) + " |"]
+    lines.append("| " + " | ".join("---" for _ in table.headers) + " |")
+    for row in table.rows:
         lines.append("| " + " | ".join(_escape_cell(c) for c in row) + " |")
     return "\n".join(lines)
 
@@ -248,12 +240,12 @@ def heuristic_token_count(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-def measure(table: Table, tokenizer: Callable[[str], int] = heuristic_token_count) -> SizeMetrics:
-    """Size metrics over the canonical markdown rendering (no address column)."""
+def measure(table: Table) -> SizeMetrics:
+    """Size metrics over the canonical markdown rendering."""
     m, n = table.row_count, table.column_count
     return SizeMetrics(
         row_count=m,
         column_count=n,
         area=m * n,
-        token_estimate=tokenizer(render_markdown(table, False)),
+        token_estimate=heuristic_token_count(render_markdown(table)),
     )

@@ -32,6 +32,11 @@ TEMPLATE_IDS = (
     "answer_formatting",
 )
 
+# Every request is sent with these sampling settings, so replies are as
+# deterministic as the provider allows.
+TEMPERATURE = 0.0
+MAX_TOKENS = 2048
+
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-zA-Z_][a-zA-Z0-9_]*)\}\}")
 
 
@@ -101,8 +106,6 @@ class PromptTemplate:
 class LmRequest:
     template_id: str
     rendered: str
-    temperature: float = 0.0
-    max_tokens: int = 2048
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,8 @@ class HttpBackend:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.rendered}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         try:
             resp = requests.post(
@@ -249,8 +252,8 @@ class Cassette:
             "request": {
                 "template_id": request.template_id,
                 "rendered": request.rendered,
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
+                "temperature": TEMPERATURE,
+                "max_tokens": MAX_TOKENS,
             },
             "response": {
                 "text": response.text,
@@ -270,10 +273,20 @@ class Cassette:
             finally:
                 temp.unlink(missing_ok=True)
 
-    def keys(self) -> list[str]:
-        if not self.path.is_dir():
-            return []
-        return sorted(p.stem for p in self.path.glob("*.json"))
+    def entries(self) -> list[tuple[str, str | None]]:
+        """Each entry's key and template id, in key order; ``None`` marks an unreadable entry."""
+        listed = []
+        for path in sorted(self.path.glob("*.json")):
+            try:
+                template_id = json.loads(path.read_text(encoding="utf-8"))["request"]["template_id"]
+            except (ValueError, LookupError, TypeError):
+                template_id = None
+            listed.append((path.stem, template_id if isinstance(template_id, str) else None))
+        return listed
+
+    def remove(self, key: str) -> None:
+        with self._lock:
+            self._entry_path(key).unlink(missing_ok=True)
 
     def send(self, request: LmRequest) -> LmResponse:
         key = request_key(request)
@@ -354,22 +367,17 @@ def parse_choice(
     raise UnparseableReply(f"none of {options} found in reply: {reply[:200]!r}", raw_reply=reply)
 
 
-def parse_delimited_list(
-    reply: str,
-    expected_universe: Iterable[str] | None = None,
-) -> tuple[list[str], list[str]]:
+def parse_delimited_list(reply: str, expected_universe: Iterable[str]) -> tuple[list[str], list[str]]:
     """Split a reply on newlines/commas/pipes into trimmed items.
 
-    With a universe given, items outside it are dropped and reported (second
-    element of the result); kept items carry the universe's canonical casing.
+    Items outside the universe are dropped and reported (second element of the
+    result); kept items carry the universe's canonical casing.
     """
     items = [part.strip() for part in re.split(r"[\n,|]+", reply)]
     items = [re.sub(r"^\s*(?:[-*•]|\d+[.)])\s*", "", item).strip() for item in items]
     items = [item for item in items if item]
     if not items:
         raise EmptyList(f"no list items found in reply: {reply[:200]!r}", raw_reply=reply)
-    if expected_universe is None:
-        return items, []
     canonical = {u.lower(): u for u in expected_universe}
     kept: list[str] = []
     dropped: list[str] = []

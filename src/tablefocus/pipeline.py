@@ -75,16 +75,16 @@ def run_instance(
     try:
         key_column = extract_structure(normalized, peek_md, lm, trace)
         ranked = rank_columns(normalized, question, peek_md, lm, trace)
-        initial = column_lookup(ranked, question, config.b_max, lm, peek_md, trace, key_column=key_column)
+        initial = column_lookup(ranked, question, config.b_max, lm, peek_md, trace, key_column)
         schema = build_schema(normalized)
         rows = row_lookup(normalized, question, lm, peek_md, schema, trace)
         focus = reconstruct_focus(normalized, question, rows, initial, ranked, lm, trace)
-        verbal = verbalize(focus, lm, trace)
+        description = verbalize(focus, lm, trace)
 
         answer, trace = answer_adaptive(
             normalized,
             focus,
-            verbal,
+            description,
             question,
             task_kind,
             lm,

@@ -14,11 +14,11 @@ import os
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 
 from . import gateway as gw
-from .content import VerbalizedTable
 from .core import render_markdown
 from .normalize import NormalizedTable
 from .structure import TableOfFocus
@@ -26,6 +26,7 @@ from .trace import ReasoningTrace, digest
 
 TABLE_PATH_ENV = "TM_TABLE_PATH"
 QUESTION_ENV = "TM_QUESTION"
+MEMORY_MB = 512  # address-space cap of a generated program
 
 _ABSTAIN_MARKERS = (
     "cannot answer",
@@ -72,12 +73,10 @@ class Answer:
 
 @dataclass(frozen=True)
 class ExecutorProfile:
-    """How generated programs are run: interpreter, extension, limits."""
+    """How generated programs are run: interpreter and wall-clock limit."""
 
     command: tuple[str, ...] = ("python3",)
-    extension: str = ".py"
     timeout_s: float = 10.0
-    memory_mb: int = 512
 
 
 _STRATEGY_SYNONYMS = {
@@ -95,7 +94,7 @@ _STRATEGY_SYNONYMS = {
 
 def assess_strategy(
     focus: TableOfFocus,
-    verbal: VerbalizedTable,
+    description: str,
     question: str,
     lm: gw.Gateway,
     trace: ReasoningTrace,
@@ -103,7 +102,7 @@ def assess_strategy(
     """Choose ``"textual"`` or ``"symbolic"`` reasoning; unparseable replies default to textual."""
     reply = lm.complete(
         "strategy_assessment",
-        {"table": focus.markdown, "description": verbal.text, "question": question},
+        {"table": focus.markdown, "description": description, "question": question},
         trace,
     )
     try:
@@ -115,7 +114,7 @@ def assess_strategy(
 
 def textual_reasoning(
     table_markdown: str,
-    verbal: VerbalizedTable,
+    description: str,
     question: str,
     lm: gw.Gateway,
     trace: ReasoningTrace,
@@ -123,21 +122,21 @@ def textual_reasoning(
     """Full chain-of-thought reply, unmodified; extraction happens in format_answer."""
     return lm.complete(
         "textual_reasoning",
-        {"table": table_markdown, "description": verbal.text, "question": question},
+        {"table": table_markdown, "description": description, "question": question},
         trace,
     )
 
 
 def generate_guidance(
     focus: TableOfFocus,
-    verbal: VerbalizedTable,
+    description: str,
     question: str,
     lm: gw.Gateway,
     trace: ReasoningTrace,
 ) -> str:
     text = lm.complete(
         "textual_guidance",
-        {"table": focus.markdown, "description": verbal.text, "question": question},
+        {"table": focus.markdown, "description": description, "question": question},
         trace,
     ).strip()
     if not text:
@@ -148,7 +147,7 @@ def generate_guidance(
 
 def symbolic_reasoning(
     focus: TableOfFocus,
-    verbal: VerbalizedTable,
+    description: str,
     question: str,
     guidance: str,
     lm: gw.Gateway,
@@ -157,7 +156,7 @@ def symbolic_reasoning(
     """Program text extracted from the model reply (first fence, else whole reply)."""
     reply = lm.complete(
         "symbolic_reasoning",
-        {"table": focus.markdown, "description": verbal.text, "question": question, "guidance": guidance},
+        {"table": focus.markdown, "description": description, "question": question, "guidance": guidance},
         trace,
     )
     return gw.extract_code_block(reply)
@@ -171,17 +170,14 @@ def focus_as_csv(focus: TableOfFocus) -> str:
     return buffer.getvalue()
 
 
-def _limit_resources(memory_mb: int):
-    def apply() -> None:
-        try:
-            import resource
+def _limit_resources() -> None:
+    try:
+        import resource
 
-            limit = memory_mb * 1024 * 1024
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        except (ImportError, ValueError, OSError):
-            pass
-
-    return apply
+        limit = MEMORY_MB * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    except (ImportError, ValueError, OSError):
+        pass
 
 
 def execute_program(
@@ -194,12 +190,13 @@ def execute_program(
 
     The focus table is written as table.csv and exported via TM_TABLE_PATH; the
     question via TM_QUESTION. The child gets a minimal environment, a memory
-    cap, and a wall-clock timeout, on which its whole process group is killed.
-    An interpreter that cannot be started reports exit status 127, as a shell
-    would.
+    cap, and a wall-clock timeout. The run ends when the program exits or the
+    timeout passes, and either way its whole process group is then killed, so
+    a background process it left cannot hold the run open. An interpreter
+    that cannot be started reports exit status 127, as a shell would.
     """
     with tempfile.TemporaryDirectory(prefix="tf-exec-") as workdir:
-        program_path = os.path.join(workdir, f"program{profile.extension}")
+        program_path = os.path.join(workdir, "program.py")
         table_path = os.path.join(workdir, "table.csv")
         with open(program_path, "w", encoding="utf-8") as fh:
             fh.write(program)
@@ -211,34 +208,39 @@ def execute_program(
             TABLE_PATH_ENV: table_path,
             QUESTION_ENV: question,
         }
-        start = time.monotonic()
-        try:
-            proc = subprocess.Popen(
-                list(profile.command) + [program_path],
-                cwd=workdir,
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-                start_new_session=True,
-                preexec_fn=_limit_resources(profile.memory_mb),
-            )
-        except OSError:
-            duration = (time.monotonic() - start) * 1000.0
-            return ExecutionResult(stdout="", exit_status=127, duration_ms=duration, timed_out=False)
-        with proc:
+        # An unnamed file: the program cannot replace or delete it.
+        with tempfile.TemporaryFile(dir=workdir) as out:
+            start = time.monotonic()
             try:
-                stdout, _ = proc.communicate(timeout=profile.timeout_s)
-            except subprocess.TimeoutExpired as exc:
-                # The program leads its own process group, so this also kills
-                # every process it started. Output is not drained further: a
-                # process that left the group could hold the pipe open forever.
-                os.killpg(proc.pid, signal.SIGKILL)
+                proc = subprocess.Popen(
+                    list(profile.command) + [program_path],
+                    cwd=workdir,
+                    env=env,
+                    stdout=out,
+                    stderr=subprocess.DEVNULL,
+                    start_new_session=True,
+                    preexec_fn=_limit_resources,
+                )
+            except OSError:
                 duration = (time.monotonic() - start) * 1000.0
-                stdout = (exc.stdout or b"").decode("utf-8", "replace")
-                return ExecutionResult(stdout=stdout, exit_status=-1, duration_ms=duration, timed_out=True)
-        duration = (time.monotonic() - start) * 1000.0
-        return ExecutionResult(stdout=stdout, exit_status=proc.returncode, duration_ms=duration, timed_out=False)
+                return ExecutionResult(stdout="", exit_status=127, duration_ms=duration, timed_out=False)
+            # A blocking wait in a helper thread returns the moment the program
+            # exits; Popen.wait(timeout=) would poll with a growing sleep.
+            waiter = threading.Thread(target=proc.wait, daemon=True)
+            waiter.start()
+            waiter.join(profile.timeout_s)
+            timed_out = waiter.is_alive()
+            duration = (time.monotonic() - start) * 1000.0
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            waiter.join()
+            out.seek(0)
+            # Decoded with universal newlines, as a text-mode pipe would be.
+            stdout = out.read().decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+        exit_status = -1 if timed_out else proc.returncode
+        return ExecutionResult(stdout=stdout, exit_status=exit_status, duration_ms=duration, timed_out=timed_out)
 
 
 def looks_abstaining(text: str) -> bool:
@@ -275,7 +277,7 @@ def format_answer(
 def answer_adaptive(
     table: NormalizedTable,
     focus: TableOfFocus,
-    verbal: VerbalizedTable,
+    description: str,
     question: str,
     task_kind: str,
     lm: gw.Gateway,
@@ -290,13 +292,13 @@ def answer_adaptive(
     verbalized focus from the start instead of only on fallback. Model
     failures (``GatewayError``) propagate; ``run_instance`` degrades them.
     """
-    trace.strategy = assess_strategy(focus, verbal, question, lm, trace)
+    trace.strategy = assess_strategy(focus, description, question, lm, trace)
     raw: str | None = None
 
     if trace.strategy == "symbolic":
-        guidance = generate_guidance(focus, verbal, question, lm, trace)
+        guidance = generate_guidance(focus, description, question, lm, trace)
         trace.guidance = guidance
-        program = symbolic_reasoning(focus, verbal, question, guidance, lm, trace)
+        program = symbolic_reasoning(focus, description, question, guidance, lm, trace)
         trace.program = program
         result = execute_program(program, focus, profile=profile, question=question)
         trace.record_exec(result.exit_status, result.timed_out, digest(result.stdout))
@@ -309,24 +311,22 @@ def answer_adaptive(
             trace.fallbacks.append(f"textual (executor {reason})")
         else:
             raw = result.answer_line
-    if raw is None:
-        markdown = render_markdown(table.table) if reasoning_table == "full" else focus.markdown
-        raw = textual_reasoning(markdown, verbal, question, lm, trace)
 
-    try:
-        answer = format_answer(question, raw, task_kind, lm, trace)
-    except EmptyAnswer:
-        trace.warn("empty formatted answer")
-        answer = Answer(value="", task_kind=task_kind, abstained=True)
-
-    needs_full_retry = (answer.abstained or focus.table.row_count == 0) and full_table_fallback
-    if needs_full_retry and reasoning_table != "full":
-        trace.fallbacks.append("full_table_retry")
-        raw = textual_reasoning(render_markdown(table.table), verbal, question, lm, trace)
+    def attempt(raw: str | None, full_table: bool) -> Answer:
+        """Format ``raw``, reasoning textually first when there is none."""
+        if raw is None:
+            markdown = render_markdown(table.table) if full_table else focus.markdown
+            raw = textual_reasoning(markdown, description, question, lm, trace)
         try:
-            answer = format_answer(question, raw, task_kind, lm, trace)
+            return format_answer(question, raw, task_kind, lm, trace)
         except EmptyAnswer:
-            answer = Answer(value="", task_kind=task_kind, abstained=True)
+            trace.warn("empty formatted answer")
+            return Answer(value="", task_kind=task_kind, abstained=True)
+
+    answer = attempt(raw, reasoning_table == "full")
+    if (answer.abstained or focus.table.row_count == 0) and full_table_fallback and reasoning_table != "full":
+        trace.fallbacks.append("full_table_retry")
+        answer = attempt(None, True)
 
     trace.answer = {"value": answer.value, "task_kind": answer.task_kind, "abstained": answer.abstained}
     return answer, trace

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .normalize import NormalizedTable
 
-DEFAULT_TIMEOUT_S = 5.0
+TIMEOUT_S = 5.0  # wall-clock budget of one row-lookup statement
 
 
 class SqlError(Exception):
@@ -38,6 +38,10 @@ class SqlTimeout(SqlError):
     pass
 
 
+class AggregateOnly(SqlError):
+    """An aggregate query with no WHERE clause: it names no rows to select."""
+
+
 @dataclass(frozen=True)
 class SqlSchema:
     table_name: str
@@ -57,8 +61,6 @@ class SqlSchema:
 @dataclass(frozen=True)
 class RowSet:
     indices: tuple[int, ...]
-    sql: str
-    empty_reason: str | None = None
 
     def __post_init__(self) -> None:
         if list(self.indices) != sorted(set(self.indices)):
@@ -170,17 +172,13 @@ def extract_where_clause(sql: str) -> str | None:
     return None
 
 
-def execute_row_lookup(
-    table: NormalizedTable,
-    sql: str,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    schema: SqlSchema | None = None,
-) -> RowSet:
+def execute_row_lookup(table: NormalizedTable, sql: str, schema: SqlSchema | None = None) -> RowSet:
     """Run a restricted SELECT and return the 0-based indices of qualifying rows.
 
     The user query is wrapped so ``_row_id`` is recovered regardless of its
     SELECT list; queries that drop it irrecoverably (aggregates) fall back to
-    re-running their WHERE clause only, or to all rows when there is none.
+    re-running their WHERE clause only, and raise ``AggregateOnly`` when there
+    is none.
     """
     schema = schema or build_schema(table)
     trimmed = check_policy(sql)
@@ -189,16 +187,12 @@ def execute_row_lookup(
     if is_aggregate_query(trimmed):
         where = extract_where_clause(trimmed)
         if where is None:
-            return RowSet(
-                indices=tuple(range(m)),
-                sql=sql,
-                empty_reason="aggregate-only query; selected all rows",
-            )
+            raise AggregateOnly(f"aggregate query without a WHERE clause: {sql!r}")
         trimmed = f"SELECT * FROM {schema.table_name} WHERE {where}"
 
     conn = _load(table, schema)
     conn.set_authorizer(_authorizer)
-    deadline = time.monotonic() + timeout_s
+    deadline = time.monotonic() + TIMEOUT_S
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1000)
     wrapped = f'SELECT "{schema.row_id_column}" FROM ({trimmed})'
     try:
@@ -212,12 +206,7 @@ def execute_row_lookup(
         indices = _run(conn, fallback, sql)
     finally:
         conn.close()
-    indices = tuple(sorted({i for i in indices if 0 <= i < m}))
-    return RowSet(
-        indices=indices,
-        sql=sql,
-        empty_reason="no rows matched" if not indices else None,
-    )
+    return RowSet(indices=tuple(sorted({i for i in indices if 0 <= i < m})))
 
 
 def _run(conn: sqlite3.Connection, wrapped: str, original: str) -> list[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import gateway as gw
 from .core import CellSelection, Table, peek, project, render_markdown
 from .normalize import NormalizedTable
-from .sqlrows import RowSet, SqlError, SqlSchema, execute_row_lookup, is_aggregate_query
+from .sqlrows import AggregateOnly, RowSet, SqlError, SqlSchema, execute_row_lookup
 from .trace import ReasoningTrace
 
 DEFAULT_PEEK_SIZE = 25
@@ -24,7 +24,6 @@ DEFAULT_B_MAX = 6
 class TableOfFocus:
     table: Table
     markdown: str  # the rendering every focus prompt sends
-    selected_rows: RowSet
     selected_columns: tuple[str, ...]
     reconstruction_count: int
     condensation_ratio: float
@@ -34,7 +33,7 @@ def peek_markdown(table: NormalizedTable, k: int) -> str:
     """The first ``k`` rows as markdown: the view every structure prompt sends."""
     if k < 1:
         raise ValueError("peek size must be >= 1")
-    return render_markdown(peek(table.table, k), with_addresses=False)
+    return render_markdown(peek(table.table, k))
 
 
 def extract_structure(table: NormalizedTable, peek_md: str, lm: gw.Gateway, trace: ReasoningTrace) -> str:
@@ -95,7 +94,7 @@ def column_lookup(
     lm: gw.Gateway,
     peek_md: str,
     trace: ReasoningTrace,
-    key_column: str | None = None,
+    key_column: str,
 ) -> tuple[str, ...]:
     """Select the initial focus columns, capped at b_max, never empty, key included."""
     if b_max < 1:
@@ -121,7 +120,7 @@ def column_lookup(
             break
     if not selected:
         selected = [ranked[0]]
-    if key_column is not None and key_column not in selected:
+    if key_column not in selected:
         selected.append(key_column)
     return tuple(selected)
 
@@ -145,17 +144,13 @@ def row_lookup(
         trace,
     )
     sql = gw.extract_code_block(reply).strip()
-    m = table.table.row_count
-    all_rows = tuple(range(m))
-
-    if is_aggregate_query(sql) and "where" not in sql.lower():
-        trace.warn("row lookup SQL is aggregate-only; selected all rows")
-        return RowSet(indices=all_rows, sql=sql, empty_reason="aggregate-only query; selected all rows")
     try:
         return execute_row_lookup(table, sql, schema=schema)
+    except AggregateOnly:
+        trace.warn("row lookup SQL is aggregate-only; selected all rows")
     except SqlError as exc:
         trace.warn(f"row lookup SQL failed ({type(exc).__name__}: {exc}); selected all rows")
-        return RowSet(indices=all_rows, sql=sql, empty_reason=f"sql failure: {type(exc).__name__}")
+    return RowSet(indices=tuple(range(table.table.row_count)))
 
 
 def construct_focus(
@@ -180,7 +175,6 @@ def construct_focus(
     return TableOfFocus(
         table=focus_table,
         markdown=render_markdown(focus_table),
-        selected_rows=rows,
         selected_columns=tuple(table.table.headers[j] for j in col_indices),
         reconstruction_count=reconstruction_count,
         condensation_ratio=ratio,

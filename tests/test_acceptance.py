@@ -71,7 +71,7 @@ class TestReconstructionConformance:
                 {"information_estimation": ["Yes" if v else "No" for v in verdicts]}
             )
             trace = ReasoningTrace()
-            rows = RowSet(indices=(0, 1), sql="SELECT * FROM t")
+            rows = RowSet(indices=(0, 1))
             focus = reconstruct_focus(
                 table, "q", rows, initial, tuple(ranked), lm, trace=trace
             )

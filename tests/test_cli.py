@@ -256,6 +256,23 @@ class TestCassetteCommand:
         assert code == 0
         assert "removed 0 entries" in capsys.readouterr().err
 
+    def test_unreadable_entry_is_listed_and_pruned(self, riders_setup, capsys):
+        _, cassette, _ = riders_setup
+        count = len(list(cassette.glob("*.json")))
+        (cassette / "truncated.json").write_text('{"request": {"template_id": "col', encoding="utf-8")
+
+        assert main(["cassette", "inspect", str(cassette)]) == 0
+        captured = capsys.readouterr()
+        assert "truncated  ?" in captured.out.splitlines()
+        assert f"{count + 1} entries" in captured.err
+
+        assert main(["cassette", "prune", str(cassette), "--template-id", "row_lookup_sql"]) == 0
+        assert "removed 1 entries" in capsys.readouterr().err
+        assert (cassette / "truncated.json").exists()
+        assert main(["cassette", "prune", str(cassette)]) == 0
+        assert f"removed {count} entries" in capsys.readouterr().err
+        assert not list(cassette.iterdir())
+
     def test_missing_directory(self, tmp_path, capsys):
         code = main(["cassette", "inspect", str(tmp_path / "nope")])
         assert code == 1

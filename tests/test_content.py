@@ -19,7 +19,7 @@ from tablefocus.trace import ReasoningTrace
 from conftest import RIDERS_TABLE, make_gateway
 
 NORM = skip_normalization(RIDERS_TABLE)
-ALL_ROWS = RowSet(indices=tuple(range(6)), sql="SELECT * FROM t")
+ALL_ROWS = RowSet(indices=tuple(range(6)))
 RANKED = ("Country", "Wins", "Rider")
 
 
@@ -71,11 +71,10 @@ class TestReconstructFocus:
         assert len(estimations) == 2
 
     def test_rows_are_frozen(self):
-        rows = RowSet(indices=(1, 3), sql="SELECT ...")
+        rows = RowSet(indices=(1, 3))
         lm = make_gateway({"information_estimation": ["No", "Yes"]})
         focus = reconstruct_focus(NORM, "q", rows, ("Rider",), RANKED, lm, ReasoningTrace())
-        assert focus.selected_rows == rows
-        assert focus.table.row_count == 2
+        assert [row[0] for row in focus.table.rows] == ["Paolo Conti", "Hans Weber"]
 
     def test_empty_initial_columns_rejected(self):
         lm = make_gateway({"information_estimation": ["Yes"]})
@@ -90,7 +89,7 @@ class TestVerbalize:
         focus = _focus(("Rider", "Wins"))
         trace = ReasoningTrace()
         got = verbalize(focus, lm, trace=trace)
-        assert got.text == "Six riders with win counts."
+        assert got == "Six riders with win counts."
         expected = lm.build_request("verbalization", {"table": focus.markdown})
         assert trace.steps[0]["request_key"] == gw.request_key(expected)
 
@@ -99,19 +98,13 @@ class TestVerbalize:
         trace = ReasoningTrace()
         focus = _focus(("Rider",))
         got = verbalize(focus, lm, trace=trace)
-        assert got.text == mechanical_description(focus)
+        assert got == mechanical_description(focus)
         assert any("mechanical" in w for w in trace.warnings)
 
     def test_mechanical_description_format(self):
-        focus = construct_focus(NORM, RowSet(indices=(0,), sql=""), ["Rider", "Wins"])
+        focus = construct_focus(NORM, RowSet(indices=(0,)), ["Rider", "Wins"])
         assert mechanical_description(focus) == "Row 1: Rider=Jacky Martin; Wins=3."
 
     def test_mechanical_description_no_rows(self):
-        focus = construct_focus(NORM, RowSet(indices=(), sql=""), ["Rider"])
+        focus = construct_focus(NORM, RowSet(indices=()), ["Rider"])
         assert "no rows" in mechanical_description(focus)
-
-    def test_empty_text_rejected(self):
-        from tablefocus.content import VerbalizedTable
-
-        with pytest.raises(ValueError):
-            VerbalizedTable(text="")

@@ -141,14 +141,6 @@ class TestRender:
         assert "x\\|y" in out
         assert "p q" in out
 
-    def test_address_column(self):
-        t = Table.make(["a"], [["x"], ["y"]])
-        out = render_markdown(t, with_addresses=True)
-        lines = out.splitlines()
-        assert lines[0] == "| # | a |"
-        assert lines[2] == "| 1 | x |"
-        assert lines[3] == "| 2 | y |"
-
     @settings(max_examples=200, deadline=None)
     @given(tables())
     def test_round_trip(self, t):
@@ -231,10 +223,6 @@ class TestMeasure:
         got = measure(t)
         assert got.token_estimate == math.ceil(len(rendered) / 4)
         assert got.area == got.row_count * got.column_count
-
-    def test_custom_tokenizer(self):
-        t = Table.make(["a"], [["1"]])
-        assert measure(t, tokenizer=len).token_estimate == len(render_markdown(t))
 
     def test_heuristic_token_count(self):
         assert heuristic_token_count("") == 0

@@ -104,7 +104,16 @@ class TestCassette:
         rec.send(_request())
         rec.send(_request())
         assert inner.calls == 1
-        assert len(rec.keys()) == 1
+        assert rec.entries() == [(gw.request_key(_request()), "column_lookup")]
+
+    def test_entries_mark_unreadable_and_remove_deletes(self, tmp_path):
+        rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend())
+        rec.send(_request())
+        (tmp_path / "c" / "truncated.json").write_text('{"request": {"templ', encoding="utf-8")
+        key = gw.request_key(_request())
+        assert rec.entries() == sorted([(key, "column_lookup"), ("truncated", None)])
+        rec.remove("truncated")
+        assert rec.entries() == [(key, "column_lookup")]
 
     def test_replay_miss(self, tmp_path):
         rep = gw.Cassette(tmp_path / "empty", "replay")
@@ -116,7 +125,12 @@ class TestCassette:
         request = _request()
         rec.send(request)
         entry = json.loads((tmp_path / "c" / f"{gw.request_key(request)}.json").read_text())
-        assert entry["request"]["template_id"] == "column_lookup"
+        assert entry["request"] == {
+            "template_id": "column_lookup",
+            "rendered": "hello",
+            "temperature": 0.0,
+            "max_tokens": 2048,
+        }
         assert entry["response"]["text"] == "out"
 
     def test_store_leaves_only_the_entry(self, tmp_path):
@@ -151,13 +165,20 @@ class TestHttpBackend:
     def _send(self, monkeypatch, status, text):
         import requests
 
-        monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeReply(status, text))
+        self.posted = []
+        monkeypatch.setattr(requests, "post", lambda *a, **k: self.posted.append(k) or _FakeReply(status, text))
         return gw.HttpBackend("http://localhost:1", "m").send(_request())
 
     def test_well_formed_reply(self, monkeypatch):
         body = {"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": 3, "completion_tokens": 1}}
         got = self._send(monkeypatch, 200, json.dumps(body))
         assert (got.text, got.prompt_tokens, got.completion_tokens) == ("hi", 3, 1)
+        assert self.posted[0]["json"] == {
+            "model": "m",
+            "messages": [{"role": "user", "content": "hello"}],
+            "temperature": 0.0,
+            "max_tokens": 2048,
+        }
 
     @pytest.mark.parametrize("text", [
         "<html>not json</html>",
@@ -196,7 +217,6 @@ class TestTemplatesAndGateway:
         trace = ReasoningTrace()
         assert gateway.complete("answer_formatting", bindings, trace) == "42"
         request = gateway.build_request("answer_formatting", bindings)
-        assert request.temperature == 0.0
         assert "q" in request.rendered
         assert trace.steps == [{
             "kind": "lm",
@@ -251,12 +271,12 @@ class TestParseChoice:
 
 class TestParseDelimitedList:
     def test_splits_on_mixed_delimiters(self):
-        kept, dropped = gw.parse_delimited_list("a, b\nc|d")
+        kept, dropped = gw.parse_delimited_list("a, b\nc|d", expected_universe="abcd")
         assert kept == ["a", "b", "c", "d"]
         assert dropped == []
 
     def test_strips_bullets_and_numbering(self):
-        kept, _ = gw.parse_delimited_list("- a\n* b\n1. c\n2) d")
+        kept, _ = gw.parse_delimited_list("- a\n* b\n1. c\n2) d", expected_universe="abcd")
         assert kept == ["a", "b", "c", "d"]
 
     def test_universe_filter_canonicalizes_case(self):
@@ -266,7 +286,7 @@ class TestParseDelimitedList:
 
     def test_empty_reply(self):
         with pytest.raises(gw.EmptyList):
-            gw.parse_delimited_list("  \n , ")
+            gw.parse_delimited_list("  \n , ", expected_universe=["a"])
 
     def test_all_items_outside_universe(self):
         with pytest.raises(gw.EmptyList):

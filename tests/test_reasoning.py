@@ -10,7 +10,6 @@ import time
 import pytest
 
 from tablefocus import gateway as gw
-from tablefocus.content import VerbalizedTable
 from tablefocus.normalize import skip_normalization
 from tablefocus.reasoning import (
     Answer,
@@ -30,8 +29,8 @@ from tablefocus.trace import ReasoningTrace
 from conftest import RIDERS_TABLE, make_gateway
 
 NORM = skip_normalization(RIDERS_TABLE)
-FOCUS = construct_focus(NORM, RowSet(indices=(0, 2, 4), sql="..."), ["Rider", "Country", "Wins"])
-VERBAL = VerbalizedTable(text="Three Belgian riders with wins 3, 2, 2.")
+FOCUS = construct_focus(NORM, RowSet(indices=(0, 2, 4)), ["Rider", "Country", "Wins"])
+DESCRIPTION = "Three Belgian riders with wins 3, 2, 2."
 
 
 class TestStrategyAndAnswerTypes:
@@ -55,7 +54,7 @@ class TestStrategyAndAnswerTypes:
 class TestAssessStrategy:
     def test_direct_labels(self):
         lm = make_gateway({"strategy_assessment": ["symbolic"]})
-        assert assess_strategy(FOCUS, VERBAL, "q", lm, ReasoningTrace()) == "symbolic"
+        assert assess_strategy(FOCUS, DESCRIPTION, "q", lm, ReasoningTrace()) == "symbolic"
 
     @pytest.mark.parametrize("reply,expected", [
         ("write python code", "symbolic"),
@@ -65,12 +64,12 @@ class TestAssessStrategy:
     ])
     def test_synonyms(self, reply, expected):
         lm = make_gateway({"strategy_assessment": [reply]})
-        assert assess_strategy(FOCUS, VERBAL, "q", lm, ReasoningTrace()) == expected
+        assert assess_strategy(FOCUS, DESCRIPTION, "q", lm, ReasoningTrace()) == expected
 
     def test_unparseable_defaults_to_textual(self):
         lm = make_gateway({"strategy_assessment": ["whatever works"]})
         trace = ReasoningTrace()
-        assert assess_strategy(FOCUS, VERBAL, "q", lm, trace=trace) == "textual"
+        assert assess_strategy(FOCUS, DESCRIPTION, "q", lm, trace=trace) == "textual"
         assert any("defaulted to textual" in w for w in trace.warnings)
 
 
@@ -143,6 +142,30 @@ class TestExecuteProgram:
             if not _dead(pid):
                 os.kill(pid, signal.SIGKILL)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_exit_ends_the_run_and_kills_background_children(self, tmp_path):
+        # The background child inherits stdout; the run must still end when the program exits.
+        pid_file = tmp_path / "child.pid"
+        program = (
+            "import subprocess\n"
+            "child = subprocess.Popen(['sleep', '30'])\n"
+            f"with open({str(pid_file)!r}, 'w') as fh:\n"
+            "    fh.write(str(child.pid))\n"
+            "print('42')\n"
+        )
+        result = execute_program(program, FOCUS, profile=ExecutorProfile(timeout_s=5.0))
+        pid = int(pid_file.read_text())
+        try:
+            assert (result.exit_status, result.timed_out, result.stdout) == (0, False, "42\n")
+            assert result.duration_ms < 5000.0
+            deadline = time.monotonic() + 2.0
+            while not _dead(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _dead(pid), "background child survived the program's exit"
+        finally:
+            if not _dead(pid):
+                os.kill(pid, signal.SIGKILL)
+
     def test_runs_in_isolated_workdir(self):
         result = execute_program("import os; print(os.getcwd())", FOCUS)
         assert "tf-exec-" in result.answer_line
@@ -196,7 +219,7 @@ class TestAnswerAdaptive:
             "textual_reasoning": ["sum is 7. Answer: 7"],
             "answer_formatting": ["7"],
         })
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
+        answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())
         assert answer == Answer(value="7", task_kind="qa")
         assert trace.strategy == "textual"
         assert trace.fallbacks == []
@@ -208,7 +231,7 @@ class TestAnswerAdaptive:
             "symbolic_reasoning": ["```python\nprint(3 + 2 + 2)\n```"],
             "answer_formatting": ["7"],
         })
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
+        answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())
         assert answer.value == "7"
         assert trace.strategy == "symbolic"
         assert trace.program == "print(3 + 2 + 2)"
@@ -222,7 +245,7 @@ class TestAnswerAdaptive:
             "textual_reasoning": ["Answer: 7"],
             "answer_formatting": ["7"],
         })
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
+        answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())
         assert answer.value == "7"
         assert any("nonzero exit" in f for f in trace.fallbacks)
 
@@ -235,7 +258,7 @@ class TestAnswerAdaptive:
             "answer_formatting": ["7"],
         })
         answer, trace = answer_adaptive(
-            NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace(), profile=ExecutorProfile(timeout_s=0.5)
+            NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace(), profile=ExecutorProfile(timeout_s=0.5)
         )
         assert answer.value == "7"
         assert any("timeout" in f for f in trace.fallbacks)
@@ -247,7 +270,7 @@ class TestAnswerAdaptive:
             "answer_formatting": ["cannot answer", "1"],
         })
         lm = gw.Gateway(backend)
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
+        answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())
         assert answer.value == "1"
         assert "full_table_retry" in trace.fallbacks
         retry = [r for r in backend.requests if r.template_id == "textual_reasoning"][1]
@@ -259,7 +282,7 @@ class TestAnswerAdaptive:
             "textual_reasoning": ["cannot answer"],
             "answer_formatting": ["cannot answer"],
         })
-        answer, trace = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace(), full_table_fallback=False)
+        answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace(), full_table_fallback=False)
         assert answer.abstained
         assert "full_table_retry" not in trace.fallbacks
 
@@ -270,12 +293,25 @@ class TestAnswerAdaptive:
             "answer_formatting": ["1"],
         })
         lm = gw.Gateway(backend)
-        answer, _ = answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace(), reasoning_table="full")
+        answer, _ = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace(), reasoning_table="full")
         first = [r for r in backend.requests if r.template_id == "textual_reasoning"][0]
         assert "Hans Weber" in first.rendered
         assert answer.value == "1"
 
+    def test_blank_retry_reasoning_abstains_with_warning(self):
+        lm = make_gateway({
+            "strategy_assessment": ["textual"],
+            "textual_reasoning": ["cannot answer from this", "   "],
+            "answer_formatting": ["cannot answer"],
+        })
+        answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())
+        assert answer == Answer(value="", task_kind="qa", abstained=True)
+        assert trace.fallbacks == ["full_table_retry"]
+        assert trace.warnings == ["empty formatted answer"]
+        assert trace.steps[-1]["template_id"] == "textual_reasoning"
+        assert trace.steps[-1]["warnings"] == ["empty formatted answer"]
+
     def test_gateway_failure_propagates(self):
         lm = make_gateway({})  # every call raises TransportError
         with pytest.raises(gw.TransportError):
-            answer_adaptive(NORM, FOCUS, VERBAL, "q", "qa", lm, ReasoningTrace())
+            answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())

@@ -8,7 +8,9 @@ import pytest
 
 from tablefocus.core import Table
 from tablefocus.normalize import skip_normalization
+from tablefocus import sqlrows
 from tablefocus.sqlrows import (
+    AggregateOnly,
     RowSet,
     SqlPolicyError,
     SqlSemanticError,
@@ -146,12 +148,10 @@ class TestExecuteRowLookup:
     def test_simple_filter(self):
         got = execute_row_lookup(_fixture_table(), "SELECT * FROM t WHERE country = 'Belgium'")
         assert got.indices == (0, 2)
-        assert got.empty_reason is None
 
     def test_no_match_reports_reason(self):
         got = execute_row_lookup(_fixture_table(), "SELECT * FROM t WHERE wins > 99")
         assert got.indices == ()
-        assert got.empty_reason == "no rows matched"
 
     def test_select_list_without_row_id_recovered(self):
         got = execute_row_lookup(_fixture_table(), "SELECT rider FROM t WHERE wins >= 3")
@@ -168,9 +168,11 @@ class TestExecuteRowLookup:
         assert got.indices == (0, 2)
 
     def test_aggregate_without_where_selects_all(self):
-        got = execute_row_lookup(_fixture_table(), "SELECT COUNT(*) FROM t")
-        assert got.indices == (0, 1, 2, 3)
-        assert "aggregate" in got.empty_reason
+        # It names no rows, so the caller selects all of them.
+        with pytest.raises(AggregateOnly):
+            execute_row_lookup(_fixture_table(), "SELECT COUNT(*) FROM t")
+        with pytest.raises(AggregateOnly):
+            execute_row_lookup(_fixture_table(), "SELECT country FROM t GROUP BY country")
 
     def test_unknown_column_is_semantic_error(self):
         with pytest.raises(SqlSemanticError):
@@ -188,19 +190,20 @@ class TestExecuteRowLookup:
         got = execute_row_lookup(_fixture_table(), "SELECT * FROM t WHERE rider LIKE 'JA%'")
         assert got.indices == (0,)
 
-    def test_timeout(self):
+    def test_timeout(self, monkeypatch):
+        monkeypatch.setattr(sqlrows, "TIMEOUT_S", 0.2)
         sql = (
             "WITH RECURSIVE c(n) AS (SELECT 0 UNION ALL SELECT n + 1 FROM c) "
             'SELECT n AS "_row_id" FROM c'
         )
         with pytest.raises(SqlTimeout):
-            execute_row_lookup(_fixture_table(), sql, timeout_s=0.2)
+            execute_row_lookup(_fixture_table(), sql)
 
     def test_rowset_validation(self):
         with pytest.raises(ValueError):
-            RowSet(indices=(2, 1), sql="")
+            RowSet(indices=(2, 1))
         with pytest.raises(ValueError):
-            RowSet(indices=(1, 1), sql="")
+            RowSet(indices=(1, 1))
 
 
 class TestOracleSample:

@@ -79,30 +79,30 @@ class TestColumnLookup:
 
     def test_selection_with_key_appended(self):
         lm = make_gateway({"column_lookup": ["Country, Wins"]})
-        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, ReasoningTrace(), key_column="Rider")
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, ReasoningTrace(), "Rider")
         assert got == ("Country", "Wins", "Rider")
 
     def test_key_not_duplicated(self):
         lm = make_gateway({"column_lookup": ["Rider, Wins"]})
-        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, ReasoningTrace(), key_column="Rider")
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, ReasoningTrace(), "Rider")
         assert got == ("Rider", "Wins")
 
     def test_b_max_cap(self):
         lm = make_gateway({"column_lookup": ["Wins, Country, Rider"]})
-        got = column_lookup(self.RANKED, "q", 2, lm, PEEK, ReasoningTrace())
+        got = column_lookup(self.RANKED, "q", 2, lm, PEEK, ReasoningTrace(), "Wins")
         assert got == ("Wins", "Country")
 
     def test_unparseable_falls_back_to_top_ranked(self):
         lm = make_gateway({"column_lookup": ["none of these"]})
         trace = ReasoningTrace()
-        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, trace=trace)
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, trace, "Wins")
         assert got == ("Wins",)
         assert trace.warnings
 
     def test_b_max_validation(self):
         lm = make_gateway({"column_lookup": ["Wins"]})
         with pytest.raises(ValueError):
-            column_lookup(self.RANKED, "q", 0, lm, PEEK, ReasoningTrace())
+            column_lookup(self.RANKED, "q", 0, lm, PEEK, ReasoningTrace(), "Wins")
 
 
 class TestRowLookup:
@@ -116,15 +116,14 @@ class TestRowLookup:
         trace = ReasoningTrace()
         got = row_lookup(NORM, "q", lm, PEEK, SCHEMA, trace=trace)
         assert got.indices == tuple(range(6))
-        assert got.empty_reason.startswith("sql failure")
-        assert any("selected all rows" in w for w in trace.warnings)
+        assert any("failed" in w and "selected all rows" in w for w in trace.warnings)
 
     def test_aggregate_only_selects_all_rows(self):
         lm = make_gateway({"row_lookup_sql": ["SELECT COUNT(*) FROM t"]})
         trace = ReasoningTrace()
         got = row_lookup(NORM, "q", lm, PEEK, SCHEMA, trace=trace)
         assert got.indices == tuple(range(6))
-        assert "aggregate" in got.empty_reason
+        assert trace.warnings == ["row lookup SQL is aggregate-only; selected all rows"]
 
     def test_executes_against_full_table_despite_peek(self):
         # The prompt renders a 2-row peek, but matching happens over all rows.
@@ -134,7 +133,7 @@ class TestRowLookup:
 
 
 class TestConstructFocus:
-    ROWS = RowSet(indices=(0, 2, 4), sql="SELECT ...")
+    ROWS = RowSet(indices=(0, 2, 4))
 
     def test_projection_in_original_column_order(self):
         focus = construct_focus(NORM, self.ROWS, ["Wins", "Rider"])
@@ -160,7 +159,7 @@ class TestConstructFocus:
 
     def test_repeated_headers_stay_distinct(self):
         norm = skip_normalization(Table.make(["Year", "Year", "Team"], [["1990", "1991", "Ajax"]]))
-        focus = construct_focus(norm, RowSet(indices=(0,), sql=""), ["Year", "Team"])
+        focus = construct_focus(norm, RowSet(indices=(0,)), ["Year", "Team"])
         assert focus.table.rows == (("1990", "Ajax"),)
 
     def test_reconstruction_count_carried(self):
