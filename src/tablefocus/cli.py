@@ -19,13 +19,22 @@ from .normalize import normalize
 from .pipeline import PipelineConfig, build_backend, run_instance
 from .reasoning import ExecutorProfile
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+def _bool(value: str) -> bool:
+    if value.lower() not in _BOOLS:
+        raise ValueError(f"expected one of {', '.join(_BOOLS)}, got {value!r}")
+    return _BOOLS[value.lower()]
+
+
 CONFIG_KEYS = {
     "peek_size": int,
     "b_max": int,
     "backend_mode": str,
     "cassette_path": str,
-    "normalization": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "full_table_fallback": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "normalization": _bool,
+    "full_table_fallback": _bool,
     "reasoning_table": str,
     "base_url": str,
     "model": str,
@@ -48,7 +57,10 @@ def load_config_file(path: str) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = CONFIG_KEYS[key](value.strip())
+        try:
+            values[key] = CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 

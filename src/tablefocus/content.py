@@ -53,8 +53,6 @@ def reconstruct_focus(
 
 def verbalize(focus: TableOfFocus, lm: gw.Gateway, trace: ReasoningTrace) -> str:
     """Model description of the focus table; empty replies get a mechanical fallback."""
-    if focus.table.column_count < 1:
-        raise ValueError("cannot verbalize a table with no columns")
     text = lm.complete("verbalization", {"table": focus.markdown}, trace).strip()
     if not text:
         text = mechanical_description(focus)

@@ -28,7 +28,6 @@ class Table:
 
     headers: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
-    name: str | None = None
 
     def __post_init__(self) -> None:
         if not self.headers:
@@ -39,11 +38,10 @@ class Table:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
 
     @classmethod
-    def make(cls, headers: Sequence[str], rows: Sequence[Sequence[str]], name: str | None = None) -> "Table":
+    def make(cls, headers: Sequence[str], rows: Sequence[Sequence[str]]) -> "Table":
         return cls(
             headers=tuple(str(h) for h in headers),
             rows=tuple(tuple(str(c) for c in row) for row in rows),
-            name=name,
         )
 
     @property
@@ -210,7 +208,7 @@ def transpose(table: Table) -> Table:
     new_rows = []
     for j in range(1, table.column_count):
         new_rows.append([table.headers[j]] + [row[j] for row in table.rows])
-    return Table.make(new_headers, new_rows, name=table.name)
+    return Table.make(new_headers, new_rows)
 
 
 def peek(table: Table, k: int) -> Table:
@@ -219,7 +217,7 @@ def peek(table: Table, k: int) -> Table:
         raise ValueError("peek size must be non-negative")
     if k >= table.row_count:
         return table
-    return Table.make(table.headers, table.rows[:k], name=table.name)
+    return Table.make(table.headers, table.rows[:k])
 
 
 def project(table: Table, selection: CellSelection) -> Table:
@@ -232,7 +230,7 @@ def project(table: Table, selection: CellSelection) -> Table:
             raise IndexError(f"column index {c} out of bounds for {table.column_count} columns")
     headers = [table.headers[c] for c in selection.column_indices]
     rows = [[table.rows[r][c] for c in selection.column_indices] for r in selection.row_indices]
-    return Table.make(headers, rows, name=table.name)
+    return Table.make(headers, rows)
 
 
 def heuristic_token_count(text: str) -> int:

@@ -8,7 +8,7 @@ import json
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -16,7 +16,8 @@ from .core import Table, measure, parse_table
 from .reasoning import Answer
 
 BUCKET_LABELS = ("small", "medium", "large", "xl")
-SIZE_METRICS = ("rows", "columns", "area", "tokens")
+# Each size bucket's name and the ``SizeMetrics`` field it reads.
+SIZE_METRICS = {"rows": "row_count", "columns": "column_count", "area": "area", "tokens": "token_estimate"}
 DEFAULT_RECONSTRUCTIONS = 1.5
 NUMERIC_REL_TOL = 1e-6
 
@@ -60,18 +61,7 @@ class EvalReport:
     skipped_records: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "bucket_accuracy": self.bucket_accuracy,
-            "mean_condensation_ratio": self.mean_condensation_ratio,
-            "mean_reconstructions": self.mean_reconstructions,
-            "strategy_counts": self.strategy_counts,
-            "predicted_cost_total": self.predicted_cost_total,
-            "tallied_cost_total": self.tallied_cost_total,
-            "skipped_records": self.skipped_records,
-        }
+        return asdict(self)
 
 
 def _instance_from_json(record: dict[str, Any]) -> EvalInstance:
@@ -301,18 +291,11 @@ def evaluate(
     correct = sum(flags)
     total = len(instances)
 
-    metrics_values: dict[str, list[float]] = {m: [] for m in SIZE_METRICS}
-    for instance, _, _ in results:
-        size = measure(instance.table)
-        metrics_values["rows"].append(size.row_count)
-        metrics_values["columns"].append(size.column_count)
-        metrics_values["area"].append(size.area)
-        metrics_values["tokens"].append(size.token_estimate)
-
+    sizes = [measure(instance.table) for instance, _, _ in results]
     bucket_accuracy: dict[str, dict[str, dict[str, float]]] = {}
     if total >= 4:
-        for metric, values in metrics_values.items():
-            labels = bucketize(values)
+        for metric, attr in SIZE_METRICS.items():
+            labels = bucketize([getattr(size, attr) for size in sizes])
             per_bucket: dict[str, dict[str, float]] = {}
             for label in BUCKET_LABELS:
                 idx = [i for i, lab in enumerate(labels) if lab == label]

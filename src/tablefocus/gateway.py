@@ -13,6 +13,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
@@ -44,20 +45,16 @@ class GatewayError(Exception):
     """Base class for gateway failures."""
 
 
-class MissingBinding(GatewayError):
-    pass
+class MissingBinding(ValueError):
+    """A stage sent too few bindings: a bug, since templates are checked at load."""
 
 
-class UnknownBinding(GatewayError):
-    pass
+class UnknownBinding(ValueError):
+    """A stage sent a binding its template lacks: a bug, as above."""
 
 
 class UnparseableReply(GatewayError):
     """A structured-output parser found no usable signal in the reply."""
-
-    def __init__(self, message: str, raw_reply: str = ""):
-        super().__init__(message)
-        self.raw_reply = raw_reply
 
 
 class EmptyList(UnparseableReply):
@@ -87,19 +84,10 @@ class ProviderError(GatewayError):
 class PromptTemplate:
     id: str
     body: str
-    required_bindings: frozenset[str]
 
-    def __post_init__(self) -> None:
-        found = frozenset(_PLACEHOLDER_RE.findall(self.body))
-        if found != self.required_bindings:
-            raise ValueError(
-                f"template {self.id}: placeholders {sorted(found)} do not match "
-                f"required bindings {sorted(self.required_bindings)}"
-            )
-
-    @classmethod
-    def from_body(cls, template_id: str, body: str) -> "PromptTemplate":
-        return cls(id=template_id, body=body, required_bindings=frozenset(_PLACEHOLDER_RE.findall(body)))
+    @cached_property
+    def required_bindings(self) -> frozenset[str]:
+        return frozenset(_PLACEHOLDER_RE.findall(self.body))
 
 
 @dataclass(frozen=True)
@@ -301,17 +289,30 @@ class Cassette:
         return response
 
 
+BUNDLED_TEMPLATES = Path(__file__).parent / "templates"
+
+
 def load_templates(directory: str | Path | None = None) -> dict[str, PromptTemplate]:
-    """Load one plain-text template file per id, defaulting to the bundled set."""
-    if directory is None:
-        directory = Path(__file__).parent / "templates"
-    directory = Path(directory)
+    """Load one plain-text template file per id, defaulting to the bundled set.
+
+    The bundled set is the contract: each stage sends exactly the bindings of
+    its bundled template, so a template from ``directory`` must keep them.
+    """
+    directory = Path(BUNDLED_TEMPLATES if directory is None else directory)
     registry: dict[str, PromptTemplate] = {}
     for template_id in TEMPLATE_IDS:
         path = directory / f"{template_id}.txt"
         if not path.is_file():
             raise FileNotFoundError(f"missing prompt template file: {path}")
-        registry[template_id] = PromptTemplate.from_body(template_id, path.read_text(encoding="utf-8"))
+        registry[template_id] = PromptTemplate(template_id, path.read_text(encoding="utf-8"))
+    if directory != BUNDLED_TEMPLATES:
+        for template_id, bundled in load_templates().items():
+            found = registry[template_id].required_bindings
+            if found != bundled.required_bindings:
+                raise ValueError(
+                    f"{directory / f'{template_id}.txt'}: placeholders {sorted(found)} differ from "
+                    f"the bindings its stage sends {sorted(bundled.required_bindings)}"
+                )
     return registry
 
 
@@ -345,7 +346,7 @@ def parse_bool(reply: str) -> bool:
             return True
         if lowered in _NEGATE:
             return False
-    raise UnparseableReply(f"no yes/no polarity found in reply: {reply[:200]!r}", raw_reply=reply)
+    raise UnparseableReply(f"no yes/no polarity found in reply: {reply[:200]!r}")
 
 
 def parse_choice(
@@ -364,20 +365,21 @@ def parse_choice(
         for alias, option in synonyms.items():
             if option in options and alias.lower() in lowered:
                 return option
-    raise UnparseableReply(f"none of {options} found in reply: {reply[:200]!r}", raw_reply=reply)
+    raise UnparseableReply(f"none of {options} found in reply: {reply[:200]!r}")
 
 
 def parse_delimited_list(reply: str, expected_universe: Iterable[str]) -> tuple[list[str], list[str]]:
     """Split a reply on newlines/commas/pipes into trimmed items.
 
     Items outside the universe are dropped and reported (second element of the
-    result); kept items carry the universe's canonical casing.
+    result); kept items carry the universe's canonical casing and appear once
+    each, in first-mention order.
     """
     items = [part.strip() for part in re.split(r"[\n,|]+", reply)]
     items = [re.sub(r"^\s*(?:[-*•]|\d+[.)])\s*", "", item).strip() for item in items]
     items = [item for item in items if item]
     if not items:
-        raise EmptyList(f"no list items found in reply: {reply[:200]!r}", raw_reply=reply)
+        raise EmptyList(f"no list items found in reply: {reply[:200]!r}")
     canonical = {u.lower(): u for u in expected_universe}
     kept: list[str] = []
     dropped: list[str] = []
@@ -385,10 +387,10 @@ def parse_delimited_list(reply: str, expected_universe: Iterable[str]) -> tuple[
         match = canonical.get(item.lower())
         if match is None:
             dropped.append(item)
-        else:
+        elif match not in kept:
             kept.append(match)
     if not kept:
-        raise EmptyList(f"no list items inside the expected universe: {reply[:200]!r}", raw_reply=reply)
+        raise EmptyList(f"no list items inside the expected universe: {reply[:200]!r}")
     return kept, dropped
 
 

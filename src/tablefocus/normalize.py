@@ -230,7 +230,7 @@ def _unique_headers(table: Table) -> tuple[Table, tuple[tuple[str, ...], ...]]:
         seen.add(name.lower())
         headers.append(name)
         notes.append(() if name == header else (f"header {header!r} repeated; renamed to {name!r}",))
-    return Table.make(headers, table.rows, name=table.name), tuple(notes)
+    return Table.make(headers, table.rows), tuple(notes)
 
 
 def normalize(table: Table) -> NormalizedTable:
@@ -276,7 +276,7 @@ def normalize(table: Table) -> NormalizedTable:
 
     rows = [[columns[j][i] for j in range(work.column_count)] for i in range(work.row_count)]
     return NormalizedTable(
-        table=Table.make(work.headers, rows, name=work.name),
+        table=Table.make(work.headers, rows),
         column_kinds=tuple(kinds),
         transposed=transposed,
         provenance=tuple(provenance),

@@ -3,7 +3,7 @@ understanding, then adaptive reasoning, with trace and cost accounting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import gateway as gw
 from .content import reconstruct_focus, verbalize
@@ -41,8 +41,6 @@ class PipelineConfig:
             raise ValueError("b_max must be >= 1")
         if self.backend_mode not in ("record", "replay", "passthrough"):
             raise ValueError(f"unknown backend mode: {self.backend_mode!r}")
-        if self.backend_mode == "replay" and not self.cassette_path:
-            raise ValueError("replay mode requires a cassette path")
         if self.reasoning_table not in ("focus", "full"):
             raise ValueError(f"unknown reasoning table source: {self.reasoning_table!r}")
 
@@ -51,7 +49,7 @@ def run_instance(
     table: Table,
     question: str,
     lm: gw.Gateway,
-    config: PipelineConfig = PipelineConfig(cassette_path="unused", backend_mode="record"),
+    config: PipelineConfig,
     task_kind: str = "qa",
 ) -> tuple[Answer, ReasoningTrace]:
     """Run the full pipeline on one (table, question) pair."""
@@ -98,7 +96,7 @@ def run_instance(
         # abstained answer; the CLI still exits 0 with a complete trace.
         trace.warn(f"pipeline degraded: {type(exc).__name__}: {exc}")
         answer = Answer(value="", task_kind=task_kind, abstained=True)
-        trace.answer = {"value": "", "task_kind": task_kind, "abstained": True}
+        trace.answer = asdict(answer)
 
     a = focus.table.row_count if focus is not None else 0
     b = focus.table.column_count if focus is not None else 0
@@ -126,6 +124,6 @@ def build_backend(config: PipelineConfig, inner: gw.Backend | None = None) -> gw
         if inner is None:
             raise ValueError("passthrough mode requires a network backend")
         return inner
-    if config.cassette_path is None:
+    if not config.cassette_path:
         raise ValueError(f"{config.backend_mode} mode requires a cassette path")
     return gw.Cassette(config.cassette_path, config.backend_mode, inner=inner)

@@ -16,7 +16,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import gateway as gw
 from .core import render_markdown
@@ -38,10 +38,6 @@ _ABSTAIN_MARKERS = (
     "not enough information",
     "insufficient information",
 )
-
-
-class EmptyAnswer(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -78,6 +74,10 @@ class ExecutorProfile:
     command: tuple[str, ...] = ("python3",)
     timeout_s: float = 10.0
 
+    def __post_init__(self) -> None:
+        if not self.timeout_s > 0:  # also rejects NaN
+            raise ValueError(f"executor timeout must be > 0 seconds, got {self.timeout_s}")
+
 
 _STRATEGY_SYNONYMS = {
     "retrieval": "textual",
@@ -110,21 +110,6 @@ def assess_strategy(
     except gw.UnparseableReply:
         trace.warn("strategy reply unparseable; defaulted to textual")
         return "textual"
-
-
-def textual_reasoning(
-    table_markdown: str,
-    description: str,
-    question: str,
-    lm: gw.Gateway,
-    trace: ReasoningTrace,
-) -> str:
-    """Full chain-of-thought reply, unmodified; extraction happens in format_answer."""
-    return lm.complete(
-        "textual_reasoning",
-        {"table": table_markdown, "description": description, "question": question},
-        trace,
-    )
 
 
 def generate_guidance(
@@ -255,12 +240,12 @@ def format_answer(
     lm: gw.Gateway,
     trace: ReasoningTrace,
 ) -> Answer:
-    """Condense a raw reasoning result into the final short-form answer."""
-    if not raw.strip():
-        raise EmptyAnswer("raw reasoning result is empty")
-    formatted = lm.complete("answer_formatting", {"question": question, "reasoning": raw}, trace).strip()
+    """Condense a raw reasoning result into the short-form answer; a blank one abstains with a warning."""
+    bindings = {"question": question, "reasoning": raw}
+    formatted = lm.complete("answer_formatting", bindings, trace).strip() if raw.strip() else ""
     if not formatted:
-        raise EmptyAnswer("formatted answer is blank")
+        trace.warn("empty formatted answer")
+        return Answer(value="", task_kind=task_kind, abstained=True)
     if looks_abstaining(formatted):
         return Answer(value="", task_kind=task_kind, abstained=True)
     if task_kind == "fact_verification":
@@ -313,20 +298,18 @@ def answer_adaptive(
             raw = result.answer_line
 
     def attempt(raw: str | None, full_table: bool) -> Answer:
-        """Format ``raw``, reasoning textually first when there is none."""
+        """Format ``raw``, reasoning textually (full chain of thought) first when there is none."""
         if raw is None:
             markdown = render_markdown(table.table) if full_table else focus.markdown
-            raw = textual_reasoning(markdown, description, question, lm, trace)
-        try:
-            return format_answer(question, raw, task_kind, lm, trace)
-        except EmptyAnswer:
-            trace.warn("empty formatted answer")
-            return Answer(value="", task_kind=task_kind, abstained=True)
+            raw = lm.complete(
+                "textual_reasoning", {"table": markdown, "description": description, "question": question}, trace
+            )
+        return format_answer(question, raw, task_kind, lm, trace)
 
     answer = attempt(raw, reasoning_table == "full")
     if (answer.abstained or focus.table.row_count == 0) and full_table_fallback and reasoning_table != "full":
         trace.fallbacks.append("full_table_retry")
         answer = attempt(None, True)
 
-    trace.answer = {"value": answer.value, "task_kind": answer.task_kind, "abstained": answer.abstained}
+    trace.answer = asdict(answer)
     return answer, trace

@@ -24,7 +24,6 @@ DEFAULT_B_MAX = 6
 class TableOfFocus:
     table: Table
     markdown: str  # the rendering every focus prompt sends
-    selected_columns: tuple[str, ...]
     reconstruction_count: int
     condensation_ratio: float
 
@@ -77,14 +76,8 @@ def rank_columns(
         return tuple(headers)
     if dropped:
         trace.warn(f"column ranking dropped unknown items: {dropped}")
-    order: list[str] = []
-    for item in items:
-        if item not in order:
-            order.append(item)
-    for header in headers:  # repair omissions in original order
-        if header not in order:
-            order.append(header)
-    return tuple(order)
+    # Repair omissions by appending them in original order.
+    return tuple(items) + tuple(h for h in headers if h not in items)
 
 
 def column_lookup(
@@ -111,18 +104,8 @@ def column_lookup(
         items, dropped = [ranked[0]], []
     if dropped:
         trace.warn(f"column lookup dropped unknown items: {dropped}")
-
-    selected: list[str] = []
-    for item in items:
-        if item not in selected:
-            selected.append(item)
-        if len(selected) >= b_max:
-            break
-    if not selected:
-        selected = [ranked[0]]
-    if key_column not in selected:
-        selected.append(key_column)
-    return tuple(selected)
+    selected = tuple(items[:b_max])
+    return selected if key_column in selected else selected + (key_column,)
 
 
 def row_lookup(
@@ -175,7 +158,6 @@ def construct_focus(
     return TableOfFocus(
         table=focus_table,
         markdown=render_markdown(focus_table),
-        selected_columns=tuple(table.table.headers[j] for j in col_indices),
         reconstruction_count=reconstruction_count,
         condensation_ratio=ratio,
     )

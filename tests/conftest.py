@@ -225,6 +225,15 @@ def record_run(case: GoldenCase, cassette_dir):
     return run_instance(case.table, case.question, lm, config, task_kind=case.task_kind)
 
 
+def edited_templates(directory, template_id: str, old: str, new: str):
+    """A copy of the bundled templates in ``directory`` with ``old`` replaced by
+    ``new`` in one file; returns the directory."""
+    for tid in gw_module.TEMPLATE_IDS:
+        body = (gw_module.BUNDLED_TEMPLATES / f"{tid}.txt").read_text(encoding="utf-8")
+        (directory / f"{tid}.txt").write_text(body.replace(old, new) if tid == template_id else body, encoding="utf-8")
+    return directory
+
+
 def replay_run(case: GoldenCase, cassette_dir):
     """Re-run a golden case purely from the cassette; no scripted backend."""
     from tablefocus.pipeline import PipelineConfig, run_instance

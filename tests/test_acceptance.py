@@ -76,7 +76,7 @@ class TestReconstructionConformance:
                 table, "q", rows, initial, tuple(ranked), lm, trace=trace
             )
 
-            assert set(focus.selected_columns) == set(expected_cols)
+            assert set(focus.table.headers) == set(expected_cols)
             assert focus.reconstruction_count == expected_e
             used = sum(1 for s in trace.steps if s["template_id"] == "information_estimation")
             assert used == expected_used

@@ -11,7 +11,7 @@ from tablefocus.core import render_markdown
 from tablefocus.pipeline import PipelineConfig
 from tablefocus.reasoning import ExecutorProfile
 
-from conftest import GOLDEN_CASES, record_run
+from conftest import GOLDEN_CASES, edited_templates, record_run
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +30,9 @@ def riders_setup(tmp_path_factory):
 class TestConfigFile:
     def test_parses_types(self, tmp_path):
         path = tmp_path / "cfg"
-        path.write_text("# comment\npeek_size = 10\nnormalization = false\nmodel = m\n")
+        path.write_text("# comment\npeek_size = 10\nnormalization = false\nmodel = m\nfull_table_fallback = ON\n")
         values = load_config_file(str(path))
-        assert values == {"peek_size": 10, "normalization": False, "model": "m"}
+        assert values == {"peek_size": 10, "normalization": False, "model": "m", "full_table_fallback": True}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg"
@@ -44,6 +44,12 @@ class TestConfigFile:
         path = tmp_path / "cfg"
         path.write_text("no separator here\n")
         with pytest.raises(ValueError):
+            load_config_file(str(path))
+
+    def test_unknown_boolean_word_rejected(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("# typo below\nfull_table_fallback = ture\n")
+        with pytest.raises(ValueError, match=r"cfg:2: full_table_fallback: .*'ture'"):
             load_config_file(str(path))
 
 
@@ -110,6 +116,32 @@ class TestRunCommand:
         ])
         assert code == 1
         assert "base-url" in capsys.readouterr().err
+
+    def test_mistyped_template_directory_is_error_exit(self, riders_setup, tmp_path, capsys):
+        case, cassette, table_path = riders_setup
+        code = main([
+            "run",
+            "--table", str(table_path),
+            "--question", case.question,
+            "--mode", "replay",
+            "--cassette", str(cassette),
+            "--templates", str(edited_templates(tmp_path, "verbalization", "{{table}}", "{{tabel}}")),
+        ])
+        assert code == 1
+        assert "verbalization.txt" in capsys.readouterr().err
+
+    def test_nonpositive_executor_timeout_is_error_exit(self, riders_setup, capsys):
+        case, cassette, table_path = riders_setup
+        code = main([
+            "run",
+            "--table", str(table_path),
+            "--question", case.question,
+            "--mode", "replay",
+            "--cassette", str(cassette),
+            "--executor-timeout-s", "0",
+        ])
+        assert code == 1
+        assert "executor timeout" in capsys.readouterr().err
 
     def test_config_file_supplies_defaults(self, riders_setup, tmp_path, capsys):
         case, cassette, table_path = riders_setup

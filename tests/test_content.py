@@ -47,14 +47,14 @@ class TestReconstructFocus:
     def test_sufficient_on_first_pass(self):
         lm = make_gateway({"information_estimation": ["Yes"]})
         focus = reconstruct_focus(NORM, "q", ALL_ROWS, ("Rider",), RANKED, lm, ReasoningTrace())
-        assert focus.selected_columns == ("Rider",)
+        assert focus.table.headers == ("Rider",)
         assert focus.reconstruction_count == 0
 
     def test_grows_until_sufficient(self):
         lm = make_gateway({"information_estimation": ["No", "No", "Yes"]})
         focus = reconstruct_focus(NORM, "q", ALL_ROWS, ("Rider",), RANKED, lm, ReasoningTrace())
         # Candidates are appended in ranked order: Country first, then Wins.
-        assert set(focus.selected_columns) == {"Rider", "Country", "Wins"}
+        assert set(focus.table.headers) == {"Rider", "Country", "Wins"}
         assert focus.reconstruction_count == 2
 
     def test_stops_when_candidates_exhausted(self):

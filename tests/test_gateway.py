@@ -10,6 +10,8 @@ import pytest
 from tablefocus import gateway as gw
 from tablefocus.trace import ReasoningTrace, digest
 
+from conftest import edited_templates
+
 
 def _request(template_id="column_lookup", rendered="hello"):
     return gw.LmRequest(template_id=template_id, rendered=rendered)
@@ -17,29 +19,25 @@ def _request(template_id="column_lookup", rendered="hello"):
 
 class TestPromptTemplate:
     def test_from_body_derives_bindings(self):
-        t = gw.PromptTemplate.from_body("x", "Q: {{question}} T: {{table}}")
+        t = gw.PromptTemplate("x", "Q: {{question}} T: {{table}}")
         assert t.required_bindings == frozenset({"question", "table"})
 
-    def test_declared_bindings_must_match(self):
-        with pytest.raises(ValueError):
-            gw.PromptTemplate(id="x", body="{{a}}", required_bindings=frozenset({"b"}))
-
     def test_render(self):
-        t = gw.PromptTemplate.from_body("x", "A {{a}} B {{b}}")
+        t = gw.PromptTemplate("x", "A {{a}} B {{b}}")
         assert gw.render_prompt(t, {"a": "1", "b": "2"}) == "A 1 B 2"
 
     def test_missing_binding(self):
-        t = gw.PromptTemplate.from_body("x", "{{a}}")
+        t = gw.PromptTemplate("x", "{{a}}")
         with pytest.raises(gw.MissingBinding):
             gw.render_prompt(t, {})
 
     def test_unknown_binding(self):
-        t = gw.PromptTemplate.from_body("x", "{{a}}")
+        t = gw.PromptTemplate("x", "{{a}}")
         with pytest.raises(gw.UnknownBinding):
             gw.render_prompt(t, {"a": "1", "zz": "2"})
 
     def test_repeated_placeholder(self):
-        t = gw.PromptTemplate.from_body("x", "{{a}} and {{a}}")
+        t = gw.PromptTemplate("x", "{{a}} and {{a}}")
         assert gw.render_prompt(t, {"a": "v"}) == "v and v"
 
 
@@ -210,6 +208,15 @@ class TestTemplatesAndGateway:
         with pytest.raises(FileNotFoundError):
             gw.load_templates(tmp_path)
 
+    def test_custom_templates_load_when_placeholders_match(self, tmp_path):
+        registry = gw.load_templates(edited_templates(tmp_path, "verbalization", "You are", "Here is"))
+        assert registry["verbalization"].body.startswith("Here is given")
+
+    def test_mistyped_placeholder_rejected_at_load(self, tmp_path):
+        directory = edited_templates(tmp_path, "verbalization", "{{table}}", "{{tabel}}")
+        with pytest.raises(ValueError, match=r"verbalization\.txt.*\['tabel'\].*\['table'\]"):
+            gw.load_templates(directory)
+
     def test_complete_returns_request_and_response(self):
         # complete returns the reply text and records the call as one lm step.
         gateway = gw.Gateway(gw.ScriptedBackend({"answer_formatting": ["42"]}))
@@ -244,9 +251,8 @@ class TestParseBool:
         assert gw.parse_bool("No, but yes later") is False
 
     def test_unparseable_carries_raw_reply(self):
-        with pytest.raises(gw.UnparseableReply) as err:
+        with pytest.raises(gw.UnparseableReply, match="'maybe 42'"):
             gw.parse_bool("maybe 42")
-        assert err.value.raw_reply == "maybe 42"
 
 
 class TestParseChoice:
@@ -283,6 +289,11 @@ class TestParseDelimitedList:
         kept, dropped = gw.parse_delimited_list("wins, RIDER, bogus", expected_universe=["Rider", "Wins"])
         assert kept == ["Wins", "Rider"]
         assert dropped == ["bogus"]
+
+    def test_repeated_items_kept_once_in_first_mention_order(self):
+        kept, dropped = gw.parse_delimited_list("b, a, B, x, a, x", expected_universe="ab")
+        assert kept == ["b", "a"]
+        assert dropped == ["x", "x"]
 
     def test_empty_reply(self):
         with pytest.raises(gw.EmptyList):

@@ -21,8 +21,9 @@ def _run_scripted(case: GoldenCase):
 
 class TestConfigValidation:
     def test_replay_requires_cassette(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(backend_mode="replay", cassette_path=None)
+        for path in (None, ""):
+            with pytest.raises(ValueError, match="requires a cassette path"):
+                build_backend(PipelineConfig(backend_mode="replay", cassette_path=path))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -137,6 +138,16 @@ class TestScriptedFlows:
 
         with pytest.raises(KeyError):
             run_instance(case.table, case.question, gw.Gateway(Broken()), SCRIPTED_CONFIG)
+
+    def test_binding_mismatch_is_raised_not_degraded(self):
+        # A stage that sends the wrong bindings is a bug, so it must not abstain.
+        case = GOLDEN_CASES[0]
+        templates = gw.load_templates()
+        verbalization = templates["verbalization"]
+        templates["verbalization"] = gw.PromptTemplate(verbalization.id, verbalization.body + "{{extra}}")
+        lm = gw.Gateway(gw.ScriptedBackend(case.replies), templates=templates)
+        with pytest.raises(gw.MissingBinding, match="extra"):
+            run_instance(case.table, case.question, lm, SCRIPTED_CONFIG)
 
     def test_normalization_toggle_is_equivalent_on_clean_table(self):
         case = GOLDEN_CASES[1]  # tenure-textual

@@ -101,6 +101,11 @@ class TestExecuteProgram:
         assert lines[0] == "Rider,Country,Wins"
         assert len(lines) == 4
 
+    def test_timeout_must_be_positive(self):
+        for timeout in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="> 0"):
+                ExecutorProfile(timeout_s=timeout)
+
     def test_missing_interpreter_reports_127(self):
         result = execute_program("print(1)", FOCUS, profile=ExecutorProfile(command=("/nonexistent/python3",)))
         assert result == ExecutionResult(stdout="", exit_status=127, duration_ms=result.duration_ms, timed_out=False)
@@ -190,14 +195,16 @@ class TestFormatAnswer:
         assert format_answer("q", "r", "fact_verification", lm, ReasoningTrace()).value == "False"
         assert format_answer("q", "r", "fact_verification", lm, ReasoningTrace()).abstained
 
-    def test_empty_inputs_raise(self):
-        from tablefocus.reasoning import EmptyAnswer
-
+    def test_empty_inputs_abstain(self):
         lm = make_gateway({"answer_formatting": [""]})
-        with pytest.raises(EmptyAnswer):
-            format_answer("q", "   ", "qa", lm, ReasoningTrace())
-        with pytest.raises(EmptyAnswer):
-            format_answer("q", "r", "qa", lm, ReasoningTrace())
+        abstained = Answer(value="", task_kind="qa", abstained=True)
+        blank_raw = ReasoningTrace()
+        assert format_answer("q", "   ", "qa", lm, blank_raw) == abstained
+        assert blank_raw.steps == [] and blank_raw.warnings == ["empty formatted answer"]
+        blank_reply = ReasoningTrace()
+        assert format_answer("q", "r", "qa", lm, blank_reply) == abstained
+        assert blank_reply.steps[-1]["template_id"] == "answer_formatting"
+        assert blank_reply.steps[-1]["warnings"] == ["empty formatted answer"]
 
 
 class _RecordingBackend:

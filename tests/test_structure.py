@@ -139,7 +139,6 @@ class TestConstructFocus:
         focus = construct_focus(NORM, self.ROWS, ["Wins", "Rider"])
         assert focus.table.headers == ("Rider", "Wins")
         assert focus.table.rows == (("Jacky Martin", "3"), ("Bram Peeters", "2"), ("Luc Van Damme", "2"))
-        assert focus.selected_columns == ("Rider", "Wins")
 
     def test_unknown_column_raises_index_error(self):
         with pytest.raises(IndexError):
