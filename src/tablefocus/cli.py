@@ -135,9 +135,13 @@ def cmd_eval(args) -> int:
         instances = instances[: args.limit]
 
     def run_one(instance):
-        answer, trace = run_instance(
-            instance.table, instance.question, gateway, config, task_kind=instance.task_kind
-        )
+        try:
+            answer, trace = run_instance(
+                instance.table, instance.question, gateway, config, task_kind=instance.task_kind
+            )
+        except Exception as exc:  # evaluate scores and counts it; name it here
+            print(f"error: {instance.id}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            raise
         return answer, trace.to_dict()
 
     report = evaluate(instances, run_one, parallelism=args.parallelism, trace_dir=args.trace_dir)

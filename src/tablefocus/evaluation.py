@@ -58,6 +58,7 @@ class EvalReport:
     strategy_counts: dict[str, int]
     predicted_cost_total: float
     tallied_cost_total: float
+    error_records: int  # instances whose run raised
     skipped_records: int = 0
 
     def to_dict(self) -> dict[str, Any]:
@@ -256,8 +257,9 @@ def evaluate(
 ) -> EvalReport:
     """Run the pipeline over all instances and aggregate accuracy, buckets, and cost.
 
-    ``run_instance`` maps an instance to (answer, trace dict); per-instance
-    failures score as incorrect with a failure trace rather than aborting.
+    ``run_instance`` maps an instance to (answer, trace dict). An instance
+    whose ``run_instance`` raises scores as incorrect with a failure trace,
+    and counts in ``error_records``, rather than aborting the run.
     """
     results: list[tuple[EvalInstance, Answer | None, dict[str, Any]]] = [None] * len(instances)  # type: ignore
 
@@ -331,4 +333,5 @@ def evaluate(
         strategy_counts=dict(strategies),
         predicted_cost_total=predicted_total,
         tallied_cost_total=tallied_total,
+        error_records=sum(1 for _, answer, _ in results if answer is None),
     )

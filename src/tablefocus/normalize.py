@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime
 
 from .core import Table, transpose
 
@@ -39,22 +39,34 @@ _DATE_FORMATS = (
 # also fullmatches: strptime reads format whitespace as \s+, %d may be
 # space-padded, and month names depend on the locale. So skipping strptime where
 # the shape fails changes no result, and most cells fail the union of all
-# shapes at once. strptime caches only 5 compiled formats, so trying all 11 on
-# every cell recompiles them on most calls.
+# shapes at once. The union, with one named group per format, also names the
+# first format whose shape fits, which is the first one strptime would accept.
 _DIRECTIVE_SHAPES = {"%Y": r"\d{4}", "%y": r"\d{2}", "%m": r"\d{1,2}", "%d": r"\s?\d{1,2}", "%b": ".+?", "%B": ".+?"}
+# strptime's own regexes for these directives, cut to ASCII digits and letters.
+# A string in this language that forms a real date is one strptime reads the
+# same way, so its date is built directly; the month name is looked up once
+# per distinct word with strptime itself, which keeps the locale's names.
+_ASCII_DIRECTIVES = {
+    "%Y": r"(?P<Y>[0-9]{4})",
+    "%y": r"(?P<y>[0-9]{2})",
+    "%m": r"(?P<m>1[0-2]|0[1-9]|[1-9])",
+    "%d": r"(?P<d>3[01]|[12][0-9]|0[1-9]|[1-9]| [1-9])",
+    "%b": r"(?P<b>[A-Za-z]+)",
+    "%B": r"(?P<b>[A-Za-z]+)",
+}
 
 
-def _date_shape(fmt: str) -> re.Pattern[str]:
+def _date_pattern(fmt: str, directives: dict[str, str], space: str) -> str:
     pieces = re.split(r"(%.|\s+)", fmt)
-    return re.compile(
-        "".join(
-            _DIRECTIVE_SHAPES[p] if p.startswith("%") else r"\s+" if p.isspace() else re.escape(p) for p in pieces
-        )
-    )
+    return "".join(directives[p] if p.startswith("%") else space if p.isspace() else re.escape(p) for p in pieces)
 
 
-_DATE_SHAPES = tuple((fmt, _date_shape(fmt)) for fmt in _DATE_FORMATS)
-_ANY_DATE_SHAPE = re.compile("|".join(shape.pattern for _, shape in _DATE_SHAPES))
+_DATE_SHAPES = tuple((fmt, re.compile(_date_pattern(fmt, _DIRECTIVE_SHAPES, r"\s+"))) for fmt in _DATE_FORMATS)
+_ANY_DATE_SHAPE = re.compile("|".join(f"(?P<f{i}>{shape.pattern})" for i, (_, shape) in enumerate(_DATE_SHAPES)))
+_ASCII_DATES = {
+    f"f{i}": (i, re.compile(_date_pattern(fmt, _ASCII_DIRECTIVES, r"[ \t\n\r\f\v]+")))
+    for i, fmt in enumerate(_DATE_FORMATS)
+}
 
 
 @dataclass(frozen=True)
@@ -89,45 +101,18 @@ class NormalizedTable:
             raise ValueError("one ColumnKind per column required")
 
 
-def _strip_numeric(cell: str) -> str:
-    cell = cell.strip()
-    while cell and cell[0] in _CURRENCY:
-        cell = cell[1:].strip()
-    return cell
-
-
 def parse_integer(cell: str) -> str | None:
     """Canonical integer form of a cell, or None if it is not an integer."""
-    s = _strip_numeric(cell)
-    if not s or not _INT_RE.match(s):
-        return None
-    return str(int(s.replace(",", "")))
+    return _Parses()[cell][0]
 
 
 def parse_decimal(cell: str) -> str | None:
-    s = _strip_numeric(cell)
-    if not s:
-        return None
-    if _INT_RE.match(s):
-        return str(int(s.replace(",", "")))
-    if _DEC_RE.match(s):
-        return s.replace(",", "")
-    return None
+    return _Parses()[cell][1]
 
 
 def parse_date(cell: str) -> str | None:
     """ISO-8601 form of a date cell, or None."""
-    s = cell.strip()
-    if not s or not _ANY_DATE_SHAPE.fullmatch(s):
-        return None
-    for fmt, shape in _DATE_SHAPES:
-        if not shape.fullmatch(s):
-            continue
-        try:
-            return datetime.strptime(s, fmt).date().isoformat()
-        except ValueError:
-            continue
-    return None
+    return _Parses()[cell][2]
 
 
 # The order of the parsed forms; on a tie the earlier, more specific kind wins
@@ -137,11 +122,76 @@ _KINDS = ("integer", "decimal", "date")
 
 class _Parses(dict):
     """Memo for one call: cell -> its (integer, decimal, date) canonical forms,
-    None where the cell does not parse as that kind."""
+    None where the cell does not parse as that kind. ``months`` maps each
+    month word seen to its month number, or None when it names no month."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.months: dict[str, int | None] = {}
 
     def __missing__(self, cell: str) -> tuple[str | None, str | None, str | None]:
-        parsed = self[cell] = (parse_integer(cell), parse_decimal(cell), parse_date(cell))
+        s = cell.strip()
+        number = s
+        while number and number[0] in _CURRENCY:
+            number = number[1:].strip()
+        # No date shape fits a number, currency sign or not, so numbers skip the date parse.
+        if number and _INT_RE.match(number):
+            integer = str(int(number.replace(",", "")))
+            parsed = (integer, integer, None)
+        elif number and _DEC_RE.match(number):
+            parsed = (None, number.replace(",", ""), None)
+        else:
+            parsed = (None, None, self._date(s))
+        self[cell] = parsed
         return parsed
+
+    def _date(self, s: str) -> str | None:
+        shape = _ANY_DATE_SHAPE.fullmatch(s)
+        if shape is None:
+            return None
+        first, ascii_date = _ASCII_DATES[shape.lastgroup]
+        fields = ascii_date.fullmatch(s)
+        if fields is not None:
+            parts = fields.groupdict()
+            word = parts.get("b")
+            if word is None:
+                month = int(parts["m"])
+            elif word in self.months:
+                month = self.months[word]
+            else:
+                month = self.months[word] = _month_number(word)
+            if "Y" in parts:
+                year = int(parts["Y"])
+            else:
+                year = int(parts["y"])
+                year += 2000 if year <= 68 else 1900  # strptime's %y pivot
+            if month is not None:
+                try:
+                    return date(year, month, int(parts["d"])).isoformat()
+                except ValueError:
+                    pass
+        # No earlier format's shape fits, so strptime starts at the first that does.
+        for fmt, shape in _DATE_SHAPES[first:]:
+            if not shape.fullmatch(s):
+                continue
+            try:
+                return datetime.strptime(s, fmt).date().isoformat()
+            except ValueError:
+                continue
+        return None
+
+
+def _month_number(word: str) -> int | None:
+    """The month ``word`` names as strptime reads it: abbreviated, else in full.
+
+    Each %B format follows its %b twin, whose shape is the same, so strptime
+    also tries the abbreviation first."""
+    for directive in ("%b", "%B"):
+        try:
+            return datetime.strptime(word, directive).month
+        except ValueError:
+            continue
+    return None
 
 
 def _counts(cells: list[str], parses: _Parses) -> list[int]:
@@ -194,17 +244,23 @@ def detect_orientation(table: Table) -> Orientation:
     Ties (and tables too small to judge) default to row_major. Confidence is
     0.5 plus half the score margin, so a tie reads as maximal uncertainty.
     """
-    return _detect_orientation(table, _Parses())
-
-
-def _detect_orientation(table: Table, parses: _Parses) -> Orientation:
     if table.row_count < 1 or table.column_count < 2:
         return Orientation(value="row_major", confidence=0.5)
+    parses = _Parses()
     score_row = _homogeneity(table, parses)
     score_col = _homogeneity(transpose(table), parses)
     confidence = 0.5 + abs(score_row - score_col) / 2.0
     value = "row_major" if score_row >= score_col else "column_major"
     return Orientation(value=value, confidence=confidence)
+
+
+def _column_major(table: Table, parses: _Parses) -> bool:
+    """Whether ``detect_orientation`` reads column_major. A row score of 1.0
+    skips the transpose: it can at best tie, and ties read row_major."""
+    if table.row_count < 1 or table.column_count < 2:
+        return False
+    score_row = _homogeneity(table, parses)
+    return score_row < 1.0 and _homogeneity(transpose(table), parses) > score_row
 
 
 def _unique_headers(table: Table) -> tuple[Table, tuple[tuple[str, ...], ...]]:
@@ -240,8 +296,7 @@ def normalize(table: Table) -> NormalizedTable:
     are flagged in the per-column provenance. Each distinct cell is parsed once.
     """
     parses = _Parses()
-    orientation = _detect_orientation(table, parses)
-    transposed = orientation.value == "column_major"
+    transposed = _column_major(table, parses)
     work, renames = _unique_headers(transpose(table) if transposed else table)
 
     kinds: list[ColumnKind] = []

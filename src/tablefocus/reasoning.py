@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import signal
 import subprocess
@@ -27,6 +28,7 @@ from .trace import ReasoningTrace, digest
 TABLE_PATH_ENV = "TM_TABLE_PATH"
 QUESTION_ENV = "TM_QUESTION"
 MEMORY_MB = 512  # address-space cap of a generated program
+MAX_OUTPUT_BYTES = 1024 * 1024  # cap on each file a generated program writes, stdout included
 
 _ABSTAIN_MARKERS = (
     "cannot answer",
@@ -155,12 +157,16 @@ def focus_as_csv(focus: TableOfFocus) -> str:
     return buffer.getvalue()
 
 
-def _limit_resources() -> None:
+def _limit_resources(timeout_s: float) -> None:
     try:
         import resource
 
-        limit = MEMORY_MB * 1024 * 1024
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        for which, limit in (
+            (resource.RLIMIT_AS, MEMORY_MB * 1024 * 1024),
+            (resource.RLIMIT_FSIZE, MAX_OUTPUT_BYTES),
+            (resource.RLIMIT_CPU, math.ceil(timeout_s) + 1),
+        ):
+            resource.setrlimit(which, (limit, limit))
     except (ImportError, ValueError, OSError):
         pass
 
@@ -175,9 +181,12 @@ def execute_program(
 
     The focus table is written as table.csv and exported via TM_TABLE_PATH; the
     question via TM_QUESTION. The child gets a minimal environment, a memory
-    cap, and a wall-clock timeout. The run ends when the program exits or the
-    timeout passes, and either way its whole process group is then killed, so
-    a background process it left cannot hold the run open. An interpreter
+    cap, a cap of ``MAX_OUTPUT_BYTES`` on each file it writes (stdout
+    included, so a longer output fails the run and no more is read back), a
+    CPU-time cap one second past the timeout, and a wall-clock timeout. The
+    run ends when the program exits or the timeout passes, and either way its
+    whole process group is then killed, so a background process it left
+    cannot hold the run open. An interpreter
     that cannot be started reports exit status 127, as a shell would.
     """
     with tempfile.TemporaryDirectory(prefix="tf-exec-") as workdir:
@@ -204,7 +213,7 @@ def execute_program(
                     stdout=out,
                     stderr=subprocess.DEVNULL,
                     start_new_session=True,
-                    preexec_fn=_limit_resources,
+                    preexec_fn=lambda: _limit_resources(profile.timeout_s),
                 )
             except OSError:
                 duration = (time.monotonic() - start) * 1000.0
@@ -223,7 +232,7 @@ def execute_program(
             waiter.join()
             out.seek(0)
             # Decoded with universal newlines, as a text-mode pipe would be.
-            stdout = out.read().decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+            stdout = out.read(MAX_OUTPUT_BYTES).decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
         exit_status = -1 if timed_out else proc.returncode
         return ExecutionResult(stdout=stdout, exit_status=exit_status, duration_ms=duration, timed_out=timed_out)
 

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from tablefocus import cli
+from tablefocus import gateway as gw
 from tablefocus.cli import _build_pipeline_config, build_parser, load_config_file, main
 from tablefocus.core import render_markdown
 from tablefocus.pipeline import PipelineConfig
@@ -227,6 +229,29 @@ class TestEvalCommand:
         assert code == 0
         assert "skipped 1 malformed records" in capsys.readouterr().err
         assert json.loads(report_path.read_text())["skipped_records"] == 1
+
+    def test_crashed_instances_are_counted_and_named(self, riders_setup, tmp_path, capsys, monkeypatch):
+        case, cassette, _ = riders_setup
+        dataset = _write_dataset(case, tmp_path / "d.jsonl", 4)
+        templates = gw.load_templates()
+        verbalization = templates["verbalization"]
+        templates["verbalization"] = gw.PromptTemplate(verbalization.id, verbalization.body + "{{extra}}")
+        monkeypatch.setattr(
+            cli, "_build_gateway", lambda *_: gw.Gateway(gw.Cassette(cassette, "replay"), templates=templates)
+        )
+        report_path = tmp_path / "report.json"
+        code = main([
+            "eval",
+            "--dataset", str(dataset),
+            "--mode", "replay",
+            "--cassette", str(cassette),
+            "--report-out", str(report_path),
+        ])
+        assert code == 0
+        assert json.loads(report_path.read_text())["error_records"] == 4
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[:3] for line in err] == [["error", f"r{i}", "MissingBinding"] for i in range(4)]
+        assert all("extra" in line for line in err)
 
     def test_eval_limit(self, riders_setup, tmp_path, capsys):
         case, cassette, _ = riders_setup

@@ -228,7 +228,7 @@ class TestEvaluate:
         assert report.predicted_cost_total == pytest.approx(4 * 71.0)
         assert report.tallied_cost_total == pytest.approx(4 * 71.0)
 
-    def test_instance_failure_counts_as_incorrect(self):
+    def test_instance_failure_counts_as_incorrect(self, capsys):
         instances = _instances(4)
 
         def run(instance):
@@ -238,6 +238,8 @@ class TestEvaluate:
 
         report = evaluate(instances, run)
         assert report.correct == 3
+        assert report.error_records == 1
+        assert capsys.readouterr() == ("", "")
 
     def test_parallelism_matches_serial(self):
         instances = _instances(6)

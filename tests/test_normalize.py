@@ -25,6 +25,8 @@ from tablefocus.normalize import (
     skip_normalization,
 )
 
+normalize_module = importlib.import_module("tablefocus.normalize")
+
 
 # Reference for parse_date: strptime with every format in turn, no shape check.
 _DATE_FORMATS = (
@@ -52,6 +54,39 @@ def _reference_parse_date(cell: str) -> str | None:
             return datetime.strptime(s, fmt).date().isoformat()
         except ValueError:
             continue
+    return None
+
+
+# Reference for the integer and decimal forms: the separate parsers that the
+# one-pass classifier replaced, copied verbatim.
+_CURRENCY = "$€£¥"
+_INT_RE = re.compile(r"^[+-]?\d{1,3}(,\d{3})*$|^[+-]?\d+$")
+_DEC_RE = re.compile(r"^[+-]?\d{1,3}(,\d{3})*\.\d+$|^[+-]?\d+\.\d+$|^[+-]?\.\d+$")
+
+
+def _reference_strip_numeric(cell: str) -> str:
+    cell = cell.strip()
+    while cell and cell[0] in _CURRENCY:
+        cell = cell[1:].strip()
+    return cell
+
+
+def _reference_parse_integer(cell: str) -> str | None:
+    """Canonical integer form of a cell, or None if it is not an integer."""
+    s = _reference_strip_numeric(cell)
+    if not s or not _INT_RE.match(s):
+        return None
+    return str(int(s.replace(",", "")))
+
+
+def _reference_parse_decimal(cell: str) -> str | None:
+    s = _reference_strip_numeric(cell)
+    if not s:
+        return None
+    if _INT_RE.match(s):
+        return str(int(s.replace(",", "")))
+    if _DEC_RE.match(s):
+        return s.replace(",", "")
     return None
 
 
@@ -100,6 +135,26 @@ def _date_like(draw):
         for i, kind in enumerate(draw(st.lists(st.sampled_from([_NUMBER, _MONTH, _WORD]), min_size=1, max_size=4))):
             pieces += [draw(_DATE_SEPARATOR), draw(kind)] if i else [draw(kind)]
     return draw(st.sampled_from(["", " ", "\u00a0"])) + "".join(pieces) + draw(st.sampled_from(["", " ", ","]))
+
+
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000"])
+_UNICODE_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def _number_like(draw):
+    """Numbers with commas, decimals, leading dots, signs, currency prefixes,
+    padding and Unicode digits; half are random strings over those characters."""
+    if draw(st.booleans()):
+        alphabet = st.sampled_from(list("0123456789,.+-$€£¥ ") + ["\u00a0", "٣", "७", "x"])
+        return "".join(draw(st.lists(alphabet, max_size=12)))
+    value = draw(st.integers(0, 10**9))
+    body = draw(st.sampled_from([f"{value:,}", str(value), f".{value}", f"{value:,}.{value % 1000}"]))
+    body = draw(st.sampled_from(["", "+", "-"])) + body
+    body = draw(st.sampled_from(["", "$", "€ ", "£\u00a0", "$$", "¥-"])) + body
+    if draw(st.integers(0, 9)) == 0:
+        body = body.translate(_UNICODE_DIGITS)
+    return draw(_PADDING) + body + draw(_PADDING)
 
 
 class TestPrimitiveParsers:
@@ -164,6 +219,13 @@ class TestPrimitiveParsers:
     @given(_date_like())
     def test_date_matches_reference(self, raw):
         assert parse_date(raw) == _reference_parse_date(raw)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_number_like())
+    def test_number_forms_match_reference(self, raw):
+        integer, decimal, parsed_date = normalize_module._Parses()[raw]
+        assert (integer, decimal) == (_reference_parse_integer(raw), _reference_parse_decimal(raw))
+        assert parsed_date == _reference_parse_date(raw)
 
     @pytest.mark.parametrize(
         "raw", ["42", "-3", "3.50", ".25", "1999-03-05"]
@@ -297,6 +359,12 @@ class TestNormalize:
         assert out.table.headers == ("Field", "Age", "City")
         assert out.table.row_count == 2
 
+    def test_tie_below_full_homogeneity_stays_row_major(self):
+        # Rows and transpose both score 2/3: the tie must not transpose.
+        t = Table.make(["a", "b", "c"], [["1", "1", "1"], ["1", "1", "x"]])
+        assert detect_orientation(t) == Orientation("row_major", 0.5)
+        assert not normalize(t).transposed
+
     def test_zero_row_table(self):
         t = Table.make(["a", "b"], [])
         out = normalize(t)
@@ -314,7 +382,7 @@ class TestNormalize:
                 provenance=((), ()),
             )
 
-    def test_each_distinct_date_cell_reaches_strptime_once(self, monkeypatch):
+    def test_each_distinct_cell_is_classified_once_and_month_words_reach_strptime_once(self, monkeypatch):
         rng = random.Random(4)
         months = calendar.month_abbr[1:]
         rows = [
@@ -323,11 +391,19 @@ class TestNormalize:
                 f"{rng.randint(1, 99_999):,}",
                 f"${rng.randint(1, 99_999):,}.{rng.randint(0, 99):02d}",
                 f"{rng.choice(months)} {rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
+                # Outside the ASCII fast path: strptime reads the no-break space.
+                f"{rng.choice(months)}\u00a0{rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
             ]
             for _ in range(200)
         ]
-        table = Table.make(["Store", "Units", "Revenue", "Opened"], rows)
+        table = Table.make(["Store", "Units", "Revenue", "Opened", "Closed"], rows)
+        classified: list[str] = []
         parsed: list[str] = []
+        missing = normalize_module._Parses.__missing__
+
+        def counting_missing(parses, cell):
+            classified.append(cell)
+            return missing(parses, cell)
 
         class CountingDatetime(datetime):
             @classmethod
@@ -335,10 +411,14 @@ class TestNormalize:
                 parsed.append(date_string)
                 return super().strptime(date_string, fmt)
 
-        monkeypatch.setattr(importlib.import_module("tablefocus.normalize"), "datetime", CountingDatetime)
+        monkeypatch.setattr(normalize_module._Parses, "__missing__", counting_missing)
+        monkeypatch.setattr(normalize_module, "datetime", CountingDatetime)
         out = normalize(table)
-        assert out.column_kinds[3].kind == "date"
-        assert sorted(parsed) == sorted({row[3] for row in rows})
+        assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date", "date"]
+        # Every column is homogeneous, so the transpose, and its header cells, is never classified.
+        assert sorted(classified) == sorted({cell for row in rows for cell in row})
+        month_words = {row[3].split()[0] for row in rows}
+        assert sorted(parsed) == sorted(month_words | {row[4] for row in rows})
 
     @settings(max_examples=300, deadline=None)
     @given(wild_tables())

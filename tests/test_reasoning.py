@@ -12,6 +12,7 @@ import pytest
 from tablefocus import gateway as gw
 from tablefocus.normalize import skip_normalization
 from tablefocus.reasoning import (
+    MAX_OUTPUT_BYTES,
     Answer,
     ExecutionResult,
     ExecutorProfile,
@@ -171,6 +172,11 @@ class TestExecuteProgram:
             if not _dead(pid):
                 os.kill(pid, signal.SIGKILL)
 
+    def test_output_is_capped(self):
+        result = execute_program("print('x' * (5 * 1024 * 1024))", FOCUS)
+        assert result.exit_status != 0
+        assert 0 < len(result.stdout) <= MAX_OUTPUT_BYTES
+
     def test_runs_in_isolated_workdir(self):
         result = execute_program("import os; print(os.getcwd())", FOCUS)
         assert "tf-exec-" in result.answer_line
@@ -255,6 +261,18 @@ class TestAnswerAdaptive:
         answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())
         assert answer.value == "7"
         assert any("nonzero exit" in f for f in trace.fallbacks)
+
+    def test_oversized_output_falls_back_to_textual(self):
+        lm = make_gateway({
+            "strategy_assessment": ["symbolic"],
+            "textual_guidance": ["g"],
+            "symbolic_reasoning": ["```python\nprint('7' * (5 * 1024 * 1024))\n```"],
+            "textual_reasoning": ["Answer: 7"],
+            "answer_formatting": ["7"],
+        })
+        answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())
+        assert answer.value == "7"
+        assert trace.fallbacks == ["textual (executor nonzero exit)"]
 
     def test_executor_timeout_falls_back_to_textual(self):
         lm = make_gateway({
