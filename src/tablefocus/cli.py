@@ -17,7 +17,7 @@ from .core import ParseError, parse_table, render_markdown
 from .evaluation import DatasetFormatError, evaluate, load_dataset
 from .normalize import normalize
 from .pipeline import PipelineConfig, build_backend, run_instance
-from .reasoning import ExecutorProfile
+from .reasoning import TASK_KINDS, ExecutorProfile
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--table", required=True, help="table file path, or - for stdin")
     run.add_argument("--format", default="markdown", choices=("markdown", "csv", "tsv", "jsonl-table"))
     run.add_argument("--question", required=True)
-    run.add_argument("--task", default="qa", choices=("qa", "fact_verification"))
+    run.add_argument("--task", default="qa", choices=TASK_KINDS)
     run.add_argument("--trace-out", dest="trace_out")
     _add_common(run)
     run.set_defaults(func=cmd_run)

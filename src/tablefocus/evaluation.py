@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .core import Table, measure, parse_table
-from .reasoning import Answer
+from .reasoning import TASK_KINDS, Answer
 
 BUCKET_LABELS = ("small", "medium", "large", "xl")
 # Each size bucket's name and the ``SizeMetrics`` field it reads.
@@ -41,6 +41,8 @@ class EvalInstance:
     def __post_init__(self) -> None:
         if not self.gold_answers:
             raise ValueError("gold answers must be non-empty")
+        if self.task_kind not in TASK_KINDS:
+            raise ValueError(f"unknown task kind: {self.task_kind!r}")
         if self.task_kind == "fact_verification":
             for gold in self.gold_answers:
                 if gold not in ("True", "False"):
@@ -281,9 +283,13 @@ def evaluate(
     if trace_dir is not None:
         trace_path = Path(trace_dir)
         trace_path.mkdir(parents=True, exist_ok=True)
-        for instance, _, trace in results:
-            safe_id = re.sub(r"[^A-Za-z0-9._-]", "_", instance.id)
-            (trace_path / f"{safe_id}.json").write_text(
+        names: set[str] = set()
+        for i, (instance, _, trace) in enumerate(results):
+            name = re.sub(r"[^A-Za-z0-9._-]", "_", instance.id)
+            if name in names:  # "~" is never in a cleaned id, so the suffixed name is free
+                name = f"{name}~{i}"
+            names.add(name)
+            (trace_path / f"{name}.json").write_text(
                 json.dumps(trace, indent=2, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8"
             )
 
@@ -293,9 +299,9 @@ def evaluate(
     correct = sum(flags)
     total = len(instances)
 
-    sizes = [measure(instance.table) for instance, _, _ in results]
     bucket_accuracy: dict[str, dict[str, dict[str, float]]] = {}
     if total >= 4:
+        sizes = [measure(instance.table) for instance in instances]
         for metric, attr in SIZE_METRICS.items():
             labels = bucketize([getattr(size, attr) for size in sizes])
             per_bucket: dict[str, dict[str, float]] = {}

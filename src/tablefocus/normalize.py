@@ -195,9 +195,21 @@ def _month_number(word: str) -> int | None:
 
 
 def _counts(cells: list[str], parses: _Parses) -> list[int]:
-    """How many cells parse as each kind of ``_KINDS``."""
+    """A column's tally: how many of its cells parse as each kind of ``_KINDS``."""
     parsed = [parses[cell] for cell in cells]
     return [sum(1 for p in parsed if p[k] is not None) for k in range(len(_KINDS))]
+
+
+def _kind(counts: list[int], n: int) -> ColumnKind:
+    """The kind of a column of ``n`` cells with tally ``counts``; a column
+    without cells is text."""
+    best_count = max(counts)
+    best = best_count / n if n else 0.0
+    if best >= KIND_THRESHOLD:
+        return ColumnKind(kind=_KINDS[counts.index(best_count)], parse_ratio=best)
+    if best >= MIXED_THRESHOLD:
+        return ColumnKind(kind="mixed", parse_ratio=best)
+    return ColumnKind(kind="text", parse_ratio=best)
 
 
 def infer_column_kind(cells: list[str]) -> ColumnKind:
@@ -207,35 +219,28 @@ def infer_column_kind(cells: list[str]) -> ColumnKind:
     The inference is invariant under canonicalization: canonical forms parse
     back to the same kind, which keeps normalization idempotent.
     """
-    return _infer_kind(cells, _Parses())
-
-
-def _infer_kind(cells: list[str], parses: _Parses) -> ColumnKind:
     if not cells:
         raise ValueError("cannot infer kind of an empty column")
-    counts = _counts(cells, parses)
-    best_count = max(counts)
-    best = best_count / len(cells)
-    if best >= KIND_THRESHOLD:
-        return ColumnKind(kind=_KINDS[counts.index(best_count)], parse_ratio=best)
-    if best >= MIXED_THRESHOLD:
-        return ColumnKind(kind="mixed", parse_ratio=best)
-    return ColumnKind(kind="text", parse_ratio=best)
+    return _kind(_counts(cells, _Parses()), len(cells))
 
 
-def _homogeneity(table: Table, parses: _Parses) -> float:
-    """Fraction of columns whose data cells share one inferred primitive type.
+def _scored(table: Table, parses: _Parses) -> tuple[float, list[list[int]]]:
+    """The table's homogeneity, and the tally of each of its columns.
 
-    A column counts as homogeneous when every cell parses as the same primitive
-    (ratio 1.0) or no cell parses as any primitive (pure text, ratio 0.0).
+    Homogeneity is the fraction of columns whose data cells share one inferred
+    primitive type: every cell parses as the same primitive (ratio 1.0) or no
+    cell parses as any primitive (pure text, ratio 0.0).
     """
-    if table.row_count == 0 or table.column_count == 0:
-        return 0.0
-    homogeneous = 0
-    for j in range(table.column_count):
-        if max(_counts(table.column(j), parses)) in (0, table.row_count):
-            homogeneous += 1
-    return homogeneous / table.column_count
+    tallies = [_counts(table.column(j), parses) for j in range(table.column_count)]
+    if table.row_count == 0:
+        return 0.0, tallies
+    homogeneous = sum(1 for counts in tallies if max(counts) in (0, table.row_count))
+    return homogeneous / table.column_count, tallies
+
+
+def _too_small(table: Table) -> bool:
+    """Whether the table is too small to judge its orientation; it then reads row_major."""
+    return table.row_count < 1 or table.column_count < 2
 
 
 def detect_orientation(table: Table) -> Orientation:
@@ -244,23 +249,14 @@ def detect_orientation(table: Table) -> Orientation:
     Ties (and tables too small to judge) default to row_major. Confidence is
     0.5 plus half the score margin, so a tie reads as maximal uncertainty.
     """
-    if table.row_count < 1 or table.column_count < 2:
+    if _too_small(table):
         return Orientation(value="row_major", confidence=0.5)
     parses = _Parses()
-    score_row = _homogeneity(table, parses)
-    score_col = _homogeneity(transpose(table), parses)
+    score_row, _ = _scored(table, parses)
+    score_col, _ = _scored(transpose(table), parses)
     confidence = 0.5 + abs(score_row - score_col) / 2.0
     value = "row_major" if score_row >= score_col else "column_major"
     return Orientation(value=value, confidence=confidence)
-
-
-def _column_major(table: Table, parses: _Parses) -> bool:
-    """Whether ``detect_orientation`` reads column_major. A row score of 1.0
-    skips the transpose: it can at best tie, and ties read row_major."""
-    if table.row_count < 1 or table.column_count < 2:
-        return False
-    score_row = _homogeneity(table, parses)
-    return score_row < 1.0 and _homogeneity(transpose(table), parses) > score_row
 
 
 def _unique_headers(table: Table) -> tuple[Table, tuple[tuple[str, ...], ...]]:
@@ -293,45 +289,45 @@ def normalize(table: Table) -> NormalizedTable:
     """Produce the normalized table: orientation fixed, typed columns canonicalized.
 
     Total and idempotent; unparseable cells in a typed column stay verbatim and
-    are flagged in the per-column provenance. Each distinct cell is parsed once.
+    are flagged in the per-column provenance. Each distinct cell is parsed once,
+    and each column of each orientation scored is tallied once.
     """
     parses = _Parses()
-    transposed = _column_major(table, parses)
-    work, renames = _unique_headers(transpose(table) if transposed else table)
+    work, transposed = table, False
+    score_row, tallies = _scored(table, parses)
+    # As in ``detect_orientation``; a row score of 1.0 skips the transpose,
+    # which can at best tie, and ties read row_major.
+    if score_row < 1.0 and not _too_small(table):
+        flipped = transpose(table)
+        score_col, flipped_tallies = _scored(flipped, parses)
+        if score_col > score_row:
+            work, tallies, transposed = flipped, flipped_tallies, True
+    # Renaming headers leaves the data cells, and so the tallies, as they are.
+    work, renames = _unique_headers(work)
 
     kinds: list[ColumnKind] = []
     provenance: list[tuple[str, ...]] = []
     columns: list[list[str]] = []
-    for j in range(work.column_count):
+    for j, counts in enumerate(tallies):
         cells = work.column(j)
-        if not cells:
-            kinds.append(ColumnKind(kind="text", parse_ratio=0.0))
-            provenance.append(renames[j])
-            columns.append(cells)
-            continue
-        kind = _infer_kind(cells, parses)
+        kind = _kind(counts, work.row_count)
         kinds.append(kind)
         notes = list(renames[j])
         if kind.kind in _KINDS:
             k = _KINDS.index(kind.kind)
-            out: list[str] = []
+            out = [parses[cell][k] for cell in cells]
             for i, cell in enumerate(cells):
-                canonical = parses[cell][k]
-                if canonical is None:
+                if out[i] is None:
                     notes.append(f"row {i + 1}: kept verbatim (not parseable as {kind.kind})")
-                    out.append(cell)
-                else:
-                    if canonical != cell:
-                        notes.append(f"row {i + 1}: {cell!r} -> {canonical!r}")
-                    out.append(canonical)
-            columns.append(out)
-        else:
-            columns.append(list(cells))
+                    out[i] = cell
+                elif out[i] != cell:
+                    notes.append(f"row {i + 1}: {cell!r} -> {out[i]!r}")
+            cells = out
+        columns.append(cells)
         provenance.append(tuple(notes))
 
-    rows = [[columns[j][i] for j in range(work.column_count)] for i in range(work.row_count)]
     return NormalizedTable(
-        table=Table.make(work.headers, rows),
+        table=Table.make(work.headers, zip(*columns)),
         column_kinds=tuple(kinds),
         transposed=transposed,
         provenance=tuple(provenance),
@@ -339,14 +335,11 @@ def normalize(table: Table) -> NormalizedTable:
 
 
 def skip_normalization(table: Table) -> NormalizedTable:
-    """Wrap an already-clean table without touching it (benchmark bypass),
-    apart from renaming repeated headers."""
+    """Wrap a table without touching it, apart from renaming repeated headers:
+    the ``normalization=False`` ablation (``--no-normalize``)."""
     table, renames = _unique_headers(table)
     parses = _Parses()
-    kinds = tuple(
-        _infer_kind(table.column(j), parses) if table.row_count else ColumnKind("text", 0.0)
-        for j in range(table.column_count)
-    )
+    kinds = tuple(_kind(_counts(table.column(j), parses), table.row_count) for j in range(table.column_count))
     return NormalizedTable(
         table=table,
         column_kinds=kinds,

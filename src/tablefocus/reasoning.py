@@ -29,6 +29,7 @@ TABLE_PATH_ENV = "TM_TABLE_PATH"
 QUESTION_ENV = "TM_QUESTION"
 MEMORY_MB = 512  # address-space cap of a generated program
 MAX_OUTPUT_BYTES = 1024 * 1024  # cap on each file a generated program writes, stdout included
+TASK_KINDS = ("qa", "fact_verification")
 
 _ABSTAIN_MARKERS = (
     "cannot answer",
@@ -59,11 +60,11 @@ class ExecutionResult:
 @dataclass(frozen=True)
 class Answer:
     value: str
-    task_kind: str  # qa | fact_verification
+    task_kind: str  # one of TASK_KINDS
     abstained: bool = False
 
     def __post_init__(self) -> None:
-        if self.task_kind not in ("qa", "fact_verification"):
+        if self.task_kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind: {self.task_kind!r}")
         if self.task_kind == "fact_verification" and not self.abstained and self.value not in ("True", "False"):
             raise ValueError("fact verification answers must be 'True' or 'False'")

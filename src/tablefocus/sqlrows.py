@@ -69,8 +69,6 @@ class RowSet:
 
 _AFFINITY = {"integer": "INTEGER", "decimal": "REAL", "date": "TEXT", "text": "TEXT", "mixed": "TEXT"}
 
-_IDENT_RE = re.compile(r"[a-z_][a-z0-9_]*")
-
 
 def sanitize_identifier(header: str, taken: set[str] | None = None) -> str:
     """Lowercase, map non-alphanumerics to collapsed underscores, escape collisions."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablefocus import evaluation
 from tablefocus.core import Table
 from tablefocus.evaluation import (
     DatasetFormatError,
@@ -173,6 +174,15 @@ class TestLoadDataset:
         assert instances[1].gold_answers == ("False",)
         assert instances[0].table.headers == ("a", "b")
 
+    def test_jsonl_skips_unknown_task_kind(self, tmp_path):
+        record = json.loads(_jsonl_record(1))
+        record["task_kind"] = "factverification"
+        path = tmp_path / "d.jsonl"
+        path.write_text(_jsonl_record(0) + "\n" + json.dumps(record) + "\n")
+        instances, skipped = load_dataset(path, format="jsonl")
+        assert [i.id for i in instances] == ["i0"]
+        assert skipped == 1
+
     def test_instance_validation(self):
         with pytest.raises(ValueError):
             EvalInstance(id="x", table=Table.make(["a"], []), question="q", gold_answers=())
@@ -254,8 +264,30 @@ class TestEvaluate:
         files = sorted(p.name for p in (tmp_path / "traces").glob("*.json"))
         assert files == ["i0.json", "i1.json", "i2.json", "i3.json"]
 
+    def test_colliding_trace_names_kept_apart(self, tmp_path):
+        instances = [
+            EvalInstance(id=id_, table=Table.make(["a"], [["1"]]), question=f"q{i}", gold_answers=("7",))
+            for i, id_ in enumerate(["a/b", "a_b", "a_b", "c"])
+        ]
+
+        def run(instance):
+            return Answer(value="7", task_kind="qa"), {"question": instance.question}
+
+        evaluate(instances, run, trace_dir=tmp_path)
+        traces = {p.name: json.loads(p.read_text())["question"] for p in tmp_path.glob("*.json")}
+        assert traces == {"a_b.json": "q0", "a_b~1.json": "q1", "a_b~2.json": "q2", "c.json": "q3"}
+
     def test_small_batch_skips_buckets(self):
         instances = _instances(3)
         report = evaluate(instances, _runner({f"i{i}": "7" for i in range(3)}))
         assert report.bucket_accuracy == {}
         assert report.accuracy == 1.0
+
+    def test_small_batch_measures_no_table(self, monkeypatch):
+        def fail(table):
+            raise AssertionError("measured a table although no buckets are reported")
+
+        monkeypatch.setattr(evaluation, "measure", fail)
+        report = evaluate(_instances(3), _runner({f"i{i}": "7" for i in range(3)}))
+        assert report.bucket_accuracy == {}
+        assert report.total == 3

@@ -6,8 +6,9 @@ format (mixed-case month names, two-digit years, impossible days, odd
 separators), number cells (currency, commas, signs, leading dots, Unicode
 digits and whitespace, ``n/a``), column-major tables, repeated headers and
 sizes from 1 to 5,000 rows. The test compares the sha256 of
-``repr(normalize(table))`` for each table with ``golden_normalize_digests.json``.
-Re-pin after an intended change with
+``repr(normalize(table))`` for each table with ``golden_normalize_digests.json``,
+and ``repr(detect_orientation(table))`` with ``golden_orientation_pins.json``.
+Re-pin both after an intended change with
 ``PYTHONPATH=src python tests/test_golden_normalize.py``.
 """
 
@@ -22,9 +23,10 @@ from pathlib import Path
 import pytest
 
 from tablefocus.core import Table
-from tablefocus.normalize import normalize
+from tablefocus.normalize import detect_orientation, normalize
 
 PINS_PATH = Path(__file__).parent / "golden_normalize_digests.json"
+ORIENTATION_PINS_PATH = Path(__file__).parent / "golden_orientation_pins.json"
 
 DATE_FORMATS = (
     "%Y-%m-%d",
@@ -205,9 +207,14 @@ def digest(table: Table) -> str:
 CORPUS = corpus()
 
 
+def orientation(table: Table) -> str:
+    return repr(detect_orientation(table))
+
+
 def test_every_corpus_table_is_pinned():
-    pinned = json.loads(PINS_PATH.read_text(encoding="utf-8"))
-    assert sorted(pinned) == sorted(CORPUS)
+    for path in (PINS_PATH, ORIENTATION_PINS_PATH):
+        pinned = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(pinned) == sorted(CORPUS), path.name
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -216,6 +223,13 @@ def test_normalize_matches_pin(name):
     assert digest(CORPUS[name]) == pinned[name]
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_detect_orientation_matches_pin(name):
+    pinned = json.loads(ORIENTATION_PINS_PATH.read_text(encoding="utf-8"))
+    assert orientation(CORPUS[name]) == pinned[name]
+
+
 if __name__ == "__main__":
-    pins = {name: digest(table) for name, table in sorted(CORPUS.items())}
-    PINS_PATH.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for path, pin in ((PINS_PATH, digest), (ORIENTATION_PINS_PATH, orientation)):
+        pins = {name: pin(table) for name, table in sorted(CORPUS.items())}
+        path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")

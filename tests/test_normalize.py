@@ -420,6 +420,41 @@ class TestNormalize:
         month_words = {row[3].split()[0] for row in rows}
         assert sorted(parsed) == sorted(month_words | {row[4] for row in rows})
 
+    def test_each_column_is_tallied_once(self, monkeypatch):
+        rng = random.Random(9)
+        rows = [
+            [
+                f"{rng.choice(['Cedar', 'Maple', 'Harbor'])} {rng.randint(100, 99_999)}",
+                f"{rng.randint(1, 99_999):,}",
+                f"{rng.randint(1, 999)}.{rng.randint(0, 99):02d}",
+                f"{rng.randint(1950, 2020)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
+            ]
+            for _ in range(200)
+        ]
+        lookups = 0
+
+        class CountingParses(normalize_module._Parses):
+            def __getitem__(self, cell):
+                nonlocal lookups
+                lookups += 1
+                return super().__getitem__(cell)
+
+        monkeypatch.setattr(normalize_module, "_Parses", CountingParses)
+        out = normalize(Table.make(["Store", "Units", "Price", "Opened"], rows))
+        assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
+        assert not out.transposed
+        # One lookup per data cell for the tally, one per typed cell to canonicalize it.
+        assert lookups == 4 * 200 + 3 * 200
+
+    @settings(max_examples=300, deadline=None)
+    @given(wild_tables())
+    def test_orientation_and_kinds_agree_with_public_functions(self, t):
+        out = normalize(t)
+        assert out.transposed == (detect_orientation(t).value == "column_major")
+        if t.row_count:
+            source = transpose(t) if out.transposed else t
+            assert out.column_kinds == tuple(infer_column_kind(source.column(j)) for j in range(source.column_count))
+
     @settings(max_examples=300, deadline=None)
     @given(wild_tables())
     def test_idempotence(self, t):
