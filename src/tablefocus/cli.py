@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from . import gateway as gw
 from .core import ParseError, parse_table, render_markdown
@@ -28,25 +29,37 @@ def _bool(value: str) -> bool:
     return _BOOLS[value.lower()]
 
 
-CONFIG_KEYS = {
-    "peek_size": int,
-    "b_max": int,
-    "backend_mode": str,
-    "cassette_path": str,
-    "normalization": _bool,
-    "full_table_fallback": _bool,
-    "reasoning_table": str,
-    "base_url": str,
-    "model": str,
-    "api_key_env": str,
-    "templates": str,
-    "executor_timeout_s": float,
+class Option(NamedTuple):
+    flag: str
+    type: Callable[[str], Any] = str
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+# Every pipeline option, keyed by its config-file key, which is also its
+# argparse dest. A ``_bool`` option's flag is a ``--no-*`` switch storing False.
+OPTIONS = {
+    "peek_size": Option("--peek-size", int),
+    "b_max": Option("--b-max", int),
+    "backend_mode": Option("--mode", choices=("record", "replay", "passthrough")),
+    "cassette_path": Option("--cassette"),
+    "normalization": Option("--no-normalize", _bool),
+    "full_table_fallback": Option("--no-full-table-fallback", _bool),
+    "reasoning_table": Option("--reasoning-table", choices=("focus", "full")),
+    "templates": Option("--templates", help="directory of prompt template files"),
+    "base_url": Option("--base-url"),
+    "model": Option("--model"),
+    "api_key_env": Option("--api-key-env"),
+    "executor_timeout_s": Option("--executor-timeout-s", float),
 }
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value configuration file; unknown keys are an error."""
+def load_config_file(path: str | None) -> dict:
+    """Flat key=value configuration file typed by ``OPTIONS``; unknown keys are
+    an error, and no path reads as an empty file."""
     values: dict = {}
+    if not path:
+        return values
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -55,10 +68,10 @@ def load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = CONFIG_KEYS[key](value.strip())
+            values[key] = OPTIONS[key].type(value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
@@ -70,47 +83,27 @@ def _read_table_text(source: str) -> str:
     return Path(source).read_text(encoding="utf-8")
 
 
-def _merge(file_values: dict, **cli_values) -> dict:
-    """Each key's CLI value, else its config-file value. Keys set by neither are
-    left out, so the constructor they are passed to applies its own default."""
-    merged = {key: file_values[key] for key in cli_values if key in file_values}
-    merged.update((key, value) for key, value in cli_values.items() if value is not None)
-    return merged
-
-
-def _build_pipeline_config(args, file_values: dict) -> PipelineConfig:
-    timeout = _merge(file_values, executor_timeout_s=args.executor_timeout_s)
-    return PipelineConfig(
-        executor=ExecutorProfile(timeout_s=timeout["executor_timeout_s"]) if timeout else ExecutorProfile(),
-        **_merge(
-            file_values,
-            peek_size=args.peek_size,
-            b_max=args.b_max,
-            backend_mode=args.mode,
-            cassette_path=args.cassette,
-            normalization=False if args.no_normalize else None,
-            full_table_fallback=False if args.no_full_table_fallback else None,
-            reasoning_table=args.reasoning_table,
-        ),
-    )
-
-
-def _build_gateway(args, file_values: dict, config: PipelineConfig) -> gw.Gateway:
-    templates = gw.load_templates(_merge(file_values, templates=args.templates).get("templates"))
+def _setup(args, file_values: dict) -> tuple[PipelineConfig, gw.Gateway]:
+    """Lay flag values over config-file values, then build the pipeline config
+    and gateway. Options set by neither are left out, so the constructors they
+    go to apply their own defaults."""
+    values = dict(file_values)
+    values.update((key, getattr(args, key)) for key in OPTIONS if getattr(args, key) is not None)
+    executor = {"timeout_s": values.pop("executor_timeout_s")} if "executor_timeout_s" in values else {}
+    templates_dir = values.pop("templates", None)
+    provider = {key: values.pop(key) for key in ("base_url", "model", "api_key_env") if key in values}
+    config = PipelineConfig(executor=ExecutorProfile(**executor), **values)
+    templates = gw.load_templates(templates_dir)
     inner = None
     if config.backend_mode in ("record", "passthrough"):
-        provider = _merge(file_values, base_url=args.base_url, model=args.model, api_key_env=args.api_key_env)
         if not provider.get("base_url") or not provider.get("model"):
             raise ValueError(f"{config.backend_mode} mode requires --base-url and --model")
         inner = gw.HttpBackend(**provider)
-    backend = build_backend(config, inner=inner)
-    return gw.Gateway(backend, templates=templates)
+    return config, gw.Gateway(build_backend(config, inner=inner), templates=templates)
 
 
 def cmd_run(args) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    config = _build_pipeline_config(args, file_values)
-    gateway = _build_gateway(args, file_values, config)
+    config, gateway = _setup(args, load_config_file(args.config))
     table = parse_table(_read_table_text(args.table), format=args.format)
     answer, trace = run_instance(table, args.question, gateway, config, task_kind=args.task)
     if args.trace_out:
@@ -123,9 +116,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    config = _build_pipeline_config(args, file_values)
-    gateway = _build_gateway(args, file_values, config)
+    config, gateway = _setup(args, load_config_file(args.config))
     instances, skipped = load_dataset(args.dataset, format=args.dataset_format)
     if skipped:
         print(f"skipped {skipped} malformed records", file=sys.stderr)
@@ -133,6 +124,8 @@ def cmd_eval(args) -> int:
         if args.limit < 1:
             raise ValueError("--limit must be >= 1")
         instances = instances[: args.limit]
+    if args.parallelism < 1:
+        raise ValueError("--parallelism must be >= 1")
 
     def run_one(instance):
         try:
@@ -203,18 +196,11 @@ def cmd_cassette(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--peek-size", dest="peek_size", type=int)
-    parser.add_argument("--b-max", dest="b_max", type=int)
-    parser.add_argument("--mode", choices=("record", "replay", "passthrough"))
-    parser.add_argument("--cassette")
-    parser.add_argument("--no-normalize", action="store_true")
-    parser.add_argument("--no-full-table-fallback", action="store_true")
-    parser.add_argument("--reasoning-table", dest="reasoning_table", choices=("focus", "full"))
-    parser.add_argument("--templates", help="directory of prompt template files")
-    parser.add_argument("--base-url", dest="base_url")
-    parser.add_argument("--model")
-    parser.add_argument("--api-key-env", dest="api_key_env")
-    parser.add_argument("--executor-timeout-s", dest="executor_timeout_s", type=float)
+    for key, option in OPTIONS.items():
+        if option.type is _bool:
+            parser.add_argument(option.flag, dest=key, action="store_false", default=None, help=option.help)
+        else:
+            parser.add_argument(option.flag, dest=key, type=option.type, choices=option.choices, help=option.help)
 
 
 def build_parser() -> argparse.ArgumentParser:

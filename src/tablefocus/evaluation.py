@@ -10,7 +10,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import Table, measure, parse_table
 from .reasoning import TASK_KINDS, Answer
@@ -67,84 +67,72 @@ class EvalReport:
         return asdict(self)
 
 
-def _instance_from_json(record: dict[str, Any]) -> EvalInstance:
+# A dataset format is a reader that lists a file's records and a builder that
+# makes the instances of one record, given the dataset's directory. A builder
+# returns a whole list or raises, so a record loads completely or not at all.
+def _jsonl_records(path: Path) -> list[str]:
+    return [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+
+
+def _jsonl_instances(line: str, base: Path) -> list[EvalInstance]:
+    record = json.loads(line)
     table = record["table"]
     parsed = Table.make([str(h) for h in table["header"]], [[str(c) for c in r] for r in table["rows"]])
-    golds = [str(a) for a in record["answers"]]
-    return EvalInstance(
-        id=str(record["id"]),
-        table=parsed,
-        question=str(record["question"]),
-        gold_answers=tuple(golds),
-        task_kind=record.get("task_kind", "qa"),
-    )
+    return [
+        EvalInstance(
+            id=str(record["id"]),
+            table=parsed,
+            question=str(record["question"]),
+            gold_answers=tuple(str(a) for a in record["answers"]),
+            task_kind=record.get("task_kind", "qa"),
+        )
+    ]
 
 
-def _load_jsonl(path: Path) -> tuple[list[EvalInstance], int]:
-    instances: list[EvalInstance] = []
-    skipped = 0
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            instances.append(_instance_from_json(json.loads(line)))
-        except (KeyError, ValueError, TypeError):
-            skipped += 1
-    return instances, skipped
-
-
-def _load_wikitq_tsv(path: Path) -> tuple[list[EvalInstance], int]:
-    """WikiTQ-style TSV: id, utterance, context (relative CSV path), targetValue."""
-    instances: list[EvalInstance] = []
-    skipped = 0
-    base = path.parent
+def _tsv_records(path: Path) -> Iterator[dict[str, str]]:
     with path.open(encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        for record in reader:
-            try:
-                table_path = base / record["context"]
-                table = parse_table(table_path.read_text(encoding="utf-8"), format="csv", strict=True)
-                golds = tuple(g.strip() for g in record["targetValue"].split("|") if g.strip())
-                instances.append(
-                    EvalInstance(
-                        id=record["id"],
-                        table=table,
-                        question=record["utterance"],
-                        gold_answers=golds,
-                    )
-                )
-            except (KeyError, ValueError, TypeError, OSError):
-                skipped += 1
-    return instances, skipped
+        yield from csv.DictReader(fh, delimiter="\t")
 
 
-def _load_tabfact_json(path: Path) -> tuple[list[EvalInstance], int]:
-    """TabFact collected JSON: {table_file: [[statements], [labels], caption]};
-    '#'-delimited table files live in a sibling "tables" directory."""
+def _wikitq_instances(record: dict[str, str], base: Path) -> list[EvalInstance]:
+    """WikiTQ-style TSV row: id, utterance, context (relative CSV path), targetValue.
+    A "|" in targetValue separates the values of one list answer, so the target
+    is a single multi-part gold that matches only the whole list."""
+    if None in record.values():
+        raise ValueError("row has fewer fields than the header")
+    table = parse_table((base / record["context"]).read_text(encoding="utf-8"), format="csv", strict=True)
+    gold = "|".join(part.strip() for part in record["targetValue"].split("|") if part.strip())
+    golds = (gold,) if gold else ()
+    return [EvalInstance(id=record["id"], table=table, question=record["utterance"], gold_answers=golds)]
+
+
+def _tabfact_records(path: Path) -> Iterable[tuple[str, Any]]:
+    """TabFact collected JSON: {table_file: [[statements], [labels], caption]}."""
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise DatasetFormatError("tabfact-json must be an object keyed by table file name")
-    instances: list[EvalInstance] = []
-    skipped = 0
-    tables_dir = path.parent / "tables"
-    for table_file, entry in data.items():
-        try:
-            statements, labels = entry[0], entry[1]
-            text = (tables_dir / table_file).read_text(encoding="utf-8")
-            table = _parse_hash_table(text) if "#" in text else parse_table(text, format="csv", strict=True)
-            for i, (statement, label) in enumerate(zip(statements, labels)):
-                instances.append(
-                    EvalInstance(
-                        id=f"{table_file}:{i}",
-                        table=table,
-                        question=str(statement),
-                        gold_answers=("True",) if label else ("False",),
-                        task_kind="fact_verification",
-                    )
-                )
-        except (KeyError, ValueError, TypeError, OSError, IndexError):
-            skipped += 1
-    return instances, skipped
+    return data.items()
+
+
+def _tabfact_instances(record: tuple[str, Any], base: Path) -> list[EvalInstance]:
+    """Each statement of one table is an instance; '#'-delimited table files live
+    in a sibling "tables" directory."""
+    table_file, entry = record
+    statements, labels = entry[0], entry[1]
+    if len(statements) != len(labels):
+        raise ValueError(f"{len(statements)} statements but {len(labels)} labels")
+    text = (base / "tables" / table_file).read_text(encoding="utf-8")
+    table = _parse_hash_table(text) if "#" in text else parse_table(text, format="csv", strict=True)
+    return [
+        EvalInstance(
+            id=f"{table_file}:{i}",
+            table=table,
+            question=str(statement),
+            gold_answers=("True",) if label else ("False",),
+            task_kind="fact_verification",
+        )
+        for i, (statement, label) in enumerate(zip(statements, labels))
+    ]
 
 
 def _parse_hash_table(text: str) -> Table:
@@ -154,17 +142,28 @@ def _parse_hash_table(text: str) -> Table:
     return Table.make(rows[0], rows[1:])
 
 
-_LOADERS = {"jsonl": _load_jsonl, "wikitq-tsv": _load_wikitq_tsv, "tabfact-json": _load_tabfact_json}
+_FORMATS = {
+    "jsonl": (_jsonl_records, _jsonl_instances),
+    "wikitq-tsv": (_tsv_records, _wikitq_instances),
+    "tabfact-json": (_tabfact_records, _tabfact_instances),
+}
 
 
 def load_dataset(path: str | Path, format: str = "jsonl") -> tuple[list[EvalInstance], int]:
     """Load instances; malformed records are skipped and counted, zero loads is an error."""
-    if format not in _LOADERS:
+    if format not in _FORMATS:
         raise DatasetFormatError(f"unknown dataset format: {format!r}")
     path = Path(path)
     if not path.is_file():
         raise DatasetFormatError(f"dataset file not found: {path}")
-    instances, skipped = _LOADERS[format](path)
+    read_records, build_instances = _FORMATS[format]
+    instances: list[EvalInstance] = []
+    skipped = 0
+    for record in read_records(path):
+        try:
+            instances.extend(build_instances(record, path.parent))
+        except (KeyError, IndexError, ValueError, TypeError, OSError):
+            skipped += 1
     if not instances:
         raise DatasetFormatError(f"no instances loaded from {path} ({skipped} malformed records)")
     return instances, skipped

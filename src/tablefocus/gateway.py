@@ -37,6 +37,7 @@ TEMPLATE_IDS = (
 # deterministic as the provider allows.
 TEMPERATURE = 0.0
 MAX_TOKENS = 2048
+TIMEOUT_S = 120.0  # wall-clock budget of one provider request
 
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-zA-Z_][a-zA-Z0-9_]*)\}\}")
 
@@ -67,6 +68,10 @@ class CassetteMiss(GatewayError):
 
 class CorruptEntry(GatewayError):
     """A cassette entry is not JSON or lacks ``response.text``."""
+
+
+class StorageFault(GatewayError):
+    """A cassette entry could not be read or written (permissions, a full disk)."""
 
 
 class TransportError(GatewayError):
@@ -136,11 +141,10 @@ class Backend(Protocol):
 class HttpBackend:
     """OpenAI-compatible chat-completions provider."""
 
-    def __init__(self, base_url: str, model: str, api_key_env: str = "TF_API_KEY", timeout: float = 120.0):
+    def __init__(self, base_url: str, model: str, api_key_env: str = "TF_API_KEY"):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout = timeout
 
     def send(self, request: LmRequest) -> LmResponse:
         import requests
@@ -157,7 +161,7 @@ class HttpBackend:
         }
         try:
             resp = requests.post(
-                f"{self.base_url}/chat/completions", json=payload, headers=headers, timeout=self.timeout
+                f"{self.base_url}/chat/completions", json=payload, headers=headers, timeout=TIMEOUT_S
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
@@ -218,17 +222,18 @@ class Cassette:
         return self.path / f"{key}.json"
 
     def lookup(self, key: str) -> LmResponse | None:
-        entry = self._entry_path(key)
-        if not entry.is_file():
-            return None
         try:
-            resp = json.loads(entry.read_text(encoding="utf-8"))["response"]
+            resp = json.loads(self._entry_path(key).read_text(encoding="utf-8"))["response"]
             response = LmResponse(
                 text=resp["text"],
                 prompt_tokens=resp.get("prompt_tokens", 0),
                 completion_tokens=resp.get("completion_tokens", 0),
                 backend_id=resp.get("backend_id", "cassette"),
             )
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise StorageFault(f"cassette entry {key} could not be read: {exc}") from exc
         except (ValueError, LookupError, TypeError) as exc:
             raise CorruptEntry(f"cassette entry {key} is unreadable: {exc}") from exc
         if not isinstance(response.text, str):
@@ -258,6 +263,8 @@ class Cassette:
             try:
                 temp.write_text(json.dumps(entry, indent=2, ensure_ascii=False), encoding="utf-8")
                 os.replace(temp, path)
+            except OSError as exc:
+                raise StorageFault(f"cassette entry {path.stem} could not be written: {exc}") from exc
             finally:
                 temp.unlink(missing_ok=True)
 
@@ -267,7 +274,7 @@ class Cassette:
         for path in sorted(self.path.glob("*.json")):
             try:
                 template_id = json.loads(path.read_text(encoding="utf-8"))["request"]["template_id"]
-            except (ValueError, LookupError, TypeError):
+            except (OSError, ValueError, LookupError, TypeError):
                 template_id = None
             listed.append((path.stem, template_id if isinstance(template_id, str) else None))
         return listed

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .normalize import NormalizedTable
 
 TIMEOUT_S = 5.0  # wall-clock budget of one row-lookup statement
+TABLE_NAME = "t"
+# Sanitized headers never start with "_", so no data column can take this name.
+ROW_ID = "_row_id"
 
 
 class SqlError(Exception):
@@ -44,16 +47,14 @@ class AggregateOnly(SqlError):
 
 @dataclass(frozen=True)
 class SqlSchema:
-    table_name: str
     columns: tuple[tuple[str, str, str], ...]  # (original header, sanitized name, kind)
-    row_id_column: str
 
     def describe(self) -> str:
         """Human-readable schema summary used in SQL-generation prompts."""
-        lines = [f'CREATE TABLE {self.table_name} (']
+        lines = [f'CREATE TABLE {TABLE_NAME} (']
         for original, sanitized, kind in self.columns:
             lines.append(f'  {sanitized} {_AFFINITY.get(kind, "TEXT")},  -- "{original}"')
-        lines.append(f"  {self.row_id_column} INTEGER  -- synthetic 0-based row index")
+        lines.append(f"  {ROW_ID} INTEGER  -- synthetic 0-based row index")
         lines.append(")")
         return "\n".join(lines)
 
@@ -92,10 +93,7 @@ def build_schema(table: NormalizedTable) -> SqlSchema:
     columns = []
     for header, kind in zip(table.table.headers, table.column_kinds):
         columns.append((header, sanitize_identifier(header, taken), kind.kind))
-    row_id = "_row_id"
-    while row_id in taken:
-        row_id += "_x"
-    return SqlSchema(table_name="t", columns=tuple(columns), row_id_column=row_id)
+    return SqlSchema(columns=tuple(columns))
 
 
 _AGGREGATE_RE = re.compile(r"\b(count|sum|avg|min|max|total|group_concat)\s*\(|\bgroup\s+by\b", re.IGNORECASE)
@@ -148,11 +146,11 @@ def _numeric_value(cell: str, kind: str):
 def _load(table: NormalizedTable, schema: SqlSchema) -> sqlite3.Connection:
     conn = sqlite3.connect(":memory:")
     cols = ", ".join(f'"{s}" {_AFFINITY.get(k, "TEXT")}' for _, s, k in schema.columns)
-    conn.execute(f'CREATE TABLE {schema.table_name} ({cols}, "{schema.row_id_column}" INTEGER)')
+    conn.execute(f'CREATE TABLE {TABLE_NAME} ({cols}, "{ROW_ID}" INTEGER)')
     placeholders = ", ".join("?" for _ in range(len(schema.columns) + 1))
     kinds = [kind for _, _, kind in schema.columns]
     conn.executemany(
-        f"INSERT INTO {schema.table_name} VALUES ({placeholders})",
+        f"INSERT INTO {TABLE_NAME} VALUES ({placeholders})",
         ([*map(_numeric_value, row, kinds), i] for i, row in enumerate(table.table.rows)),
     )
     conn.commit()
@@ -186,13 +184,13 @@ def execute_row_lookup(table: NormalizedTable, sql: str, schema: SqlSchema | Non
         where = extract_where_clause(trimmed)
         if where is None:
             raise AggregateOnly(f"aggregate query without a WHERE clause: {sql!r}")
-        trimmed = f"SELECT * FROM {schema.table_name} WHERE {where}"
+        trimmed = f"SELECT * FROM {TABLE_NAME} WHERE {where}"
 
     conn = _load(table, schema)
     conn.set_authorizer(_authorizer)
     deadline = time.monotonic() + TIMEOUT_S
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1000)
-    wrapped = f'SELECT "{schema.row_id_column}" FROM ({trimmed})'
+    wrapped = f'SELECT "{ROW_ID}" FROM ({trimmed})'
     try:
         indices = _run(conn, wrapped, sql)
     except SqlSemanticError:
@@ -200,7 +198,7 @@ def execute_row_lookup(table: NormalizedTable, sql: str, schema: SqlSchema | Non
         where = extract_where_clause(trimmed)
         if where is None:
             raise
-        fallback = f'SELECT "{schema.row_id_column}" FROM {schema.table_name} WHERE {where}'
+        fallback = f'SELECT "{ROW_ID}" FROM {TABLE_NAME} WHERE {where}'
         indices = _run(conn, fallback, sql)
     finally:
         conn.close()

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from tablefocus import cli
 from tablefocus import gateway as gw
-from tablefocus.cli import _build_pipeline_config, build_parser, load_config_file, main
+from tablefocus.cli import _setup, build_parser, load_config_file, main
 from tablefocus.core import render_markdown
 from tablefocus.pipeline import PipelineConfig
 from tablefocus.reasoning import ExecutorProfile
+from tablefocus.structure import DEFAULT_B_MAX, DEFAULT_PEEK_SIZE
 
 from conftest import GOLDEN_CASES, edited_templates, record_run
 
@@ -162,7 +164,7 @@ class TestRunCommand:
 class TestBuildPipelineConfig:
     def _config(self, argv, file_values=None):
         args = build_parser().parse_args(["run", "--table", "t", "--question", "q"] + argv)
-        return _build_pipeline_config(args, file_values or {})
+        return _setup(args, file_values or {})[0]
 
     def test_unset_options_take_the_dataclass_defaults(self):
         assert self._config(["--cassette", "c"]) == PipelineConfig(cassette_path="c")
@@ -174,6 +176,73 @@ class TestBuildPipelineConfig:
         assert (config.peek_size, config.b_max, config.normalization) == (5, 3, False)
         assert config.executor == ExecutorProfile(timeout_s=2.0)
         assert config.full_table_fallback is True
+
+
+def _http(gateway):
+    backend = gateway.backend
+    return backend.inner if isinstance(backend, gw.Cassette) else backend
+
+
+# Each option's config-file value, a different flag value (None for a --no-*
+# switch), its default, and where the built config and gateway hold it. A
+# default of ValueError marks an option that passthrough mode requires.
+OPTION_CASES = {
+    "peek_size": ("7", "9", DEFAULT_PEEK_SIZE, lambda c, g: c.peek_size),
+    "b_max": ("2", "4", DEFAULT_B_MAX, lambda c, g: c.b_max),
+    "backend_mode": ("record", "passthrough", "replay", lambda c, g: c.backend_mode),
+    "cassette_path": ("{tmp}/a", "{tmp}/b", None, lambda c, g: c.cassette_path),
+    "normalization": ("off", None, True, lambda c, g: c.normalization),
+    "full_table_fallback": ("off", None, True, lambda c, g: c.full_table_fallback),
+    "reasoning_table": ("full", "focus", "focus", lambda c, g: c.reasoning_table),
+    "templates": ("{tmp}/ta", "{tmp}/tb", gw.load_templates()["verbalization"].body,
+                  lambda c, g: g.templates["verbalization"].body),
+    "base_url": ("http://a", "http://b", ValueError, lambda c, g: _http(g).base_url),
+    "model": ("ma", "mb", ValueError, lambda c, g: _http(g).model),
+    "api_key_env": ("A_KEY", "B_KEY", "TF_API_KEY", lambda c, g: _http(g).api_key_env),
+    "executor_timeout_s": ("3", "4", ExecutorProfile().timeout_s, lambda c, g: c.executor.timeout_s),
+}
+# Config-file lines every case starts from, less the option under test.
+BASE_OPTIONS = {"backend_mode": "passthrough", "cassette_path": "{tmp}/c", "base_url": "http://x", "model": "m"}
+
+
+class TestOptionTable:
+    def test_cases_cover_every_option(self):
+        assert set(OPTION_CASES) == set(cli.OPTIONS)
+
+    def _read(self, tmp_path, key, file_value=None, argv=()):
+        lines = {k: v for k, v in BASE_OPTIONS.items() if k != key}
+        if file_value is not None:
+            lines[key] = file_value
+        cfg = tmp_path / "cfg"
+        cfg.write_text("".join(f"{k} = {v.format(tmp=tmp_path)}\n" for k, v in lines.items()))
+        args = build_parser().parse_args(["run", "--table", "t", "--question", "q", "--config", str(cfg), *argv])
+        return OPTION_CASES[key][3](*_setup(args, load_config_file(args.config)))
+
+    def _expected(self, tmp_path, key, text):
+        text = text.format(tmp=tmp_path)
+        if key == "templates":
+            return (Path(text) / "verbalization.txt").read_text(encoding="utf-8")
+        return cli.OPTIONS[key].type(text)
+
+    @pytest.mark.parametrize("key", list(cli.OPTIONS))
+    def test_flag_beats_file_beats_default(self, tmp_path, key):
+        file_value, flag_value, default, _ = OPTION_CASES[key]
+        flag = cli.OPTIONS[key].flag
+        for name in ("ta", "tb"):
+            (tmp_path / name).mkdir()
+            edited_templates(tmp_path / name, "verbalization", "Table:", f"Table {name}:")
+        if default is ValueError:
+            with pytest.raises(ValueError, match="requires --base-url and --model"):
+                self._read(tmp_path, key)
+        else:
+            assert self._read(tmp_path, key) == default
+        assert self._read(tmp_path, key, file_value) == self._expected(tmp_path, key, file_value)
+        if flag_value is None:
+            assert flag.startswith("--no-")
+            assert self._read(tmp_path, key, "on", [flag]) is False
+        else:
+            got = self._read(tmp_path, key, file_value, [flag, flag_value.format(tmp=tmp_path)])
+            assert got == self._expected(tmp_path, key, flag_value)
 
 
 def _write_dataset(case, path, count):
@@ -236,9 +305,10 @@ class TestEvalCommand:
         templates = gw.load_templates()
         verbalization = templates["verbalization"]
         templates["verbalization"] = gw.PromptTemplate(verbalization.id, verbalization.body + "{{extra}}")
-        monkeypatch.setattr(
-            cli, "_build_gateway", lambda *_: gw.Gateway(gw.Cassette(cassette, "replay"), templates=templates)
-        )
+        monkeypatch.setattr(cli, "_setup", lambda *_: (
+            PipelineConfig(cassette_path=str(cassette)),
+            gw.Gateway(gw.Cassette(cassette, "replay"), templates=templates),
+        ))
         report_path = tmp_path / "report.json"
         code = main([
             "eval",
@@ -278,6 +348,20 @@ class TestEvalCommand:
         ])
         assert code == 1
         assert "--limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_eval_parallelism_must_be_positive(self, riders_setup, tmp_path, capsys, value):
+        case, cassette, _ = riders_setup
+        dataset = _write_dataset(case, tmp_path / "d.jsonl", 2)
+        code = main([
+            "eval",
+            "--dataset", str(dataset),
+            "--mode", "replay",
+            "--cassette", str(cassette),
+            "--parallelism", value,
+        ])
+        assert code == 1
+        assert "--parallelism must be >= 1" in capsys.readouterr().err
 
     def test_eval_missing_dataset(self, riders_setup, tmp_path, capsys):
         _, cassette, _ = riders_setup

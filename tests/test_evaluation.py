@@ -159,8 +159,27 @@ class TestLoadDataset:
         (tmp_path / "data.tsv").write_text(tsv)
         instances, skipped = load_dataset(tmp_path / "data.tsv", format="wikitq-tsv")
         assert skipped == 0
-        assert instances[0].gold_answers == ("1", "one")
+        assert instances[0].gold_answers == ("1|one",)
         assert instances[0].table.rows == (("1", "2"),)
+
+    def test_wikitq_list_answer_needs_every_value(self, tmp_path):
+        (tmp_path / "csv").mkdir()
+        (tmp_path / "csv" / "0.csv").write_text("country\nFrance\nGermany\n")
+        tsv = "id\tutterance\tcontext\ttargetValue\nq1\twhich countries?\tcsv/0.csv\tFrance|Germany\n"
+        (tmp_path / "data.tsv").write_text(tsv)
+        [instance], _ = load_dataset(tmp_path / "data.tsv", format="wikitq-tsv")
+        assert exact_match("Germany|France", instance.gold_answers)
+        assert not exact_match("France", instance.gold_answers)
+        assert not exact_match("Germany", instance.gold_answers)
+
+    def test_wikitq_short_row_is_skipped(self, tmp_path):
+        (tmp_path / "csv").mkdir()
+        (tmp_path / "csv" / "0.csv").write_text("a,b\n1,2\n")
+        tsv = "id\tutterance\tcontext\ttargetValue\nq1\twhat is a?\tcsv/0.csv\t1\nq2\tno target\tcsv/0.csv\n"
+        (tmp_path / "data.tsv").write_text(tsv)
+        instances, skipped = load_dataset(tmp_path / "data.tsv", format="wikitq-tsv")
+        assert [i.id for i in instances] == ["q1"]
+        assert skipped == 1
 
     def test_tabfact_json(self, tmp_path):
         (tmp_path / "tables").mkdir()
@@ -173,6 +192,17 @@ class TestLoadDataset:
         assert instances[0].gold_answers == ("True",)
         assert instances[1].gold_answers == ("False",)
         assert instances[0].table.headers == ("a", "b")
+
+    def test_tabfact_entry_with_unequal_lists_is_skipped_whole(self, tmp_path):
+        (tmp_path / "tables").mkdir()
+        (tmp_path / "tables" / "t1.csv").write_text("a#b\n1#2\n")
+        data = {"t1.csv": [["claim one", "claim two"], [1, 0], "c"],
+                "t2.csv": [["one", "two", "three"], [1, 0], "c"]}
+        (tmp_path / "tables" / "t2.csv").write_text("a#b\n1#2\n")
+        (tmp_path / "collected.json").write_text(json.dumps(data))
+        instances, skipped = load_dataset(tmp_path / "collected.json", format="tabfact-json")
+        assert [i.id for i in instances] == ["t1.csv:0", "t1.csv:1"]
+        assert skipped == 1
 
     def test_jsonl_skips_unknown_task_kind(self, tmp_path):
         record = json.loads(_jsonl_record(1))

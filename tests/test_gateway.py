@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +150,30 @@ class TestCassette:
         (tmp_path / "c" / f"{gw.request_key(_request())}.json").write_text(text)
         with pytest.raises(gw.CorruptEntry):
             gw.Cassette(tmp_path / "c", "replay").send(_request())
+
+
+class TestCassetteStorageFaults:
+    def test_unreadable_entry_is_storage_fault(self, tmp_path, monkeypatch):
+        rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend())
+        rec.send(_request())
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        with pytest.raises(gw.StorageFault, match="could not be read"):
+            gw.Cassette(tmp_path / "c", "replay").send(_request())
+        assert rec.entries() == [(gw.request_key(_request()), None)]
+
+    def test_failed_write_is_storage_fault_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(gw.os, "replace", full)
+        rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend())
+        with pytest.raises(gw.StorageFault, match="could not be written"):
+            rec.send(_request())
+        assert list((tmp_path / "c").iterdir()) == []
 
 
 class _FakeReply:

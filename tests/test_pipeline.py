@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+from pathlib import Path
+
 import pytest
 
 from tablefocus import gateway as gw
@@ -9,7 +12,7 @@ from tablefocus.evaluation import predicted_cost
 from tablefocus.pipeline import PipelineConfig, build_backend, run_instance
 from tablefocus.trace import ReasoningTrace
 
-from conftest import GOLDEN_CASES, GoldenCase, make_gateway
+from conftest import GOLDEN_CASES, GoldenCase, make_gateway, record_run
 
 SCRIPTED_CONFIG = PipelineConfig(backend_mode="passthrough")
 
@@ -115,6 +118,25 @@ class TestScriptedFlows:
         assert any("CassetteMiss" in w for w in trace.warnings)
         assert trace.cost_parameters["a"] == 0.0
         assert trace.cost_total == pytest.approx(predicted_cost(6, 3, 0, 0, 0))
+
+    @pytest.mark.parametrize("mode", ["replay", "record"])
+    def test_cassette_storage_fault_degrades_to_abstention(self, tmp_path, monkeypatch, mode):
+        case = GOLDEN_CASES[0]
+        record_run(case, tmp_path / "c")
+
+        def fault(*args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error")
+
+        if mode == "replay":
+            lm = gw.Gateway(gw.Cassette(tmp_path / "c", "replay"))
+            monkeypatch.setattr(Path, "read_text", fault)
+        else:
+            lm = gw.Gateway(gw.Cassette(tmp_path / "empty", "record", inner=gw.ScriptedBackend(case.replies)))
+            monkeypatch.setattr(gw.os, "replace", fault)
+        config = PipelineConfig(backend_mode=mode, cassette_path=str(tmp_path))
+        answer, trace = run_instance(case.table, case.question, lm, config)
+        assert answer.abstained
+        assert any(w.startswith("pipeline degraded: StorageFault") for w in trace.warnings)
 
     def test_terminal_failure_yields_abstained_answer(self):
         case = GOLDEN_CASES[0]

@@ -97,10 +97,16 @@ class TestSanitizeIdentifier:
 class TestBuildSchema:
     def test_schema_shape(self):
         schema = build_schema(_fixture_table())
-        assert schema.table_name == "t"
-        assert schema.row_id_column == "_row_id"
+        assert (sqlrows.TABLE_NAME, sqlrows.ROW_ID) == ("t", "_row_id")
         assert [c[1] for c in schema.columns] == ["rider", "country", "wins"]
         assert schema.columns[2][2] == "integer"
+
+    def test_row_id_header_becomes_a_data_column(self):
+        table = skip_normalization(Table.make(["_row_id", "name"], [["9", "a"], ["7", "b"], ["5", "c"]]))
+        schema = build_schema(table)
+        assert [c[1] for c in schema.columns] == ["row_id", "name"]
+        assert execute_row_lookup(table, "SELECT * FROM t WHERE row_id < 8", schema).indices == (1, 2)
+        assert execute_row_lookup(table, "SELECT name FROM t WHERE name != 'b'", schema).indices == (0, 2)
 
     def test_describe_mentions_originals(self):
         text = build_schema(_fixture_table()).describe()
