@@ -11,6 +11,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 
@@ -239,11 +240,17 @@ def heuristic_token_count(text: str) -> int:
 
 
 def measure(table: Table) -> SizeMetrics:
-    """Size metrics over the canonical markdown rendering."""
+    """Size metrics over the canonical markdown rendering, which is counted,
+    not built: ``token_estimate`` is ``heuristic_token_count(render_markdown(table))``."""
     m, n = table.row_count, table.column_count
+    cells = "".join(chain(table.headers, *table.rows))
+    # Escaping adds a backslash before each "|" and keeps the length otherwise.
+    # Each of the m + 2 lines adds "| ", " | " between cells, " |" and a
+    # newline (the last line none), and the separator line "---" per column.
+    length = len(cells) + cells.count("|") + (m + 2) * (3 * n + 2) + 3 * n - 1
     return SizeMetrics(
         row_count=m,
         column_count=n,
         area=m * n,
-        token_estimate=heuristic_token_count(render_markdown(table)),
+        token_estimate=math.ceil(length / 4),
     )

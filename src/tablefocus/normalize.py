@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import cached_property
 
 from .core import Table, transpose
 
@@ -63,6 +64,9 @@ def _date_pattern(fmt: str, directives: dict[str, str], space: str) -> str:
 
 _DATE_SHAPES = tuple((fmt, re.compile(_date_pattern(fmt, _DIRECTIVE_SHAPES, r"\s+"))) for fmt in _DATE_FORMATS)
 _ANY_DATE_SHAPE = re.compile("|".join(f"(?P<f{i}>{shape.pattern})" for i, (_, shape) in enumerate(_DATE_SHAPES)))
+# Every shape holds a "-", "/" or "," or two whitespace runs, so a cell without
+# them skips the shape union, which is slow to reject a plain word.
+_MAY_BE_DATE = re.compile(r"[-/,]|\s.*\s").search
 _ASCII_DATES = {
     f"f{i}": (i, re.compile(_date_pattern(fmt, _ASCII_DIRECTIVES, r"[ \t\n\r\f\v]+")))
     for i, fmt in enumerate(_DATE_FORMATS)
@@ -89,16 +93,47 @@ class Orientation:
             raise ValueError("confidence must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NormalizedTable:
     table: Table
     column_kinds: tuple[ColumnKind, ...]
     transposed: bool
-    provenance: tuple[tuple[str, ...], ...]  # per-column notes
+    renames: tuple[tuple[str, ...], ...]  # per-column header-rename notes
+    # The cells before canonicalization, from which ``provenance`` is rebuilt;
+    # None when nothing was canonicalized (``skip_normalization``).
+    source: Table | None = None
 
     def __post_init__(self) -> None:
         if len(self.column_kinds) != self.table.column_count:
             raise ValueError("one ColumnKind per column required")
+
+    @cached_property
+    def provenance(self) -> tuple[tuple[str, ...], ...]:
+        """Per-column notes: the header rename, then each typed cell that was
+        canonicalized or kept verbatim. Built on first read, since only
+        ``tablefocus normalize`` prints them."""
+        if self.source is None:
+            return self.renames
+        parses = _Parses()
+        provenance = []
+        for j, (kind, renames) in enumerate(zip(self.column_kinds, self.renames)):
+            notes = list(renames)
+            if kind.kind in _KINDS:
+                k = _KINDS.index(kind.kind)
+                for i, cell in enumerate(self.source.column(j)):
+                    parsed = parses[cell][k]
+                    if parsed is None:
+                        notes.append(f"row {i + 1}: kept verbatim (not parseable as {kind.kind})")
+                    elif parsed != cell:
+                        notes.append(f"row {i + 1}: {cell!r} -> {parsed!r}")
+            provenance.append(tuple(notes))
+        return tuple(provenance)
+
+    def __repr__(self) -> str:
+        return (
+            f"NormalizedTable(table={self.table!r}, column_kinds={self.column_kinds!r}, "
+            f"transposed={self.transposed!r}, provenance={self.provenance!r})"
+        )
 
 
 def parse_integer(cell: str) -> str | None:
@@ -146,7 +181,7 @@ class _Parses(dict):
         return parsed
 
     def _date(self, s: str) -> str | None:
-        shape = _ANY_DATE_SHAPE.fullmatch(s)
+        shape = _ANY_DATE_SHAPE.fullmatch(s) if _MAY_BE_DATE(s) else None
         if shape is None:
             return None
         first, ascii_date = _ASCII_DATES[shape.lastgroup]
@@ -196,8 +231,8 @@ def _month_number(word: str) -> int | None:
 
 def _counts(cells: list[str], parses: _Parses) -> list[int]:
     """A column's tally: how many of its cells parse as each kind of ``_KINDS``."""
-    parsed = [parses[cell] for cell in cells]
-    return [sum(1 for p in parsed if p[k] is not None) for k in range(len(_KINDS))]
+    forms = zip(*[parses[cell] for cell in cells])
+    return [len(cells) - form.count(None) for form in forms] if cells else [0] * len(_KINDS)
 
 
 def _kind(counts: list[int], n: int) -> ColumnKind:
@@ -289,8 +324,9 @@ def normalize(table: Table) -> NormalizedTable:
     """Produce the normalized table: orientation fixed, typed columns canonicalized.
 
     Total and idempotent; unparseable cells in a typed column stay verbatim and
-    are flagged in the per-column provenance. Each distinct cell is parsed once,
-    and each column of each orientation scored is tallied once.
+    are flagged in the per-column provenance, which is built only when read.
+    Each distinct cell is parsed once, and each column of each orientation
+    scored is tallied once.
     """
     parses = _Parses()
     work, transposed = table, False
@@ -306,31 +342,22 @@ def normalize(table: Table) -> NormalizedTable:
     work, renames = _unique_headers(work)
 
     kinds: list[ColumnKind] = []
-    provenance: list[tuple[str, ...]] = []
     columns: list[list[str]] = []
     for j, counts in enumerate(tallies):
         cells = work.column(j)
         kind = _kind(counts, work.row_count)
         kinds.append(kind)
-        notes = list(renames[j])
         if kind.kind in _KINDS:
             k = _KINDS.index(kind.kind)
-            out = [parses[cell][k] for cell in cells]
-            for i, cell in enumerate(cells):
-                if out[i] is None:
-                    notes.append(f"row {i + 1}: kept verbatim (not parseable as {kind.kind})")
-                    out[i] = cell
-                elif out[i] != cell:
-                    notes.append(f"row {i + 1}: {cell!r} -> {out[i]!r}")
-            cells = out
+            cells = [cell if (parsed := parses[cell][k]) is None else parsed for cell in cells]
         columns.append(cells)
-        provenance.append(tuple(notes))
 
     return NormalizedTable(
-        table=Table.make(work.headers, zip(*columns)),
+        table=Table(work.headers, tuple(zip(*columns))),
         column_kinds=tuple(kinds),
         transposed=transposed,
-        provenance=tuple(provenance),
+        renames=renames,
+        source=work,
     )
 
 
@@ -344,5 +371,5 @@ def skip_normalization(table: Table) -> NormalizedTable:
         table=table,
         column_kinds=kinds,
         transposed=False,
-        provenance=renames,
+        renames=renames,
     )

@@ -112,7 +112,9 @@ def check_policy(sql: str) -> str:
     trimmed = sql.strip().rstrip(";").strip()
     if not trimmed:
         raise SqlSyntaxError("empty SQL statement")
-    if ";" in trimmed:
+    # A ";" ends a statement only outside literals, identifiers and comments,
+    # which SQLite's own tokenizer tells apart.
+    if any(sqlite3.complete_statement(trimmed[: i + 1]) for i, ch in enumerate(trimmed) if ch == ";"):
         raise SqlPolicyError("statement lists are not allowed")
     if not re.match(r"(?is)^(select|with)\b", trimmed):
         head = trimmed.split()[0]
@@ -143,15 +145,27 @@ def _numeric_value(cell: str, kind: str):
     return cell
 
 
+def _bound(cells: list[str], kind: str) -> list:
+    """A column's values as bound: ``_numeric_value`` of each cell, converted
+    in one pass unless some cell does not parse."""
+    convert = {"integer": int, "decimal": float}.get(kind)
+    if convert is None:
+        return cells
+    try:
+        return list(map(convert, cells))
+    except ValueError:
+        return [_numeric_value(cell, kind) for cell in cells]
+
+
 def _load(table: NormalizedTable, schema: SqlSchema) -> sqlite3.Connection:
     conn = sqlite3.connect(":memory:")
     cols = ", ".join(f'"{s}" {_AFFINITY.get(k, "TEXT")}' for _, s, k in schema.columns)
     conn.execute(f'CREATE TABLE {TABLE_NAME} ({cols}, "{ROW_ID}" INTEGER)')
     placeholders = ", ".join("?" for _ in range(len(schema.columns) + 1))
-    kinds = [kind for _, _, kind in schema.columns]
+    columns = [_bound(table.table.column(j), kind) for j, (_, _, kind) in enumerate(schema.columns)]
     conn.executemany(
         f"INSERT INTO {TABLE_NAME} VALUES ({placeholders})",
-        ([*map(_numeric_value, row, kinds), i] for i, row in enumerate(table.table.rows)),
+        zip(*columns, range(table.table.row_count)),
     )
     conn.commit()
     return conn
@@ -192,33 +206,37 @@ def execute_row_lookup(table: NormalizedTable, sql: str, schema: SqlSchema | Non
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1000)
     wrapped = f'SELECT "{ROW_ID}" FROM ({trimmed})'
     try:
-        indices = _run(conn, wrapped, sql)
+        indices = _run(conn, wrapped, sql, m)
     except SqlSemanticError:
         # SELECT list without _row_id: recover by re-running the WHERE clause only.
         where = extract_where_clause(trimmed)
         if where is None:
             raise
         fallback = f'SELECT "{ROW_ID}" FROM {TABLE_NAME} WHERE {where}'
-        indices = _run(conn, fallback, sql)
+        indices = _run(conn, fallback, sql, m)
     finally:
         conn.close()
-    return RowSet(indices=tuple(sorted({i for i in indices if 0 <= i < m})))
+    return RowSet(indices=tuple(sorted(indices)))
 
 
-def _run(conn: sqlite3.Connection, wrapped: str, original: str) -> list[int]:
+def _run(conn: sqlite3.Connection, wrapped: str, original: str, m: int) -> set[int]:
+    """The distinct row ids in ``range(m)`` that the query returns; kept as
+    they stream in, so a runaway query holds at most ``m`` of them."""
     try:
-        indices = []
+        indices = set()
         for row in conn.execute(wrapped):
             if row[0] is None:
                 continue
             try:
-                indices.append(int(row[0]))
+                i = int(row[0])
             except (TypeError, ValueError) as exc:
                 # SQLite silently treats an unknown double-quoted identifier as
                 # a string literal, so a missing row-id column surfaces here.
                 raise SqlSemanticError(
                     f"no usable row identifiers in: {original!r}"
                 ) from exc
+            if 0 <= i < m:
+                indices.add(i)
         return indices
     except sqlite3.OperationalError as exc:
         message = str(exc)

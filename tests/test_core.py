@@ -30,6 +30,9 @@ _safe_cell = (
     st.text(alphabet=_CELL_ALPHABET, min_size=0, max_size=12).map(str.strip)
 )
 _nonempty_cell = _safe_cell.filter(bool)
+# Cells that escaping lengthens or rewrites: pipes, newlines, backslashes,
+# empty and non-ASCII text.
+_wild_cell = st.text(alphabet=st.sampled_from(list("a |\n\\-") + ["é", "表", "\u00a0"]), max_size=6)
 
 
 @st.composite
@@ -223,6 +226,19 @@ class TestMeasure:
         got = measure(t)
         assert got.token_estimate == math.ceil(len(rendered) / 4)
         assert got.area == got.row_count * got.column_count
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(_wild_cell, min_size=n, max_size=n),
+                st.lists(st.lists(_wild_cell, min_size=n, max_size=n), max_size=6),
+            )
+        )
+    )
+    def test_token_estimate_matches_rendering(self, shape):
+        t = Table.make(*shape)
+        assert measure(t).token_estimate == heuristic_token_count(render_markdown(t))
 
     def test_heuristic_token_count(self):
         assert heuristic_token_count("") == 0

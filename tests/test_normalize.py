@@ -157,6 +157,23 @@ def _number_like(draw):
     return draw(_PADDING) + body + draw(_PADDING)
 
 
+_SHAPE_SEPARATOR = st.sampled_from(list("-/,. \t\n\x1f") + ["\u00a0", "\u2003", "\u3000"])
+
+
+@st.composite
+def _shape_like(draw):
+    """A format of _DATE_FORMATS with its directives filled by numbers, month
+    names or other words, and each separator kept or swapped for a run of
+    "-/,.", ASCII and Unicode spaces, "\\x1f" and newlines."""
+    template = re.split(r"(%[a-zA-Z])", draw(st.sampled_from(_DATE_FORMATS)))
+    return "".join(
+        draw(_NUMBER | _MONTH | _WORD)
+        if t.startswith("%")
+        else t if draw(st.booleans()) else "".join(draw(st.lists(_SHAPE_SEPARATOR, max_size=3)))
+        for t in template
+    )
+
+
 class TestPrimitiveParsers:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -226,6 +243,12 @@ class TestPrimitiveParsers:
         integer, decimal, parsed_date = normalize_module._Parses()[raw]
         assert (integer, decimal) == (_reference_parse_integer(raw), _reference_parse_decimal(raw))
         assert parsed_date == _reference_parse_date(raw)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(_shape_like())
+    def test_date_prefilter_passes_every_shape_match(self, raw):
+        if normalize_module._ANY_DATE_SHAPE.fullmatch(raw):
+            assert normalize_module._MAY_BE_DATE(raw)
 
     @pytest.mark.parametrize(
         "raw", ["42", "-3", "3.50", ".25", "1999-03-05"]
@@ -347,6 +370,13 @@ class TestNormalize:
         assert out.table.column(0) == ["1", "2", "3", "4", "oops"]
         assert any("verbatim" in note for note in out.provenance[0])
 
+    def test_provenance_is_built_when_first_read(self):
+        out = normalize(Table.make(["v"], [["1,234"], ["$56"], ["3"], ["4"], ["oops"]]))
+        assert "provenance" not in vars(out)
+        assert out.provenance == (
+            ("row 1: '1,234' -> '1234'", "row 2: '$56' -> '56'", "row 5: kept verbatim (not parseable as integer)"),
+        )
+
     def test_text_column_untouched_with_empty_provenance(self):
         t = Table.make(["Name"], [["Alice"], ["Bob"]])
         out = normalize(t)
@@ -379,7 +409,7 @@ class TestNormalize:
                 table=Table.make(["a", "b"], []),
                 column_kinds=(ColumnKind("text", 0.0),),
                 transposed=False,
-                provenance=((), ()),
+                renames=((), ()),
             )
 
     def test_each_distinct_cell_is_classified_once_and_month_words_reach_strptime_once(self, monkeypatch):

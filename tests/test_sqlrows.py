@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import sqlite3
+import tracemalloc
 
 import pytest
 
 from tablefocus.core import Table
-from tablefocus.normalize import skip_normalization
+from tablefocus.normalize import ColumnKind, NormalizedTable, skip_normalization
 from tablefocus import sqlrows
 from tablefocus.sqlrows import (
     AggregateOnly,
@@ -17,6 +20,7 @@ from tablefocus.sqlrows import (
     SqlSyntaxError,
     SqlTimeout,
     _load,
+    _numeric_value,
     build_schema,
     check_policy,
     execute_row_lookup,
@@ -69,6 +73,39 @@ class TestLoad:
             ("Hans", 1, 4.0, 3),
             ("Ida", 2, 3.5, 4),
         ]
+
+    def test_columns_bind_as_each_cell_would(self):
+        cells = ["7", " 7 ", "1_000", "-3", "n/a", "inf", "nan", "1e3", "٣٤", "9" * 5000, "2.5", ""]
+        parseable = {
+            "integer": ["7", " 7 ", "1_000", "-3", "٣٤"],
+            "decimal": ["7", "1_000", "inf", "nan", "1e3", "٣٤", "2.5"],
+        }
+        # Each kind over every cell, and each typed kind over cells that all convert.
+        columns = [(kind, cells) for kind in ("text", "integer", "decimal")]
+        columns += [(kind, list(itertools.islice(itertools.cycle(p), len(cells)))) for kind, p in parseable.items()]
+        headers = [f"c{j}" for j in range(len(columns))]
+        table = NormalizedTable(
+            table=Table.make(headers, zip(*(column for _, column in columns))),
+            column_kinds=tuple(ColumnKind(kind, 1.0) for kind, _ in columns),
+            transposed=False,
+            renames=tuple(() for _ in headers),
+        )
+        schema = build_schema(table)
+        select = ", ".join(f"{name}, typeof({name})" for _, name, _ in schema.columns)
+        per_cell = sqlite3.connect(":memory:")
+        loaded = _load(table, schema)
+        try:
+            per_cell.execute(loaded.execute("SELECT sql FROM sqlite_master").fetchone()[0])
+            kinds = [kind for _, _, kind in schema.columns]
+            per_cell.executemany(
+                f"INSERT INTO t VALUES ({', '.join('?' * (len(kinds) + 1))})",
+                ([*map(_numeric_value, row, kinds), i] for i, row in enumerate(table.table.rows)),
+            )
+            query = f"SELECT {select}, _row_id FROM t ORDER BY _row_id"
+            assert loaded.execute(query).fetchall() == per_cell.execute(query).fetchall()
+        finally:
+            loaded.close()
+            per_cell.close()
 
 
 class TestSanitizeIdentifier:
@@ -125,6 +162,14 @@ class TestPolicy:
     def test_statement_list_rejected(self):
         with pytest.raises(SqlPolicyError):
             check_policy("SELECT 1; SELECT 2")
+
+    def test_semicolon_in_literal_or_comment_passes(self):
+        sql = "SELECT * FROM t WHERE rider = 'a;b' /* ; */"
+        assert check_policy(sql) == sql
+        table = skip_normalization(Table.make(["Rider"], [["a"], ["a;b"]]))
+        assert execute_row_lookup(table, sql + ";").indices == (1,)
+        with pytest.raises(SqlPolicyError):
+            check_policy("SELECT 'a;b'; SELECT 2")
 
     def test_ddl_rejected_as_policy(self):
         with pytest.raises(SqlPolicyError):
@@ -204,6 +249,22 @@ class TestExecuteRowLookup:
         )
         with pytest.raises(SqlTimeout):
             execute_row_lookup(_fixture_table(), sql)
+
+    def test_runaway_lookup_holds_only_in_range_ids(self, monkeypatch):
+        # Each progress check advances the clock by one tick, so the query is
+        # interrupted after the same 2,500 checks, about 170,000 returned rows.
+        ticks = itertools.count(0.0, sqlrows.TIMEOUT_S / 2500)
+        monkeypatch.setattr(sqlrows.time, "monotonic", lambda: next(ticks))
+        table = skip_normalization(Table.make(["n"], [[str(i)] for i in range(100)]))
+        sql = "WITH RECURSIVE r(x) AS (SELECT 0 UNION ALL SELECT x + 1 FROM r) SELECT x AS _row_id FROM r"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SqlTimeout):
+                execute_row_lookup(table, sql)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rowset_validation(self):
         with pytest.raises(ValueError):
