@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import cached_property
+from itertools import repeat
+from typing import Callable
 
 from .core import Table, transpose
 
@@ -18,8 +20,19 @@ KIND_THRESHOLD = 0.8
 MIXED_THRESHOLD = 0.5
 
 _CURRENCY = "$€£¥"
-_INT_RE = re.compile(r"^[+-]?\d{1,3}(,\d{3})*$|^[+-]?\d+$")
-_DEC_RE = re.compile(r"^[+-]?\d{1,3}(,\d{3})*\.\d+$|^[+-]?\d+\.\d+$|^[+-]?\.\d+$")
+# Every character str.strip() removes: those for which str.isspace() is true.
+_SPACES = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+# A stripped cell's number is the cell without its leading currency signs and
+# the spaces after each: its lstrip of these characters.
+_NUMBER_LEAD = _CURRENCY + _SPACES
+_INT = r"[+-]?(?:\d{1,3}(?:,\d{3})*|\d+)"
+_DEC = r"[+-]?(?:\d{1,3}(?:,\d{3})*\.\d+|\d+\.\d+|\.\d+)"
+_IS_INT = re.compile(_INT).fullmatch
+_IS_DEC = re.compile(_DEC).fullmatch
+_IS_NUMBER = re.compile(f"{_INT}|{_DEC}").fullmatch
 
 # Ambiguous numeric day/month forms are read month-first.
 _DATE_FORMATS = (
@@ -67,10 +80,21 @@ _ANY_DATE_SHAPE = re.compile("|".join(f"(?P<f{i}>{shape.pattern})" for i, (_, sh
 # Every shape holds a "-", "/" or "," or two whitespace runs, so a cell without
 # them skips the shape union, which is slow to reject a plain word.
 _MAY_BE_DATE = re.compile(r"[-/,]|\s.*\s").search
-_ASCII_DATES = {
-    f"f{i}": (i, re.compile(_date_pattern(fmt, _ASCII_DIRECTIVES, r"[ \t\n\r\f\v]+")))
-    for i, fmt in enumerate(_DATE_FORMATS)
-}
+
+
+def _ascii_date(i: int, fmt: str) -> tuple[int, re.Pattern, tuple]:
+    """Format ``i``, its ASCII pattern and where the pattern's groups() hold
+    the year, the month and the day. A guard lets the pattern fullmatch only
+    where no earlier format's shape does, so a match alone says that
+    ``_ANY_DATE_SHAPE`` names this format first."""
+    earlier = "|".join(shape.pattern for _, shape in _DATE_SHAPES[:i])
+    guard = f"(?!(?:{earlier})\\Z)" if earlier else ""
+    pattern = re.compile(guard + _date_pattern(fmt, _ASCII_DIRECTIVES, r"[ \t\n\r\f\v]+"))
+    at = {name: number - 1 for name, number in pattern.groupindex.items()}
+    return i, pattern, (at.get("Y", at.get("y")), at.get("m", at.get("b")), at["d"], "y" in at, "b" in at)
+
+
+_ASCII_DATES = {f"f{i}": _ascii_date(i, fmt) for i, fmt in enumerate(_DATE_FORMATS)}
 
 
 @dataclass(frozen=True)
@@ -158,7 +182,10 @@ _KINDS = ("integer", "decimal", "date")
 class _Parses(dict):
     """Memo for one call: cell -> its (integer, decimal, date) canonical forms,
     None where the cell does not parse as that kind. ``months`` maps each
-    month word seen to its month number, or None when it names no month."""
+    month word seen to its month number, or None when it names no month.
+
+    ``__missing__`` classifies one cell and is the reference; ``classify``
+    settles a column's cells in one pass where they share one form."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -166,45 +193,98 @@ class _Parses(dict):
 
     def __missing__(self, cell: str) -> tuple[str | None, str | None, str | None]:
         s = cell.strip()
-        number = s
-        while number and number[0] in _CURRENCY:
-            number = number[1:].strip()
+        number = s.lstrip(_NUMBER_LEAD)
         # No date shape fits a number, currency sign or not, so numbers skip the date parse.
-        if number and _INT_RE.match(number):
+        if _IS_INT(number):
             integer = str(int(number.replace(",", "")))
             parsed = (integer, integer, None)
-        elif number and _DEC_RE.match(number):
+        elif _IS_DEC(number):
             parsed = (None, number.replace(",", ""), None)
         else:
             parsed = (None, None, self._date(s))
         self[cell] = parsed
         return parsed
 
+    def classify(self, cells: list[str]) -> tuple[int, int, int] | None:
+        """Settle the distinct cells of a column that are new to the memo with
+        a few whole-column checks: all integers, all decimals, all without a
+        form, or all dates in the first cell's format in ASCII form. Where no
+        check holds, or from the first cell the date check cannot settle, the
+        cells are left to ``__missing__``.
+
+        Returns, per kind of ``_KINDS``, 1 if every cell parses as it and 0 if
+        none does, when every distinct cell was new and is now settled; else None.
+        """
+        distinct = dict.fromkeys(cells)
+        new = [cell for cell in distinct if cell not in self]
+        if not new:
+            return None
+        stripped = list(map(str.strip, new))
+        numbers = [s.lstrip(_NUMBER_LEAD) for s in stripped]
+        if all(map(_IS_INT, numbers)):
+            integers = [str(int(number.replace(",", ""))) for number in numbers]
+            self.update(zip(new, zip(integers, integers, repeat(None))))
+            shared = (1, 1, 0)
+        elif all(map(_IS_DEC, numbers)):
+            decimals = [number.replace(",", "") for number in numbers]
+            self.update(zip(new, zip(repeat(None), decimals, repeat(None))))
+            shared = (0, 1, 0)
+        elif not any(map(_MAY_BE_DATE, stripped)) and not any(map(_IS_NUMBER, numbers)):
+            self.update(zip(new, repeat((None, None, None))))
+            shared = (0, 0, 0)
+        elif self._dates(new, stripped):
+            shared = (0, 0, 1)
+        else:
+            return None
+        return shared if len(new) == len(distinct) else None
+
+    def _dates(self, new: list[str], stripped: list[str]) -> bool:
+        """Settle the cells of ``new`` that fullmatch the first cell's date
+        format in ASCII form and name a real date, up to the first that does
+        not; returns whether that settled them all. None of them is a number:
+        every format puts a "-", "/" or letters between two fields."""
+        shape = _ANY_DATE_SHAPE.fullmatch(stripped[0])
+        if shape is None:
+            return False
+        _, ascii_date, layout = _ASCII_DATES[shape.lastgroup]
+        dates = []
+        for fields in map(ascii_date.fullmatch, stripped):
+            built = None if fields is None else self._built(fields.groups(), layout)
+            if built is None:
+                break
+            dates.append(built)
+        self.update(zip(new, zip(repeat(None), repeat(None), dates)))
+        return len(dates) == len(new)
+
+    def _built(self, fields: tuple[str, ...], layout: tuple) -> str | None:
+        """The ISO date that an ASCII date match's ``fields`` name, or None when
+        its word names no month or the date does not exist."""
+        year_at, month_at, day_at, two_digit, word = layout
+        year = int(fields[year_at])
+        if two_digit:
+            year += 2000 if year <= 68 else 1900  # strptime's %y pivot
+        if word:
+            name = fields[month_at]
+            if name not in self.months:
+                self.months[name] = _month_number(name)
+            month = self.months[name]
+            if month is None:
+                return None
+        else:
+            month = int(fields[month_at])
+        try:
+            return date(year, month, int(fields[day_at])).isoformat()
+        except ValueError:
+            return None
+
     def _date(self, s: str) -> str | None:
         shape = _ANY_DATE_SHAPE.fullmatch(s) if _MAY_BE_DATE(s) else None
         if shape is None:
             return None
-        first, ascii_date = _ASCII_DATES[shape.lastgroup]
+        first, ascii_date, layout = _ASCII_DATES[shape.lastgroup]
         fields = ascii_date.fullmatch(s)
-        if fields is not None:
-            parts = fields.groupdict()
-            word = parts.get("b")
-            if word is None:
-                month = int(parts["m"])
-            elif word in self.months:
-                month = self.months[word]
-            else:
-                month = self.months[word] = _month_number(word)
-            if "Y" in parts:
-                year = int(parts["Y"])
-            else:
-                year = int(parts["y"])
-                year += 2000 if year <= 68 else 1900  # strptime's %y pivot
-            if month is not None:
-                try:
-                    return date(year, month, int(parts["d"])).isoformat()
-                except ValueError:
-                    pass
+        if fields is not None and (built := self._built(fields.groups(), layout)) is not None:
+            return built
         # No earlier format's shape fits, so strptime starts at the first that does.
         for fmt, shape in _DATE_SHAPES[first:]:
             if not shape.fullmatch(s):
@@ -229,10 +309,19 @@ def _month_number(word: str) -> int | None:
     return None
 
 
-def _counts(cells: list[str], parses: _Parses) -> list[int]:
+def _tally(cells: list[str], parses: _Parses) -> list[int]:
     """A column's tally: how many of its cells parse as each kind of ``_KINDS``."""
     forms = zip(*[parses[cell] for cell in cells])
     return [len(cells) - form.count(None) for form in forms] if cells else [0] * len(_KINDS)
+
+
+def _counts(cells: list[str], parses: _Parses) -> list[int]:
+    """``_tally`` of a column that ``parses.classify`` settles first, read
+    without a lookup when every cell shares one form."""
+    shared = parses.classify(cells)
+    if shared is None:
+        return _tally(cells, parses)
+    return [len(cells) * flag for flag in shared]
 
 
 def _kind(counts: list[int], n: int) -> ColumnKind:
@@ -259,14 +348,18 @@ def infer_column_kind(cells: list[str]) -> ColumnKind:
     return _kind(_counts(cells, _Parses()), len(cells))
 
 
-def _scored(table: Table, parses: _Parses) -> tuple[float, list[list[int]]]:
-    """The table's homogeneity, and the tally of each of its columns.
+def _scored(
+    table: Table, parses: _Parses, count: Callable[[list[str], _Parses], list[int]]
+) -> tuple[float, list[list[int]]]:
+    """The table's homogeneity, and the tally of each of its columns by
+    ``count``. A transpose is scored by ``_tally``: its columns are short and
+    hold cells already settled, so a column pass costs more than it saves.
 
     Homogeneity is the fraction of columns whose data cells share one inferred
     primitive type: every cell parses as the same primitive (ratio 1.0) or no
     cell parses as any primitive (pure text, ratio 0.0).
     """
-    tallies = [_counts(table.column(j), parses) for j in range(table.column_count)]
+    tallies = [count(table.column(j), parses) for j in range(table.column_count)]
     if table.row_count == 0:
         return 0.0, tallies
     homogeneous = sum(1 for counts in tallies if max(counts) in (0, table.row_count))
@@ -287,8 +380,8 @@ def detect_orientation(table: Table) -> Orientation:
     if _too_small(table):
         return Orientation(value="row_major", confidence=0.5)
     parses = _Parses()
-    score_row, _ = _scored(table, parses)
-    score_col, _ = _scored(transpose(table), parses)
+    score_row, _ = _scored(table, parses, _counts)
+    score_col, _ = _scored(transpose(table), parses, _tally)
     confidence = 0.5 + abs(score_row - score_col) / 2.0
     value = "row_major" if score_row >= score_col else "column_major"
     return Orientation(value=value, confidence=confidence)
@@ -330,12 +423,12 @@ def normalize(table: Table) -> NormalizedTable:
     """
     parses = _Parses()
     work, transposed = table, False
-    score_row, tallies = _scored(table, parses)
+    score_row, tallies = _scored(table, parses, _counts)
     # As in ``detect_orientation``; a row score of 1.0 skips the transpose,
     # which can at best tie, and ties read row_major.
     if score_row < 1.0 and not _too_small(table):
         flipped = transpose(table)
-        score_col, flipped_tallies = _scored(flipped, parses)
+        score_col, flipped_tallies = _scored(flipped, parses, _tally)
         if score_col > score_row:
             work, tallies, transposed = flipped, flipped_tallies, True
     # Renaming headers leaves the data cells, and so the tallies, as they are.

@@ -136,25 +136,35 @@ def _authorizer(action: int, arg1, arg2, db_name, trigger) -> int:
     return sqlite3.SQLITE_OK if action in allowed else sqlite3.SQLITE_DENY
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _numeric_value(cell: str, kind: str):
     if kind in ("integer", "decimal"):
         try:
-            return int(cell) if kind == "integer" else float(cell)
+            value = int(cell) if kind == "integer" else float(cell)
         except ValueError:
             return None  # unparseable cells in a typed column bind as NULL
+        # Bound as text, an integer wider than SQLite's 64 bits takes the
+        # INTEGER column's REAL fallback, as the same literal does in a query.
+        return str(value) if kind == "integer" and not _INT64_MIN <= value <= _INT64_MAX else value
     return cell
 
 
 def _bound(cells: list[str], kind: str) -> list:
     """A column's values as bound: ``_numeric_value`` of each cell, converted
-    in one pass unless some cell does not parse."""
+    in one pass unless some cell does not parse or, in an integer column,
+    does not fit in 64 bits."""
     convert = {"integer": int, "decimal": float}.get(kind)
     if convert is None:
         return cells
     try:
-        return list(map(convert, cells))
+        values = list(map(convert, cells))
     except ValueError:
         return [_numeric_value(cell, kind) for cell in cells]
+    if convert is int and values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX:
+        return [_numeric_value(cell, kind) for cell in cells]
+    return values
 
 
 def _load(table: NormalizedTable, schema: SqlSchema) -> sqlite3.Connection:
@@ -204,7 +214,8 @@ def execute_row_lookup(table: NormalizedTable, sql: str, schema: SqlSchema | Non
     conn.set_authorizer(_authorizer)
     deadline = time.monotonic() + TIMEOUT_S
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1000)
-    wrapped = f'SELECT "{ROW_ID}" FROM ({trimmed})'
+    # The newline ends a trailing "--" comment before the closing parenthesis.
+    wrapped = f'SELECT "{ROW_ID}" FROM ({trimmed}\n)'
     try:
         indices = _run(conn, wrapped, sql, m)
     except SqlSemanticError:
@@ -229,7 +240,7 @@ def _run(conn: sqlite3.Connection, wrapped: str, original: str, m: int) -> set[i
                 continue
             try:
                 i = int(row[0])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 # SQLite silently treats an unknown double-quoted identifier as
                 # a string literal, so a missing row-id column surfaces here.
                 raise SqlSemanticError(

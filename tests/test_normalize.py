@@ -6,6 +6,8 @@ import calendar
 import importlib
 import random
 import re
+import sys
+import tracemalloc
 from datetime import datetime
 
 import pytest
@@ -260,6 +262,141 @@ class TestPrimitiveParsers:
                 assert parser(out) == out
 
 
+_RARELY = st.sampled_from([False] * 19 + [True])
+_CURRENCY_RUN = st.sampled_from(["", "$", "€ ", "$$", "£\u00a0¥ ", "¥-"])
+
+
+@st.composite
+def _number_cell(draw, decimal):
+    """An integer or, with ``decimal``, a decimal cell: commas or not, a sign,
+    a currency run, padding and now and then Unicode digits."""
+    value = draw(st.integers(0, 10**25))
+    if decimal:
+        fraction = draw(st.integers(0, 999))
+        body = draw(st.sampled_from([f"{value:,}.{fraction}", f"{value}.{fraction}", f".{fraction}"]))
+    else:
+        body = draw(st.sampled_from([f"{value:,}", str(value)]))
+    body = draw(_CURRENCY_RUN) + draw(st.sampled_from(["", "+", "-"])) + body
+    if draw(_RARELY):
+        body = body.translate(_UNICODE_DIGITS)
+    return draw(_PADDING) + body + draw(_PADDING)
+
+
+@st.composite
+def _date_cell(draw, fmt):
+    """A cell in ``fmt``: mostly a real date; now and then an impossible day
+    or month, a word that names no month, a padded day or another separator.
+    Two-digit years fall either side of strptime's %y pivot."""
+    month = draw(st.sampled_from(list(range(1, 13)) * 6 + [0, 13]))
+    day = draw(st.sampled_from(list(range(1, 29)) * 4 + [29, 30, 31, 0, 32]))
+    word = calendar.month_name[month] if 1 <= month <= 12 else "Foo"
+    if draw(_RARELY):
+        word = draw(_WORD)
+    fields = {
+        "%Y": f"{draw(st.integers(1, 9999)):04d}",
+        "%y": f"{draw(st.integers(0, 99)):02d}",
+        "%m": draw(st.sampled_from([str(month), f"{month:02d}"])),
+        "%d": draw(st.sampled_from([str(day), f"{day:02d}"] * 4 + [f" {day}"])),
+        "%b": draw(_mixed_case(word[:3] if word in calendar.month_name else word)),
+        "%B": draw(_mixed_case(word)),
+    }
+    return "".join(
+        fields[piece] if piece.startswith("%") else draw(_DATE_SEPARATOR) if piece and draw(_RARELY) else piece
+        for piece in re.split(r"(%[a-zA-Z])", fmt)
+    )
+
+
+_TEXT_CELL = st.text(st.sampled_from(list("abXY .\x00") + ["\u00a0", "é"]), max_size=8)
+
+
+@st.composite
+def _columns(draw):
+    """A column whose cells share one form, with repeats, and in about half
+    of them one or two cells of any other form at any place."""
+    family = draw(st.sampled_from(["integer", "decimal", "date", "text"]))
+    if family == "date":
+        cell = _date_cell(draw(st.sampled_from(_DATE_FORMATS)))
+    elif family == "text":
+        cell = _TEXT_CELL
+    else:
+        cell = _number_cell(family == "decimal")
+    cells = draw(st.lists(cell, min_size=1, max_size=10))
+    cells += draw(st.lists(st.sampled_from(cells), max_size=3))
+    others = _number_like() | _date_like() | _number_cell(family != "decimal") | _TEXT_CELL
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        cells.insert(draw(st.integers(0, len(cells))), draw(others))
+    return cells
+
+
+class TestColumnPass:
+    @settings(max_examples=1000, deadline=None)
+    @given(_columns(), st.data())
+    def test_matches_the_per_cell_memo(self, cells, data):
+        reference = normalize_module._Parses()
+        expected = {cell: reference[cell] for cell in cells}
+        parses = normalize_module._Parses()
+        for cell in data.draw(st.lists(st.sampled_from(cells), max_size=2)):
+            parses[cell]  # settled before the pass, one by one
+        counts = normalize_module._counts(cells, parses)
+        assert dict(parses) == expected
+        assert counts == [sum(expected[cell][k] is not None for cell in cells) for k in range(3)]
+
+    @pytest.mark.parametrize(
+        "cells,shared",
+        [
+            (["1,234", " $5 ", "-7", "1,234", "٣٤"], (1, 1, 0)),
+            (["3.50", "$1,234.5", ".25"], (0, 1, 0)),
+            (["Cedar 12", "Alice", "", "\x00"], (0, 0, 0)),
+            (["Mar 5, 1999", "dec 31, 2001", "Mar 5, 1999"], (0, 0, 1)),
+            (["03/04/99", "12/31/68"], (0, 0, 1)),
+            (["1", "2.5"], None),  # integers and decimals
+            (["1999-03-05", "Mar 5, 1999"], None),  # two date formats
+            (["Mar 5, 1999", "Feb 30, 1999"], None),  # an impossible date
+            (["Sept 5, 1999"], None),  # a word that names no month
+            (["Mar\u00a05, 1999"], None),  # outside the ASCII form
+            (["n/a", "x"], None),
+        ],
+    )
+    def test_shared_form(self, cells, shared):
+        assert normalize_module._Parses().classify(cells) == shared
+
+    def test_a_column_with_a_settled_cell_has_no_shared_form(self):
+        parses = normalize_module._Parses()
+        assert parses["7"] == ("7", "7", None)
+        assert parses.classify(["7", "8"]) is None
+        assert dict(parses) == {"7": ("7", "7", None), "8": ("8", "8", None)}
+
+    def test_spaces_are_every_character_strip_removes(self):
+        spaces = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+        assert normalize_module._SPACES == spaces
+
+    def test_normalize_peak_memory_on_a_5000_row_table(self):
+        rng = random.Random(3)
+
+        def store_row():
+            units, cents = rng.randint(1, 99_999), rng.randint(100, 9_999_999)
+            return [
+                f"{rng.choice(['Cedar', 'Maple', 'Harbor', 'Summit'])} {rng.randint(100, 100_099)}",
+                f"{units:,}" if rng.random() < 0.5 else str(units),
+                f"${cents // 100:,}.{cents % 100:02d}",
+                f"{rng.choice(calendar.month_abbr[1:])} {rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
+            ]
+
+        rows = [store_row() for _ in range(5000)]
+        table = Table.make(["Store", "Units", "Revenue", "Opened"], rows)
+        normalize(table)  # the first call imports and caches strptime's locale data
+        tracemalloc.start()
+        try:
+            out = normalize(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
+        # A regex that repeats once per cell over the joined column keeps a
+        # backtracking frame per repetition and peaks above 5 MB here.
+        assert peak < 4 * 2**20
+
+
 class TestInferColumnKind:
     def test_pure_integer(self):
         assert infer_column_kind(["1", "2", "3"]) == ColumnKind("integer", 1.0)
@@ -427,13 +564,19 @@ class TestNormalize:
             for _ in range(200)
         ]
         table = Table.make(["Store", "Units", "Revenue", "Opened", "Closed"], rows)
-        classified: list[str] = []
+        in_bulk: list[str] = []
+        one_by_one: list[str] = []
         parsed: list[str] = []
-        missing = normalize_module._Parses.__missing__
 
-        def counting_missing(parses, cell):
-            classified.append(cell)
-            return missing(parses, cell)
+        class CountingParses(normalize_module._Parses):
+            def __setitem__(self, cell, forms):
+                one_by_one.append(cell)
+                super().__setitem__(cell, forms)
+
+            def update(self, entries):
+                entries = list(entries)
+                in_bulk.extend(cell for cell, _ in entries)
+                super().update(entries)
 
         class CountingDatetime(datetime):
             @classmethod
@@ -441,12 +584,14 @@ class TestNormalize:
                 parsed.append(date_string)
                 return super().strptime(date_string, fmt)
 
-        monkeypatch.setattr(normalize_module._Parses, "__missing__", counting_missing)
+        monkeypatch.setattr(normalize_module, "_Parses", CountingParses)
         monkeypatch.setattr(normalize_module, "datetime", CountingDatetime)
         out = normalize(table)
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date", "date"]
         # Every column is homogeneous, so the transpose, and its header cells, is never classified.
-        assert sorted(classified) == sorted({cell for row in rows for cell in row})
+        assert sorted(in_bulk + one_by_one) == sorted({cell for row in rows for cell in row})
+        # Only the column outside the ASCII date forms goes one cell at a time.
+        assert sorted(one_by_one) == sorted({row[4] for row in rows})
         month_words = {row[3].split()[0] for row in rows}
         assert sorted(parsed) == sorted(month_words | {row[4] for row in rows})
 
@@ -457,10 +602,14 @@ class TestNormalize:
                 f"{rng.choice(['Cedar', 'Maple', 'Harbor'])} {rng.randint(100, 99_999)}",
                 f"{rng.randint(1, 99_999):,}",
                 f"{rng.randint(1, 999)}.{rng.randint(0, 99):02d}",
-                f"{rng.randint(1950, 2020)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
+                # Two date formats, so this column's pass stops at its second cell.
+                f"{rng.randint(1950, 2020)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
+                if i % 2 == 0
+                else f"{rng.choice(calendar.month_abbr[1:])} {rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
             ]
-            for _ in range(200)
+            for i in range(200)
         ]
+        classified: list[list[str]] = []
         lookups = 0
 
         class CountingParses(normalize_module._Parses):
@@ -469,12 +618,18 @@ class TestNormalize:
                 lookups += 1
                 return super().__getitem__(cell)
 
+            def classify(self, cells):
+                classified.append(cells)
+                return super().classify(cells)
+
         monkeypatch.setattr(normalize_module, "_Parses", CountingParses)
         out = normalize(Table.make(["Store", "Units", "Price", "Opened"], rows))
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
         assert not out.transposed
-        # One lookup per data cell for the tally, one per typed cell to canonicalize it.
-        assert lookups == 4 * 200 + 3 * 200
+        assert classified == [list(column) for column in zip(*rows)]
+        # One lookup per cell of the one column whose cells do not share one
+        # form, one per typed cell to canonicalize it.
+        assert lookups == 200 + 3 * 200
 
     @settings(max_examples=300, deadline=None)
     @given(wild_tables())

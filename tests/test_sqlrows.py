@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from tablefocus.core import Table
-from tablefocus.normalize import ColumnKind, NormalizedTable, skip_normalization
+from tablefocus.normalize import ColumnKind, NormalizedTable, normalize, skip_normalization
 from tablefocus import sqlrows
 from tablefocus.sqlrows import (
     AggregateOnly,
@@ -106,6 +106,27 @@ class TestLoad:
         finally:
             loaded.close()
             per_cell.close()
+
+
+    def test_integers_beyond_64_bits_bind_as_their_literal_in_a_query(self):
+        table = normalize(
+            Table.make(
+                ["Id", "Name"],
+                [["123456789012345678901234", "a"], ["-987654321098765432109876", "b"], ["5", "c"]],
+            )
+        )
+        assert table.column_kinds[0].kind == "integer"
+        conn = _load(table, build_schema(table))
+        try:
+            assert conn.execute("SELECT typeof(id) FROM t ORDER BY _row_id").fetchall() == [
+                ("real",),
+                ("real",),
+                ("integer",),
+            ]
+        finally:
+            conn.close()
+        assert execute_row_lookup(table, "SELECT * FROM t WHERE id = 123456789012345678901234").indices == (0,)
+        assert execute_row_lookup(table, "SELECT * FROM t WHERE id < 0").indices == (1,)
 
 
 class TestSanitizeIdentifier:
@@ -265,6 +286,16 @@ class TestExecuteRowLookup:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_trailing_line_comment(self):
+        sql = "SELECT * FROM t WHERE country = 'Belgium' -- the Belgians"
+        assert execute_row_lookup(_fixture_table(), sql).indices == (0, 2)
+        sql = "SELECT COUNT(*) FROM t WHERE country = 'Belgium' -- how many"
+        assert execute_row_lookup(_fixture_table(), sql).indices == (0, 2)
+
+    def test_non_finite_row_id_is_semantic_error(self):
+        with pytest.raises(SqlSemanticError):
+            execute_row_lookup(_fixture_table(), "SELECT 1e999 AS _row_id FROM t")
 
     def test_rowset_validation(self):
         with pytest.raises(ValueError):
