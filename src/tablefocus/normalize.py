@@ -11,8 +11,9 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import cached_property
-from itertools import repeat
-from typing import Callable
+from itertools import islice, repeat, takewhile
+from operator import not_
+from typing import Callable, Iterable
 
 from .core import Table, transpose
 
@@ -84,12 +85,10 @@ _MAY_BE_DATE = re.compile(r"[-/,]|\s.*\s").search
 
 def _ascii_date(i: int, fmt: str) -> tuple[int, re.Pattern, tuple]:
     """Format ``i``, its ASCII pattern and where the pattern's groups() hold
-    the year, the month and the day. A guard lets the pattern fullmatch only
-    where no earlier format's shape does, so a match alone says that
-    ``_ANY_DATE_SHAPE`` names this format first."""
-    earlier = "|".join(shape.pattern for _, shape in _DATE_SHAPES[:i])
-    guard = f"(?!(?:{earlier})\\Z)" if earlier else ""
-    pattern = re.compile(guard + _date_pattern(fmt, _ASCII_DIRECTIVES, r"[ \t\n\r\f\v]+"))
+    the year, the month and the day. No string this pattern fullmatches fits
+    an earlier format's shape, so ``_ANY_DATE_SHAPE`` names format ``i``, or
+    a twin with the same shape and pattern, first for each of them."""
+    pattern = re.compile(_date_pattern(fmt, _ASCII_DIRECTIVES, r"[ \t\n\r\f\v]+"))
     at = {name: number - 1 for name, number in pattern.groupindex.items()}
     return i, pattern, (at.get("Y", at.get("y")), at.get("m", at.get("b")), at["d"], "y" in at, "b" in at)
 
@@ -179,6 +178,11 @@ def parse_date(cell: str) -> str | None:
 _KINDS = ("integer", "decimal", "date")
 
 
+def _misses(hits: Iterable[object]) -> int:
+    """How many items of ``hits`` are falsy before the first truthy one."""
+    return len(list(takewhile(not_, hits)))
+
+
 class _Parses(dict):
     """Memo for one call: cell -> its (integer, decimal, date) canonical forms,
     None where the cell does not parse as that kind. ``months`` maps each
@@ -205,56 +209,56 @@ class _Parses(dict):
         self[cell] = parsed
         return parsed
 
-    def classify(self, cells: list[str]) -> tuple[int, int, int] | None:
-        """Settle the distinct cells of a column that are new to the memo with
-        a few whole-column checks: all integers, all decimals, all without a
-        form, or all dates in the first cell's format in ASCII form. Where no
-        check holds, or from the first cell the date check cannot settle, the
-        cells are left to ``__missing__``.
+    def classify(self, cells: list[str]) -> bool:
+        """Settle the distinct cells of a column that are new to the memo. The
+        first goes through ``__missing__``; one check for its form then settles
+        the cells after it in bulk, up to the first of another form, which is
+        left to ``__missing__`` with the cells after it. The forms: integers,
+        decimals, no form (no number, and nothing every date shape holds), or
+        dates in the first cell's format in ASCII form.
 
-        Returns, per kind of ``_KINDS``, 1 if every cell parses as it and 0 if
-        none does, when every distinct cell was new and is now settled; else None.
-        """
+        Returns whether every distinct cell was new and now shares the first
+        cell's form."""
         distinct = dict.fromkeys(cells)
         new = [cell for cell in distinct if cell not in self]
         if not new:
-            return None
-        stripped = list(map(str.strip, new))
-        numbers = [s.lstrip(_NUMBER_LEAD) for s in stripped]
-        if all(map(_IS_INT, numbers)):
-            integers = [str(int(number.replace(",", ""))) for number in numbers]
-            self.update(zip(new, zip(integers, integers, repeat(None))))
-            shared = (1, 1, 0)
-        elif all(map(_IS_DEC, numbers)):
-            decimals = [number.replace(",", "") for number in numbers]
-            self.update(zip(new, zip(repeat(None), decimals, repeat(None))))
-            shared = (0, 1, 0)
-        elif not any(map(_MAY_BE_DATE, stripped)) and not any(map(_IS_NUMBER, numbers)):
-            self.update(zip(new, repeat((None, None, None))))
-            shared = (0, 0, 0)
-        elif self._dates(new, stripped):
-            shared = (0, 0, 1)
-        else:
-            return None
-        return shared if len(new) == len(distinct) else None
-
-    def _dates(self, new: list[str], stripped: list[str]) -> bool:
-        """Settle the cells of ``new`` that fullmatch the first cell's date
-        format in ASCII form and name a real date, up to the first that does
-        not; returns whether that settled them all. None of them is a number:
-        every format puts a "-", "/" or letters between two fields."""
-        shape = _ANY_DATE_SHAPE.fullmatch(stripped[0])
-        if shape is None:
             return False
-        _, ascii_date, layout = _ASCII_DATES[shape.lastgroup]
+        integer, decimal, dated = self.__missing__(new[0])
+        rest = new[1:]
+        if dated is not None:
+            settled = self._dates(rest, new[0].strip())
+        elif decimal is None:
+            # The number test is the cheaper, so it runs first and bounds the date test.
+            stripped = list(map(str.strip, rest))
+            settled = _misses(map(_IS_NUMBER, map(str.lstrip, stripped, repeat(_NUMBER_LEAD))))
+            settled = _misses(map(_MAY_BE_DATE, islice(stripped, settled)))
+            self.update(zip(rest, repeat((None, None, None), settled)))
+        elif integer is not None:
+            numbers = takewhile(_IS_INT, map(str.lstrip, map(str.strip, rest), repeat(_NUMBER_LEAD)))
+            integers = [str(int(number.replace(",", ""))) for number in numbers]
+            settled = len(integers)
+            self.update(zip(rest, zip(integers, integers, repeat(None))))
+        else:
+            numbers = takewhile(_IS_DEC, map(str.lstrip, map(str.strip, rest), repeat(_NUMBER_LEAD)))
+            decimals = [number.replace(",", "") for number in numbers]
+            settled = len(decimals)
+            self.update(zip(rest, zip(repeat(None), decimals, repeat(None))))
+        return settled == len(rest) and len(new) == len(distinct)
+
+    def _dates(self, rest: list[str], first: str) -> int:
+        """Settle the cells of ``rest`` that fullmatch the format of the date
+        ``first`` in ASCII form and name a real date, up to the first that
+        does not, and return how many were settled. None of them is a
+        number: every format puts a "-", "/" or letters between two fields."""
+        _, ascii_date, layout = _ASCII_DATES[_ANY_DATE_SHAPE.fullmatch(first).lastgroup]
         dates = []
-        for fields in map(ascii_date.fullmatch, stripped):
+        for fields in map(ascii_date.fullmatch, map(str.strip, rest)):
             built = None if fields is None else self._built(fields.groups(), layout)
             if built is None:
                 break
             dates.append(built)
-        self.update(zip(new, zip(repeat(None), repeat(None), dates)))
-        return len(dates) == len(new)
+        self.update(zip(rest, zip(repeat(None), repeat(None), dates)))
+        return len(dates)
 
     def _built(self, fields: tuple[str, ...], layout: tuple) -> str | None:
         """The ISO date that an ASCII date match's ``fields`` name, or None when
@@ -316,12 +320,11 @@ def _tally(cells: list[str], parses: _Parses) -> list[int]:
 
 
 def _counts(cells: list[str], parses: _Parses) -> list[int]:
-    """``_tally`` of a column that ``parses.classify`` settles first, read
-    without a lookup when every cell shares one form."""
-    shared = parses.classify(cells)
-    if shared is None:
-        return _tally(cells, parses)
-    return [len(cells) * flag for flag in shared]
+    """``_tally`` of a column that ``parses.classify`` settles first; a
+    column whose cells it finds all of one form is tallied from its first."""
+    if parses.classify(cells):
+        return [len(cells) * (form is not None) for form in parses[cells[0]]]
+    return _tally(cells, parses)
 
 
 def _kind(counts: list[int], n: int) -> ColumnKind:

@@ -328,6 +328,14 @@ def _columns(draw):
     return cells
 
 
+@st.composite
+def _ascii_dates(draw):
+    """A date format's group name in ``_ANY_DATE_SHAPE`` and a cell its ASCII
+    pattern fullmatches."""
+    group = draw(st.sampled_from(sorted(normalize_module._ASCII_DATES)))
+    return group, draw(st.from_regex(normalize_module._ASCII_DATES[group][1], fullmatch=True))
+
+
 class TestColumnPass:
     @settings(max_examples=1000, deadline=None)
     @given(_columns(), st.data())
@@ -342,29 +350,59 @@ class TestColumnPass:
         assert counts == [sum(expected[cell][k] is not None for cell in cells) for k in range(3)]
 
     @pytest.mark.parametrize(
-        "cells,shared",
+        "cells,settled",
         [
-            (["1,234", " $5 ", "-7", "1,234", "٣٤"], (1, 1, 0)),
-            (["3.50", "$1,234.5", ".25"], (0, 1, 0)),
-            (["Cedar 12", "Alice", "", "\x00"], (0, 0, 0)),
-            (["Mar 5, 1999", "dec 31, 2001", "Mar 5, 1999"], (0, 0, 1)),
-            (["03/04/99", "12/31/68"], (0, 0, 1)),
-            (["1", "2.5"], None),  # integers and decimals
-            (["1999-03-05", "Mar 5, 1999"], None),  # two date formats
-            (["Mar 5, 1999", "Feb 30, 1999"], None),  # an impossible date
-            (["Sept 5, 1999"], None),  # a word that names no month
-            (["Mar\u00a05, 1999"], None),  # outside the ASCII form
-            (["n/a", "x"], None),
+            (["1,234", " $5 ", "-7", "1,234", "٣٤"], 4),
+            (["1", "2", "2.5", "3"], 2),  # integers, then a decimal
+            (["3.50", "$1,234.5", ".25"], 3),
+            (["Cedar 12", "Alice", "", "\x00"], 4),
+            (["Alice", "Bob", "n/a", "Carol"], 2),  # text, then a cell that may be a date
+            (["Alice", "Bob", "12", "Carol"], 2),  # text, then a number
+            (["n/a", "x"], 2),
+            (["Mar 5, 1999", "dec 31, 2001", "Mar 5, 1999"], 2),
+            (["03/04/99", "12/31/68"], 2),
+            (["1999-03-05", "Mar 5, 1999"], 1),  # two date formats
+            (["Mar 5, 1999", "Feb 30, 1999", "Mar 6, 1999"], 1),  # an impossible date
+            (["Mar 5, 1999", "Sept 5, 1999"], 1),  # a word that names no month
+            (["Mar 5, 1999", "Mar\u00a06, 1999"], 1),  # outside the ASCII form
+            (["Mar\u00a05, 1999", "Mar 6, 1999"], 2),  # the first cell goes through strptime
         ],
     )
-    def test_shared_form(self, cells, shared):
-        assert normalize_module._Parses().classify(cells) == shared
+    def test_settles_the_cells_before_the_first_of_another_form(self, cells, settled):
+        parses = normalize_module._Parses()
+        distinct = list(dict.fromkeys(cells))
+        assert parses.classify(cells) == (settled == len(distinct))
+        assert list(parses) == distinct[:settled]
+        assert dict(parses) == {cell: normalize_module._Parses()[cell] for cell in parses}
 
-    def test_a_column_with_a_settled_cell_has_no_shared_form(self):
+    def test_settles_only_cells_new_to_the_memo(self):
         parses = normalize_module._Parses()
         assert parses["7"] == ("7", "7", None)
-        assert parses.classify(["7", "8"]) is None
-        assert dict(parses) == {"7": ("7", "7", None), "8": ("8", "8", None)}
+        assert not parses.classify(["7", "x", "8", "9"])
+        assert dict(parses) == {"7": ("7", "7", None), "x": (None, None, None)}
+        assert not parses.classify(["7", "x", "8", "9"])
+        assert list(parses) == ["7", "x", "8", "9"]
+        assert parses["9"] == ("9", "9", None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ascii_dates())
+    def test_an_ascii_date_fits_no_earlier_format(self, drawn):
+        # The column pass reads every cell in the first cell's format; the
+        # per-cell path reads each in the first format whose shape fits.
+        group, cell = drawn
+        _, pattern, _ = normalize_module._ASCII_DATES[group]
+        cell = cell.strip()
+        assume(pattern.fullmatch(cell))
+        first = normalize_module._ANY_DATE_SHAPE.fullmatch(cell).lastgroup
+        assert normalize_module._ASCII_DATES[first][1].pattern == pattern.pattern
+
+    def test_two_digit_years_pivot_as_strptime_does(self):
+        cells = [f"{m}/28/{yy:02d}" for yy in range(100) for m in (1, 12)]
+        parses = normalize_module._Parses()
+        assert parses.classify(cells)
+        assert {cell: parses[cell][2] for cell in cells} == {
+            cell: datetime.strptime(cell, "%m/%d/%y").date().isoformat() for cell in cells
+        }
 
     def test_spaces_are_every_character_strip_removes(self):
         spaces = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
@@ -590,8 +628,9 @@ class TestNormalize:
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date", "date"]
         # Every column is homogeneous, so the transpose, and its header cells, is never classified.
         assert sorted(in_bulk + one_by_one) == sorted({cell for row in rows for cell in row})
-        # Only the column outside the ASCII date forms goes one cell at a time.
-        assert sorted(one_by_one) == sorted({row[4] for row in rows})
+        # Only each column's first cell, and the column outside the ASCII
+        # date forms, go one cell at a time.
+        assert sorted(one_by_one) == sorted({row[4] for row in rows} | set(rows[0]))
         month_words = {row[3].split()[0] for row in rows}
         assert sorted(parsed) == sorted(month_words | {row[4] for row in rows})
 
@@ -602,7 +641,7 @@ class TestNormalize:
                 f"{rng.choice(['Cedar', 'Maple', 'Harbor'])} {rng.randint(100, 99_999)}",
                 f"{rng.randint(1, 99_999):,}",
                 f"{rng.randint(1, 999)}.{rng.randint(0, 99):02d}",
-                # Two date formats, so this column's pass stops at its second cell.
+                # Two date formats, so this column's cells do not share one form.
                 f"{rng.randint(1950, 2020)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
                 if i % 2 == 0
                 else f"{rng.choice(calendar.month_abbr[1:])} {rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
@@ -627,9 +666,10 @@ class TestNormalize:
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
         assert not out.transposed
         assert classified == [list(column) for column in zip(*rows)]
-        # One lookup per cell of the one column whose cells do not share one
-        # form, one per typed cell to canonicalize it.
-        assert lookups == 200 + 3 * 200
+        # The tally of a column whose cells share one form reads its first
+        # cell; the other column's reads every cell. Then one lookup per
+        # typed cell canonicalizes it.
+        assert lookups == 3 + 200 + 3 * 200
 
     @settings(max_examples=300, deadline=None)
     @given(wild_tables())
