@@ -14,10 +14,10 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from . import gateway as gw
-from .core import ParseError, parse_table, render_markdown
-from .evaluation import DatasetFormatError, evaluate, load_dataset
+from .core import TABLE_FORMATS, ParseError, parse_table, render_markdown
+from .evaluation import DATASET_FORMATS, DatasetFormatError, evaluate, load_dataset
 from .normalize import normalize
-from .pipeline import PipelineConfig, build_backend, run_instance
+from .pipeline import BACKEND_MODES, REASONING_TABLES, PipelineConfig, build_backend, run_instance
 from .reasoning import TASK_KINDS, ExecutorProfile
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
@@ -41,11 +41,11 @@ class Option(NamedTuple):
 OPTIONS = {
     "peek_size": Option("--peek-size", int),
     "b_max": Option("--b-max", int),
-    "backend_mode": Option("--mode", choices=("record", "replay", "passthrough")),
+    "backend_mode": Option("--mode", choices=BACKEND_MODES),
     "cassette_path": Option("--cassette"),
     "normalization": Option("--no-normalize", _bool),
     "full_table_fallback": Option("--no-full-table-fallback", _bool),
-    "reasoning_table": Option("--reasoning-table", choices=("focus", "full")),
+    "reasoning_table": Option("--reasoning-table", choices=REASONING_TABLES),
     "templates": Option("--templates", help="directory of prompt template files"),
     "base_url": Option("--base-url"),
     "model": Option("--model"),
@@ -144,8 +144,7 @@ def cmd_eval(args) -> int:
     if args.buckets and report.bucket_accuracy:
         for metric, buckets in report.bucket_accuracy.items():
             row = "  ".join(
-                f"{label}={buckets[label]['accuracy']:.3f} (n={int(buckets[label]['count'])})"
-                for label in ("small", "medium", "large", "xl")
+                f"{label}={bucket['accuracy']:.3f} (n={int(bucket['count'])})" for label, bucket in buckets.items()
             )
             print(f"{metric:>8}: {row}")
     if args.cost:
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="answer one question about one table")
     run.add_argument("--table", required=True, help="table file path, or - for stdin")
-    run.add_argument("--format", default="markdown", choices=("markdown", "csv", "tsv", "jsonl-table"))
+    run.add_argument("--format", default="markdown", choices=TABLE_FORMATS)
     run.add_argument("--question", required=True)
     run.add_argument("--task", default="qa", choices=TASK_KINDS)
     run.add_argument("--trace-out", dest="trace_out")
@@ -218,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a dataset")
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--dataset-format", dest="dataset_format", default="jsonl",
-                    choices=("jsonl", "wikitq-tsv", "tabfact-json"))
+    ev.add_argument("--dataset-format", dest="dataset_format", default="jsonl", choices=DATASET_FORMATS)
     ev.add_argument("--limit", type=int, help="evaluate only the first N instances")
     ev.add_argument("--parallelism", type=int, default=1)
     ev.add_argument("--buckets", action="store_true", help="print per-quartile accuracy")
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("normalize", help="normalize a table and print markdown")
     norm.add_argument("--table", required=True, help="table file path, or - for stdin")
-    norm.add_argument("--format", default="csv", choices=("markdown", "csv", "tsv", "jsonl-table"))
+    norm.add_argument("--format", default="csv", choices=TABLE_FORMATS)
     norm.add_argument("--strict", action="store_true")
     norm.set_defaults(func=cmd_normalize)
 

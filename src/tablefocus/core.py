@@ -139,16 +139,22 @@ def _parse_delimited(text: str, delimiter: str) -> tuple[list[str], list[list[st
     return records[0], records[1:]
 
 
+def read_table_object(obj: object) -> tuple[list[str], list[list[str]]]:
+    """The header and rows, as text, of a ``{"header": [...], "rows": [[...], ...]}`` table object."""
+    if not isinstance(obj, dict) or "header" not in obj or "rows" not in obj:
+        raise ParseError('jsonl-table object must have "header" and "rows" keys')
+    header, rows = obj["header"], obj["rows"]
+    if not (isinstance(header, list) and isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ParseError('jsonl-table object must have a "header" list and a "rows" list of lists')
+    return [str(h) for h in header], [[str(c) for c in row] for row in rows]
+
+
 def _parse_jsonl_table(text: str) -> tuple[list[str], list[list[str]]]:
     try:
         obj = json.loads(text.strip().splitlines()[0]) if text.strip() else None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid jsonl-table JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "header" not in obj or "rows" not in obj:
-        raise ParseError('jsonl-table object must have "header" and "rows" keys')
-    headers = [str(h) for h in obj["header"]]
-    rows = [[str(c) for c in row] for row in obj["rows"]]
-    return headers, rows
+    return read_table_object(obj)
 
 
 _PARSERS: dict[str, Callable[[str], tuple[list[str], list[list[str]]]]] = {
@@ -157,6 +163,7 @@ _PARSERS: dict[str, Callable[[str], tuple[list[str], list[list[str]]]]] = {
     "tsv": lambda t: _parse_delimited(t, "\t"),
     "jsonl-table": _parse_jsonl_table,
 }
+TABLE_FORMATS = tuple(_PARSERS)
 
 
 def parse_table(text: str, format: str = "markdown", strict: bool = False) -> Table:

@@ -6,14 +6,16 @@ from __future__ import annotations
 import csv
 import json
 import re
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import Table, measure, parse_table
-from .reasoning import TASK_KINDS, Answer
+from .core import Table, measure, parse_table, read_table_object
+from .reasoning import TASK_KINDS, VERDICTS, Answer
+from .trace import write_json
 
 BUCKET_LABELS = ("small", "medium", "large", "xl")
 # Each size bucket's name and the ``SizeMetrics`` field it reads.
@@ -45,7 +47,7 @@ class EvalInstance:
             raise ValueError(f"unknown task kind: {self.task_kind!r}")
         if self.task_kind == "fact_verification":
             for gold in self.gold_answers:
-                if gold not in ("True", "False"):
+                if gold not in VERDICTS:
                     raise ValueError("fact verification golds must be 'True' or 'False'")
 
 
@@ -76,12 +78,10 @@ def _jsonl_records(path: Path) -> list[str]:
 
 def _jsonl_instances(line: str, base: Path) -> list[EvalInstance]:
     record = json.loads(line)
-    table = record["table"]
-    parsed = Table.make([str(h) for h in table["header"]], [[str(c) for c in r] for r in table["rows"]])
     return [
         EvalInstance(
             id=str(record["id"]),
-            table=parsed,
+            table=Table.make(*read_table_object(record["table"])),
             question=str(record["question"]),
             gold_answers=tuple(str(a) for a in record["answers"]),
             task_kind=record.get("task_kind", "qa"),
@@ -147,6 +147,7 @@ _FORMATS = {
     "wikitq-tsv": (_tsv_records, _wikitq_instances),
     "tabfact-json": (_tabfact_records, _tabfact_instances),
 }
+DATASET_FORMATS = tuple(_FORMATS)
 
 
 def load_dataset(path: str | Path, format: str = "jsonl") -> tuple[list[EvalInstance], int]:
@@ -182,8 +183,6 @@ def normalize_answer(text: str) -> str:
         out = out.replace(",", "")
         if "." in out:
             out = out.rstrip("0").rstrip(".")
-        if out in ("", "-", "+"):
-            out = "0"
     return out
 
 
@@ -230,17 +229,7 @@ def bucketize(values: Sequence[float]) -> list[str]:
     ordered = sorted(values)
     n = len(ordered)
     boundaries = [ordered[(n * q) // 4 - 1] for q in (1, 2, 3)]
-    labels = []
-    for v in values:
-        if v <= boundaries[0]:
-            labels.append("small")
-        elif v <= boundaries[1]:
-            labels.append("medium")
-        elif v <= boundaries[2]:
-            labels.append("large")
-        else:
-            labels.append("xl")
-    return labels
+    return [BUCKET_LABELS[bisect_left(boundaries, v)] for v in values]
 
 
 def predicted_cost(k: float, n: float, e: float = DEFAULT_RECONSTRUCTIONS, a: float = 0.0, b: float = 0.0) -> float:
@@ -262,41 +251,54 @@ def evaluate(
     whose ``run_instance`` raises scores as incorrect with a failure trace,
     and counts in ``error_records``, rather than aborting the run.
     """
-    results: list[tuple[EvalInstance, Answer | None, dict[str, Any]]] = [None] * len(instances)  # type: ignore
 
-    def work(idx: int) -> None:
-        instance = instances[idx]
+    def outcome(instance: EvalInstance) -> tuple[Answer | None, dict[str, Any]]:
         try:
             answer, trace = run_instance(instance)
         except Exception as exc:
-            answer, trace = None, {"error": f"{type(exc).__name__}: {exc}"}
-        results[idx] = (instance, answer, trace)
+            return None, {"error": f"{type(exc).__name__}: {exc}"}
+        return answer, trace
 
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(work, range(len(instances))))
+            outcomes = list(pool.map(outcome, instances))
     else:
-        for i in range(len(instances)):
-            work(i)
+        outcomes = list(map(outcome, instances))
 
     if trace_dir is not None:
         trace_path = Path(trace_dir)
         trace_path.mkdir(parents=True, exist_ok=True)
         names: set[str] = set()
-        for i, (instance, _, trace) in enumerate(results):
+        for i, (instance, (_, trace)) in enumerate(zip(instances, outcomes)):
             name = re.sub(r"[^A-Za-z0-9._-]", "_", instance.id)
             if name in names:  # "~" is never in a cleaned id, so the suffixed name is free
                 name = f"{name}~{i}"
             names.add(name)
-            (trace_path / f"{name}.json").write_text(
-                json.dumps(trace, indent=2, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            write_json(trace_path / f"{name}.json", trace)
 
-    flags = []
-    for instance, answer, _ in results:
+    flags: list[bool] = []
+    ratios: list[float] = []
+    recon: list[float] = []
+    strategies: Counter[str] = Counter()
+    predicted_total = tallied_total = 0.0
+    errors = 0
+    for instance, (answer, trace) in zip(instances, outcomes):
         flags.append(answer is not None and not answer.abstained and exact_match(answer, instance.gold_answers))
-    correct = sum(flags)
+        errors += answer is None
+        if trace.get("condensation_ratio") is not None:
+            ratios.append(trace["condensation_ratio"])
+        if trace.get("strategy"):
+            strategies[trace["strategy"]] += 1
+        cost = trace.get("cost")
+        if isinstance(cost, dict):
+            p = cost.get("parameters", {})
+            if "e" in p:
+                recon.append(p["e"])
+            if p:
+                predicted_total += predicted_cost(p["k"], p["n"], p["e"], p["a"], p["b"])
+                tallied_total += cost.get("total", 0.0)
     total = len(instances)
+    correct = sum(flags)
 
     bucket_accuracy: dict[str, dict[str, dict[str, float]]] = {}
     if total >= 4:
@@ -305,28 +307,9 @@ def evaluate(
             labels = bucketize([getattr(size, attr) for size in sizes])
             per_bucket: dict[str, dict[str, float]] = {}
             for label in BUCKET_LABELS:
-                idx = [i for i, lab in enumerate(labels) if lab == label]
-                per_bucket[label] = {
-                    "count": len(idx),
-                    "accuracy": (sum(flags[i] for i in idx) / len(idx)) if idx else 0.0,
-                }
+                hits = [flag for flag, lab in zip(flags, labels) if lab == label]
+                per_bucket[label] = {"count": len(hits), "accuracy": sum(hits) / len(hits) if hits else 0.0}
             bucket_accuracy[metric] = per_bucket
-
-    ratios = [t["condensation_ratio"] for _, _, t in results if t.get("condensation_ratio") is not None]
-    recon = [
-        t["cost"]["parameters"]["e"]
-        for _, _, t in results
-        if isinstance(t.get("cost"), dict) and "e" in t["cost"].get("parameters", {})
-    ]
-    strategies = Counter(t.get("strategy") for _, _, t in results if t.get("strategy"))
-    predicted_total = 0.0
-    tallied_total = 0.0
-    for _, _, t in results:
-        cost = t.get("cost")
-        if isinstance(cost, dict) and cost.get("parameters"):
-            p = cost["parameters"]
-            predicted_total += predicted_cost(p["k"], p["n"], p["e"], p["a"], p["b"])
-            tallied_total += cost.get("total", 0.0)
 
     return EvalReport(
         total=total,
@@ -338,5 +321,5 @@ def evaluate(
         strategy_counts=dict(strategies),
         predicted_cost_total=predicted_total,
         tallied_cost_total=tallied_total,
-        error_records=sum(1 for _, answer, _ in results if answer is None),
+        error_records=errors,
     )

@@ -22,26 +22,29 @@ from .structure import (
 )
 from .trace import ReasoningTrace
 
+BACKEND_MODES = ("record", "replay", "passthrough")
+REASONING_TABLES = ("focus", "full")  # the table reasoning starts from
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     peek_size: int = DEFAULT_PEEK_SIZE
     b_max: int = DEFAULT_B_MAX
     executor: ExecutorProfile = field(default_factory=ExecutorProfile)
-    backend_mode: str = "replay"  # record | replay | passthrough
+    backend_mode: str = "replay"  # one of BACKEND_MODES
     cassette_path: str | None = None
     normalization: bool = True
     full_table_fallback: bool = True
-    reasoning_table: str = "focus"  # focus | full
+    reasoning_table: str = "focus"  # one of REASONING_TABLES
 
     def __post_init__(self) -> None:
         if self.peek_size < 1:
             raise ValueError("peek_size must be >= 1")
         if self.b_max < 1:
             raise ValueError("b_max must be >= 1")
-        if self.backend_mode not in ("record", "replay", "passthrough"):
+        if self.backend_mode not in BACKEND_MODES:
             raise ValueError(f"unknown backend mode: {self.backend_mode!r}")
-        if self.reasoning_table not in ("focus", "full"):
+        if self.reasoning_table not in REASONING_TABLES:
             raise ValueError(f"unknown reasoning table source: {self.reasoning_table!r}")
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import os
+import resource
 import signal
 import subprocess
 import tempfile
@@ -30,6 +31,7 @@ QUESTION_ENV = "TM_QUESTION"
 MEMORY_MB = 512  # address-space cap of a generated program
 MAX_OUTPUT_BYTES = 1024 * 1024  # cap on each file a generated program writes, stdout included
 TASK_KINDS = ("qa", "fact_verification")
+VERDICTS = ("True", "False")  # the answers a fact verification may give
 
 _ABSTAIN_MARKERS = (
     "cannot answer",
@@ -66,7 +68,7 @@ class Answer:
     def __post_init__(self) -> None:
         if self.task_kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind: {self.task_kind!r}")
-        if self.task_kind == "fact_verification" and not self.abstained and self.value not in ("True", "False"):
+        if self.task_kind == "fact_verification" and not self.abstained and self.value not in VERDICTS:
             raise ValueError("fact verification answers must be 'True' or 'False'")
 
 
@@ -159,17 +161,20 @@ def focus_as_csv(focus: TableOfFocus) -> str:
 
 
 def _limit_resources(timeout_s: float) -> None:
-    try:
-        import resource
-
-        for which, limit in (
-            (resource.RLIMIT_AS, MEMORY_MB * 1024 * 1024),
-            (resource.RLIMIT_FSIZE, MAX_OUTPUT_BYTES),
-            (resource.RLIMIT_CPU, math.ceil(timeout_s) + 1),
-        ):
+    """Set each limit on its own, so one the system refuses skips no other;
+    a finite hard limit below ours is kept, since only root may raise it."""
+    for which, limit in (
+        (resource.RLIMIT_AS, MEMORY_MB * 1024 * 1024),
+        (resource.RLIMIT_FSIZE, MAX_OUTPUT_BYTES),
+        (resource.RLIMIT_CPU, math.ceil(timeout_s) + 1),
+    ):
+        try:
+            hard = resource.getrlimit(which)[1]
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
             resource.setrlimit(which, (limit, limit))
-    except (ImportError, ValueError, OSError):
-        pass
+        except (ValueError, OSError):
+            pass
 
 
 def execute_program(
@@ -261,7 +266,7 @@ def format_answer(
     if task_kind == "fact_verification":
         try:
             verdict = gw.parse_choice(
-                formatted, ["True", "False"], synonyms={"yes": "True", "no": "False", "holds": "True"}
+                formatted, list(VERDICTS), synonyms={"yes": "True", "no": "False", "holds": "True"}
             )
         except gw.UnparseableReply:
             return Answer(value="", task_kind=task_kind, abstained=True)

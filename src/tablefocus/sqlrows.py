@@ -12,6 +12,7 @@ import re
 import sqlite3
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .normalize import NormalizedTable
 
@@ -50,10 +51,11 @@ class SqlSchema:
     columns: tuple[tuple[str, str, str], ...]  # (original header, sanitized name, kind)
 
     def describe(self) -> str:
-        """Human-readable schema summary used in SQL-generation prompts."""
+        """The schema as a valid CREATE TABLE statement, used in SQL-generation prompts."""
         lines = [f'CREATE TABLE {TABLE_NAME} (']
         for original, sanitized, kind in self.columns:
-            lines.append(f'  {sanitized} {_AFFINITY.get(kind, "TEXT")},  -- "{original}"')
+            original = original.replace("\n", " ")  # a line break would end the comment
+            lines.append(f'  {_as_written(sanitized)} {_AFFINITY.get(kind, "TEXT")},  -- "{original}"')
         lines.append(f"  {ROW_ID} INTEGER  -- synthetic 0-based row index")
         lines.append(")")
         return "\n".join(lines)
@@ -86,6 +88,19 @@ def sanitize_identifier(header: str, taken: set[str] | None = None) -> str:
             suffix += 1
         taken.add(name)
     return name
+
+
+@cache
+def _as_written(name: str) -> str:
+    """``name`` bare where SQLite reads it bare as a column, else double-quoted:
+    SQLite reads a keyword such as ``from``, ``when`` or ``true`` otherwise."""
+    conn = sqlite3.connect(":memory:")
+    try:
+        rows = conn.execute(f"SELECT {name} FROM (SELECT 'x' AS \"{name}\") WHERE {name} = 'x'").fetchall()
+    except sqlite3.Error:
+        rows = []
+    conn.close()
+    return name if rows == [("x",)] else f'"{name}"'
 
 
 def build_schema(table: NormalizedTable) -> SqlSchema:
@@ -230,6 +245,14 @@ def execute_row_lookup(table: NormalizedTable, sql: str, schema: SqlSchema | Non
     return RowSet(indices=tuple(sorted(indices)))
 
 
+# The first of these words that an SQLite error message holds gives its class.
+# A message with none is a syntax error if SQLite raised an OperationalError,
+# else a semantic one.
+_ERROR_WORDS = {"interrupted": SqlTimeout, "syntax error": SqlSyntaxError, "incomplete input": SqlSyntaxError,
+                "no such": SqlSemanticError, "ambiguous": SqlSemanticError,
+                "not authorized": SqlPolicyError, "prohibited": SqlPolicyError}
+
+
 def _run(conn: sqlite3.Connection, wrapped: str, original: str, m: int) -> set[int]:
     """The distinct row ids in ``range(m)`` that the query returns; kept as
     they stream in, so a runaway query holds at most ``m`` of them."""
@@ -249,19 +272,10 @@ def _run(conn: sqlite3.Connection, wrapped: str, original: str, m: int) -> set[i
             if 0 <= i < m:
                 indices.add(i)
         return indices
-    except sqlite3.OperationalError as exc:
-        message = str(exc)
-        if "interrupted" in message:
-            raise SqlTimeout(f"statement exceeded the time budget: {original!r}") from exc
-        if "syntax error" in message or "incomplete input" in message:
-            raise SqlSyntaxError(f"{message} in: {original!r}") from exc
-        if "no such" in message or "ambiguous" in message:
-            raise SqlSemanticError(f"{message} in: {original!r}") from exc
-        if "not authorized" in message or "prohibited" in message:
-            raise SqlPolicyError(f"{message} in: {original!r}") from exc
-        raise SqlSyntaxError(f"{message} in: {original!r}") from exc
     except sqlite3.DatabaseError as exc:
         message = str(exc)
-        if "not authorized" in message or "prohibited" in message:
-            raise SqlPolicyError(f"{message} in: {original!r}") from exc
-        raise SqlSemanticError(f"{exc} in: {original!r}") from exc
+        default = SqlSyntaxError if isinstance(exc, sqlite3.OperationalError) else SqlSemanticError
+        error = next((cls for word, cls in _ERROR_WORDS.items() if word in message), default)
+        if error is SqlTimeout:
+            raise SqlTimeout(f"statement exceeded the time budget: {original!r}") from exc
+        raise error(f"{message} in: {original!r}") from exc

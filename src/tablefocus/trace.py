@@ -18,6 +18,15 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def dumps(trace: dict[str, Any]) -> str:
+    """A trace as persisted: sorted keys, indent 2, non-ASCII kept; a trace file adds a final newline."""
+    return json.dumps(trace, indent=2, ensure_ascii=False, sort_keys=True)
+
+
+def write_json(path: str | Path, trace: dict[str, Any]) -> None:
+    Path(path).write_text(dumps(trace) + "\n", encoding="utf-8")
+
+
 @dataclass
 class ReasoningTrace:
     steps: list[dict[str, Any]] = field(default_factory=list)
@@ -84,7 +93,7 @@ class ReasoningTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False, sort_keys=True)
+        return dumps(self.to_dict())
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        write_json(path, self.to_dict())

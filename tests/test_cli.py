@@ -384,6 +384,16 @@ class TestNormalizeCommand:
         assert "| 1234 |" in captured.out
         assert "kind=integer" in captured.err
 
+    @pytest.mark.parametrize("text", ['{"header": ["a", "b"], "rows": 5}', '{"header": "ab", "rows": [["1", "2"]]}'])
+    def test_table_object_of_the_wrong_shape_is_error_exit(self, tmp_path, capsys, text):
+        table = tmp_path / "t.jsonl"
+        table.write_text(text + "\n")
+        code = main(["normalize", "--table", str(table), "--format", "jsonl-table"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestCassetteCommand:
     def test_inspect_and_prune(self, riders_setup, capsys):

@@ -104,6 +104,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_table('{"header": ["a"]}', format="jsonl-table")
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"header": "ab", "rows": [["1", "2"]]}', '{"header": ["a", "b"], "rows": 5}',
+         '{"header": ["a", "b"], "rows": ["12"]}', '{"header": {"a": 1}, "rows": []}'],
+    )
+    def test_jsonl_table_wrong_shape(self, text):
+        with pytest.raises(ParseError, match='"header" list and a "rows" list of lists'):
+            parse_table(text, format="jsonl-table")
+
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_table("   \n  ")

@@ -213,6 +213,17 @@ class TestLoadDataset:
         assert [i.id for i in instances] == ["i0"]
         assert skipped == 1
 
+    @pytest.mark.parametrize("table", [{"header": "ab", "rows": [["1", "2"]]}, {"header": ["a", "b"], "rows": 5},
+                                       {"header": ["a", "b"], "rows": ["12"]}])
+    def test_jsonl_skips_a_table_object_of_the_wrong_shape(self, tmp_path, table):
+        record = json.loads(_jsonl_record(1))
+        record["table"] = table
+        path = tmp_path / "d.jsonl"
+        path.write_text(_jsonl_record(0) + "\n" + json.dumps(record) + "\n")
+        instances, skipped = load_dataset(path, format="jsonl")
+        assert [i.id for i in instances] == ["i0"]
+        assert skipped == 1
+
     def test_instance_validation(self):
         with pytest.raises(ValueError):
             EvalInstance(id="x", table=Table.make(["a"], []), question="q", gold_answers=())
@@ -280,6 +291,49 @@ class TestEvaluate:
         assert report.correct == 3
         assert report.error_records == 1
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_report_rolls_up_every_kind_of_outcome(self, parallelism):
+        def cost(total, k, n, e, a, b):
+            return {"components": {}, "total": total, "parameters": {"k": k, "n": n, "e": e, "a": a, "b": b}}
+
+        outcomes = {
+            "i1": ("", {"strategy": "textual", "condensation_ratio": 0.25, "cost": cost(10.0, 1, 2, 0, 1, 1)}),
+            "i2": ("7", {"strategy": "symbolic"}),  # partial trace: no cost
+            "i3": ("7", {"strategy": "symbolic", "condensation_ratio": 0.5, "cost": cost(71.0, 5, 4, 2, 3, 2)}),
+            "i4": ("0", {"strategy": "textual", "condensation_ratio": 1.0, "cost": cost(36.0, 2, 3, 1, 2, 3)}),
+            "i5": ("7", {"strategy": None, "condensation_ratio": None, "cost": cost(6.0, 1, 2, 0, 0, 0)}),
+        }
+
+        def run(instance):
+            if instance.id == "i0":
+                raise RuntimeError("boom")
+            value, trace = outcomes[instance.id]
+            return Answer(value=value, task_kind="qa", abstained=not value), trace
+
+        report = evaluate(_instances(6), run, parallelism=parallelism)
+        by_rows = {
+            "small": {"count": 1, "accuracy": 0.0},
+            "medium": {"count": 2, "accuracy": 0.5},
+            "large": {"count": 1, "accuracy": 1.0},
+            "xl": {"count": 2, "accuracy": 0.5},
+        }
+        one_column = {"small": {"count": 6, "accuracy": 0.5}} | {
+            label: {"count": 0, "accuracy": 0.0} for label in ("medium", "large", "xl")
+        }
+        assert report.to_dict() == {
+            "total": 6,
+            "correct": 3,
+            "accuracy": 0.5,
+            "bucket_accuracy": {"rows": by_rows, "columns": one_column, "area": by_rows, "tokens": by_rows},
+            "mean_condensation_ratio": 1.75 / 3,
+            "mean_reconstructions": 0.75,
+            "strategy_counts": {"textual": 2, "symbolic": 2},
+            "predicted_cost_total": 8.5 + 71.0 + 36.0 + 6.0,
+            "tallied_cost_total": 10.0 + 71.0 + 36.0 + 6.0,
+            "error_records": 1,
+            "skipped_records": 0,
+        }
 
     def test_parallelism_matches_serial(self):
         instances = _instances(6)

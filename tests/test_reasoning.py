@@ -4,6 +4,7 @@ and the fallback ladder."""
 from __future__ import annotations
 
 import os
+import resource
 import signal
 import time
 
@@ -13,9 +14,11 @@ from tablefocus import gateway as gw
 from tablefocus.normalize import skip_normalization
 from tablefocus.reasoning import (
     MAX_OUTPUT_BYTES,
+    MEMORY_MB,
     Answer,
     ExecutionResult,
     ExecutorProfile,
+    _limit_resources,
     answer_adaptive,
     assess_strategy,
     execute_program,
@@ -180,6 +183,39 @@ class TestExecuteProgram:
     def test_runs_in_isolated_workdir(self):
         result = execute_program("import os; print(os.getcwd())", FOCUS)
         assert "tf-exec-" in result.answer_line
+
+
+class TestResourceLimits:
+    """``_limit_resources`` runs in the child; here the ``resource`` calls are stubbed, never made."""
+
+    def _attempts(self, monkeypatch, hard, failing=()):
+        attempts = []
+
+        def setrlimit(which, limits):
+            attempts.append((which, limits))
+            if which in failing:
+                raise ValueError("not allowed")
+
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (0, hard.get(which, resource.RLIM_INFINITY)))
+        monkeypatch.setattr(resource, "setrlimit", setrlimit)
+        _limit_resources(2.5)
+        return dict(attempts)
+
+    def test_each_limit_is_set(self, monkeypatch):
+        assert self._attempts(monkeypatch, {}) == {
+            resource.RLIMIT_AS: (MEMORY_MB * 1024 * 1024,) * 2,
+            resource.RLIMIT_FSIZE: (MAX_OUTPUT_BYTES,) * 2,
+            resource.RLIMIT_CPU: (4, 4),
+        }
+
+    def test_a_failing_limit_skips_no_other(self, monkeypatch):
+        attempts = self._attempts(monkeypatch, {}, failing=(resource.RLIMIT_AS,))
+        assert set(attempts) == {resource.RLIMIT_AS, resource.RLIMIT_FSIZE, resource.RLIMIT_CPU}
+
+    def test_a_finite_hard_limit_below_ours_is_kept(self, monkeypatch):
+        attempts = self._attempts(monkeypatch, {resource.RLIMIT_AS: 256 * 1024 * 1024, resource.RLIMIT_CPU: 60})
+        assert attempts[resource.RLIMIT_AS] == (256 * 1024 * 1024,) * 2
+        assert attempts[resource.RLIMIT_CPU] == (4, 4)
 
 
 class TestFormatAnswer:

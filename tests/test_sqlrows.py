@@ -172,6 +172,51 @@ class TestBuildSchema:
         assert "wins INTEGER" in text
         assert "_row_id" in text
 
+    def test_describe_is_valid_sql_for_keyword_and_multiline_headers(self):
+        headers = ["From", "To", "Order", "Group", "Index", "Set", "Case", "When", "Name\nin full"]
+        table = skip_normalization(Table.make(headers, [[str(j) for j in range(len(headers))], ["x"] * len(headers)]))
+        schema = build_schema(table)
+        text = schema.describe()
+        sqlite3.connect(":memory:").execute(text)
+        assert '-- "Name in full"' in text
+        assert [c[1] for c in schema.columns][:2] == ["from", "to"]  # identifiers are not renamed
+        for j, (_, name, _) in enumerate(schema.columns):
+            line = next(ln for ln in text.splitlines() if ln.strip().startswith((name + " ", f'"{name}" ')))
+            described = line.split()[0]
+            assert execute_row_lookup(table, f"SELECT * FROM t WHERE {described} = '{j}'", schema).indices == (0,)
+
+
+class _RaisingConnection:
+    def __init__(self, exc):
+        self.exc = exc
+
+    def execute(self, sql):
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc,expected",
+    [
+        (sqlite3.OperationalError("interrupted"), SqlTimeout),
+        (sqlite3.OperationalError('near "x": syntax error'), SqlSyntaxError),
+        (sqlite3.OperationalError("incomplete input"), SqlSyntaxError),
+        (sqlite3.OperationalError("no such column: x"), SqlSemanticError),
+        (sqlite3.OperationalError("ambiguous column name: x"), SqlSemanticError),
+        (sqlite3.OperationalError("not authorized"), SqlPolicyError),
+        (sqlite3.OperationalError("access to t.x is prohibited"), SqlPolicyError),
+        (sqlite3.OperationalError("too many terms in compound SELECT"), SqlSyntaxError),
+        (sqlite3.DatabaseError("not authorized"), SqlPolicyError),
+        (sqlite3.DatabaseError("access to t.x is prohibited"), SqlPolicyError),
+        (sqlite3.IntegrityError("datatype mismatch"), SqlSemanticError),
+        (sqlite3.DataError("string or blob too big"), SqlSemanticError),
+    ],
+)
+def test_sqlite_errors_map_to_their_class(exc, expected):
+    with pytest.raises(expected) as info:
+        sqlrows._run(_RaisingConnection(exc), "SELECT 1", "q", 3)
+    assert type(info.value) is expected
+    assert str(info.value).endswith("'q'") and info.value.__cause__ is exc
+
 
 class TestPolicy:
     def test_plain_select_passes(self):
