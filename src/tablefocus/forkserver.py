@@ -1,0 +1,189 @@
+"""Fork server for generated programs: one pre-started interpreter that forks
+once per program, so a run skips the interpreter's start-up.
+
+``reasoning.execute_program`` starts it as ``<command> forkserver.py <fd>``,
+where ``<fd>`` is the server's end of a control socket, with the environment
+a program gets: ``PATH``, and ``HOME`` at the first program's private work
+directory. Site, locale coercion, stdout encoding and the user site
+therefore come out as for a fresh ``python3 program.py``. The server imports no
+``tablefocus`` module, stays single-threaded, and exits when the owner's end
+of the control socket closes, killing the programs still running.
+
+Protocol. A run sends one byte on the control socket with two fds: the
+server's end of a per-run socket and the program's stdout file. It then
+writes the request, ``marshal``-ed ``(program path, environment, timeout)``,
+on the per-run socket and shuts down its writing side. On that socket the
+server answers with the child's pid once it has forked, and with the exit
+status ``Popen.returncode`` would give once it has reaped the child, each an
+int right-aligned in ``REPLY_BYTES``. A run that gets no pid never started.
+"""
+
+import atexit
+import builtins
+import gc
+import marshal
+import math
+import os
+import resource
+import signal
+import sys
+from importlib.machinery import SourceFileLoader
+
+MEMORY_MB = 512  # address-space cap of a generated program
+MAX_OUTPUT_BYTES = 1024 * 1024  # cap on each file a generated program writes, stdout included
+REPLY_BYTES = 12
+
+
+def _limit_resources(timeout_s: float) -> None:
+    """Set each limit on its own, so one the system refuses skips no other;
+    a finite hard limit below ours is kept, since only root may raise it."""
+    for which, limit in (
+        (resource.RLIMIT_AS, MEMORY_MB * 1024 * 1024),
+        (resource.RLIMIT_FSIZE, MAX_OUTPUT_BYTES),
+        (resource.RLIMIT_CPU, math.ceil(timeout_s) + 1),
+    ):
+        try:
+            hard = resource.getrlimit(which)[1]
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(which, (limit, limit))
+        except (ValueError, OSError):
+            pass
+
+
+def _exit_status(code: object) -> int:
+    """The exit status CPython gives ``SystemExit(code)``: an int that fits a
+    C long taken mod 256 (any other int as -1), any other value printed."""
+    if code is None:
+        return 0
+    if isinstance(code, int):
+        return (code if -(2**63) <= code < 2**63 else -1) & 0xFF
+    if sys.stderr is not None:
+        try:
+            print(code, file=sys.stderr)
+        except (OSError, ValueError):  # CPython ignores a failure to print it
+            pass
+    return 1
+
+
+def _run_main(path: str) -> int:
+    """Run ``path`` as ``python3 path`` runs it and end as CPython ends.
+
+    After the program come the threading shutdown, ``atexit`` and the flush
+    of stdout and stderr (a failed flush gives 120), as in
+    ``Py_FinalizeEx``. The rest of the teardown is skipped: in a fork it
+    would copy most of the server's memory for nothing.
+    """
+    main = type(sys)("__main__")
+    main.__dict__.update(__annotations__={}, __builtins__=builtins, __file__=path, __cached__=None)
+    main.__loader__ = SourceFileLoader("__main__", path)
+    sys.modules["__main__"] = main
+    sys.argv = [path]
+    if not (sys.flags.isolated or getattr(sys.flags, "safe_path", False)):  # -I and -P leave the script's directory out
+        sys.path[0] = os.path.dirname(path)
+    status, interrupted = 0, False
+    try:
+        with open(path, "rb") as fh:
+            code = compile(fh.read(), path, "exec", dont_inherit=True)
+        exec(code, main.__dict__)
+    except SystemExit as exc:
+        status = _exit_status(exc.code)
+    except BaseException as exc:  # whatever the program lets escape ends it, as in CPython
+        interrupted = type(exc) is KeyboardInterrupt
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        status = 1
+    threading = sys.modules.get("threading")
+    if threading is not None:
+        threading._shutdown()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not getattr(stream, "closed", False):
+                stream.flush()
+        except (OSError, ValueError):
+            status = 120
+    if interrupted:  # CPython re-raises SIGINT so the status tells of the interrupt
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+    return status
+
+
+def _child(path: str, env: dict, timeout_s: float, out: int, inherited: list) -> int:
+    """Set up the forked child as the program's own process and run it."""
+    os.setsid()
+    _limit_resources(timeout_s)
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    for sock in inherited:
+        sock.close()
+    os.dup2(out, 1)
+    os.close(out)
+    os.chdir(os.path.dirname(path))
+    os.environ.update(env)
+    return _run_main(path)
+
+
+def _reply(conn, value: int) -> bool:
+    """Send ``value`` to the run's caller; False if it has gone."""
+    try:
+        conn.sendall(b"%*d" % (REPLY_BYTES, value))
+    except OSError:
+        return False
+    return True
+
+
+def serve(ctrl_fd: int) -> None:
+    """Fork one child per request until the owner's end of the control socket closes."""
+    import select  # here, not at the top: the callers that import this module only for its limits do not need them
+    import socket
+
+    ctrl = socket.socket(fileno=ctrl_fd)
+    wake_r, wake_w = socket.socketpair()
+    wake_w.setblocking(False)
+    signal.set_wakeup_fd(wake_w.fileno())
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)  # only so SIGCHLD wakes the select
+    runs = {}  # pid of each running child -> its run's socket
+    while True:
+        ready = select.select([ctrl, wake_r], [], [])[0]
+        if wake_r in ready:
+            wake_r.recv(4096)
+            while runs:
+                pid, status = os.waitpid(-1, os.WNOHANG)
+                if not pid:
+                    break
+                conn = runs.pop(pid)
+                _reply(conn, os.waitstatus_to_exitcode(status))
+                conn.close()
+        if ctrl not in ready:
+            continue
+        data, fds, _, _ = socket.recv_fds(ctrl, 1, 2)
+        if not data:
+            for pid in runs:
+                try:
+                    os.killpg(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+            return
+        conn, out = socket.socket(fileno=fds[0]), fds[1]
+        try:
+            path, env, timeout_s = marshal.loads(b"".join(iter(lambda: conn.recv(65536), b"")))
+            gc.freeze()  # the child's collections then skip, and do not copy, the server's objects
+            pid = os.fork()
+        except (EOFError, ValueError, TypeError, OSError):  # a run cut short, or no fork
+            conn.close()
+            os.close(out)
+            continue
+        if pid == 0:
+            status = 127
+            try:
+                status = _child(path, env, timeout_s, out, [ctrl, conn, wake_r, wake_w, *runs.values()])
+            finally:
+                os._exit(status)
+        os.close(out)
+        if not _reply(conn, pid):
+            os.kill(pid, signal.SIGKILL)
+        runs[pid] = conn
+
+
+if __name__ == "__main__":
+    serve(int(sys.argv[1]))

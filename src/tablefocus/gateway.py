@@ -7,7 +7,6 @@ record/replay cassette that makes every pipeline path deterministic under test.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -17,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
-from .trace import ReasoningTrace
+from .trace import ReasoningTrace, sha256
 
 TEMPLATE_IDS = (
     "structure_extraction",
@@ -127,7 +126,7 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
 
 def request_key(request: LmRequest) -> str:
     """Stable 256-bit cassette key over (template_id, rendered text)."""
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(request.template_id.encode("utf-8"))
     digest.update(b"\x00")
     digest.update(request.rendered.encode("utf-8"))

@@ -7,15 +7,23 @@ hashes and reply digests, never wall-clock timings or filesystem paths.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+# CPython's built-in SHA-256: hashlib would also load OpenSSL, about 3.6 MB resident.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
+
 
 def digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def dumps(trace: dict[str, Any]) -> str:

@@ -193,6 +193,22 @@ class TestLoadDataset:
         assert instances[1].gold_answers == ("False",)
         assert instances[0].table.headers == ("a", "b")
 
+    @pytest.mark.parametrize(
+        "text, headers, rows",
+        [
+            ("team,score\n#1 seed,3\nother,4\n", ("team", "score"), (("#1 seed", "3"), ("other", "4"))),
+            ("#,team,score\n1,a,3\n", ("#", "team", "score"), (("1", "a", "3"),)),
+            ("team#score\nsmith, john#3\n", ("team", "score"), (("smith, john", "3"),)),
+        ],
+    )
+    def test_tabfact_delimiter_is_read_from_the_header_line(self, tmp_path, text, headers, rows):
+        (tmp_path / "tables").mkdir()
+        (tmp_path / "tables" / "t1.csv").write_text(text)
+        (tmp_path / "collected.json").write_text(json.dumps({"t1.csv": [["claim"], [1], "caption"]}))
+        instances, skipped = load_dataset(tmp_path / "collected.json", format="tabfact-json")
+        assert skipped == 0
+        assert (instances[0].table.headers, instances[0].table.rows) == (headers, rows)
+
     def test_tabfact_entry_with_unequal_lists_is_skipped_whole(self, tmp_path):
         (tmp_path / "tables").mkdir()
         (tmp_path / "tables" / "t1.csv").write_text("a#b\n1#2\n")

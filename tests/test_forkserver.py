@@ -1,0 +1,211 @@
+"""The fork server runs a generated program as a fresh ``python3 program.py``
+would: same stdout and exit status over a corpus, run concurrently, and no
+server left behind."""
+
+from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+from tablefocus import reasoning
+from tablefocus.core import Table
+from tablefocus.evaluation import EvalInstance, evaluate
+from tablefocus.forkserver import MAX_OUTPUT_BYTES, _limit_resources
+from tablefocus.normalize import skip_normalization
+from tablefocus.reasoning import Answer, ExecutorProfile, execute_program, focus_as_csv
+from tablefocus.sqlrows import RowSet
+from tablefocus.structure import construct_focus
+
+from conftest import RIDERS_TABLE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+STORES = Table.make(
+    ["Store", "Units", "Revenue", "Opened"],
+    [
+        ["Acme 1", "120", "1500.25", "1998-03-04"],
+        ["Acme 2", "80", "990.10", "2004-11-30"],
+        ["Acme 3", "45", "310.00", "1987-06-15"],
+    ],
+)
+FOCUS = construct_focus(skip_normalization(STORES), RowSet(indices=(0, 1, 2)), list(STORES.headers))
+
+
+def _reference_execute(program, focus, profile=ExecutorProfile(), question=""):
+    """The executor before the fork server: a fresh interpreter per program,
+    its limits set by ``preexec_fn``. Returns (stdout, exit status, timed out)."""
+    with tempfile.TemporaryDirectory(prefix="tf-exec-") as workdir:
+        program_path = os.path.join(workdir, "program.py")
+        table_path = os.path.join(workdir, "table.csv")
+        with open(program_path, "w", encoding="utf-8") as fh:
+            fh.write(program)
+        with open(table_path, "w", encoding="utf-8") as fh:
+            fh.write(focus_as_csv(focus))
+        env = {
+            "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+            "HOME": workdir,
+            reasoning.TABLE_PATH_ENV: table_path,
+            reasoning.QUESTION_ENV: question,
+        }
+        with tempfile.TemporaryFile(dir=workdir) as out:
+            try:
+                proc = subprocess.Popen(
+                    list(profile.command) + [program_path],
+                    cwd=workdir,
+                    env=env,
+                    stdout=out,
+                    stderr=subprocess.DEVNULL,
+                    start_new_session=True,
+                    preexec_fn=lambda: _limit_resources(profile.timeout_s),
+                )
+            except OSError:
+                return "", 127, False
+            waiter = threading.Thread(target=proc.wait, daemon=True)
+            waiter.start()
+            waiter.join(profile.timeout_s)
+            timed_out = waiter.is_alive()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            waiter.join()
+            out.seek(0)
+            stdout = out.read(MAX_OUTPUT_BYTES).decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+        return stdout, -1 if timed_out else proc.returncode, timed_out
+
+
+_HEAD = 'import csv\nimport os\n{extra}\nwith open(os.environ["TM_TABLE_PATH"], newline="") as fh:\n    rows = list(csv.DictReader(fh))\n'
+
+CORPUS = {
+    "no trailing newline": "print('partial', end='')",
+    "exit None": "import sys\nprint('a')\nsys.exit(None)",
+    "exit 3": "import sys\nsys.exit(3)",
+    "exit 256": "import sys\nsys.exit(256)",
+    "exit message": "import sys\nprint('before')\nsys.exit('msg')",
+    "uncaught ValueError": "print('x')\nraise ValueError('bad')",
+    "KeyboardInterrupt": "print('k')\nraise KeyboardInterrupt",
+    "RecursionError": "def f(n):\n    return f(n + 1)\nprint('deep')\nf(0)",
+    "os._exit": "import os, sys\nprint('lost in the buffer')\nsys.stdout.flush()\nprint('and this')\nos._exit(5)",
+    "late thread": (
+        "import threading, time\n"
+        "def late():\n    time.sleep(0.2)\n    print('late')\n"
+        "threading.Thread(target=late).start()\nprint('main')"
+    ),
+    "atexit": "import atexit\natexit.register(lambda: print('at exit'))\nprint('main')",
+    "over 1 MiB": "print('x' * (2 * 1024 * 1024))",
+    "MemoryError": "print('before')\nblock = bytearray(600 * 1024 * 1024)\nprint('after')",
+    "interpreter state": (
+        "import os, sys\n"
+        "rel = {'HOME', 'TM_TABLE_PATH'}\n"
+        "print(__name__, os.path.relpath(__file__), [os.path.relpath(a) for a in sys.argv])\n"
+        "print(os.path.relpath(os.getcwd()), os.path.relpath(sys.path[0]), sys.stdout.encoding)\n"
+        "print(sorted((k, os.path.relpath(v) if k in rel else v) for k, v in os.environ.items()))\n"
+        "print(sorted((k, type(v).__name__) for k, v in globals().items() if k != 'rel'))\n"
+    ),
+    "helper module": "with open('helper.py', 'w') as fh:\n    fh.write('X = 41\\n')\nimport helper\nprint(helper.X + 1)",
+    "units total": _HEAD.format(extra="") + 'print(sum(int(r["Units"]) for r in rows))\n',
+    "revenue total": _HEAD.format(extra="from decimal import Decimal\n")
+    + 'print(sum((Decimal(r["Revenue"]) for r in rows), Decimal("0.00")))\n',
+    "opened before": _HEAD.format(extra="") + 'print(sum(1 for r in rows if r["Opened"] < "2000-01-01"))\n',
+    "exec failure": "import sys\nsys.exit(3)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_fork_server_matches_a_fresh_interpreter(name):
+    program = CORPUS[name]
+    result = execute_program(program, FOCUS, question="How many?")
+    expected = _reference_execute(program, FOCUS, question="How many?")
+    assert (result.stdout, result.exit_status, result.timed_out) == expected
+
+
+@pytest.mark.parametrize("name", ["interpreter state", "helper module"])
+def test_an_isolated_interpreter_matches_too(name):
+    profile = ExecutorProfile(command=("python3", "-I"))
+    result = execute_program(CORPUS[name], FOCUS, profile=profile)
+    assert (result.stdout, result.exit_status, result.timed_out) == _reference_execute(CORPUS[name], FOCUS, profile)
+
+
+def test_corpus_covers_each_exit_path():
+    statuses = {name: _reference_execute(CORPUS[name], FOCUS)[1] for name in ("exit 256", "KeyboardInterrupt", "os._exit")}
+    assert statuses == {"exit 256": 0, "KeyboardInterrupt": -signal.SIGINT, "os._exit": 5}
+
+
+def test_runs_in_flight_do_not_wait_for_each_other():
+    execute_program("pass", FOCUS)  # the server's start-up is not what is timed
+    instance = EvalInstance(id="sleep", table=RIDERS_TABLE, question="q", gold_answers=("0",))
+
+    def run(instance):
+        result = execute_program("import time\ntime.sleep(0.5)\nprint(0)", FOCUS)
+        return Answer(value=result.answer_line, task_kind="qa"), {}
+
+    start = time.monotonic()
+    report = evaluate([instance, instance], run, parallelism=2)
+    assert time.monotonic() - start < 0.9
+    assert report.accuracy == 1.0
+
+
+def test_concurrent_runs_each_get_their_own_output():
+    """Eight threads share one server, started cold under a racing first call."""
+    running = reasoning._servers.get(ExecutorProfile().command)
+    if running is not None:
+        os.kill(running[0], signal.SIGKILL)
+        os.waitpid(running[0], 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            lines = list(pool.map(lambda i: execute_program(f"print({i})", FOCUS).answer_line, range(40)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert lines == [str(i) for i in range(40)]
+
+
+def test_a_killed_server_is_restarted_on_the_next_run():
+    assert execute_program("print(1)", FOCUS).answer_line == "1"
+    pid, _ = reasoning._servers[ExecutorProfile().command]
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    result = execute_program("print(2)", FOCUS)
+    assert (result.exit_status, result.answer_line) == (0, "2")
+
+
+def _owner(code: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that can import tablefocus and this module."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, **kwargs)
+
+
+def test_stdin_is_empty_not_the_callers():
+    code = (
+        "from tablefocus.reasoning import execute_program\n"
+        "from test_forkserver import FOCUS\n"
+        "print(execute_program('import sys; print(repr(sys.stdin.read()))', FOCUS).answer_line)\n"
+    )
+    completed = _owner(code, input="the caller's input")
+    assert completed.stdout.strip() == "''", completed.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_no_server_outlives_its_owner():
+    code = (
+        "from tablefocus import reasoning\n"
+        "from test_forkserver import FOCUS\n"
+        "assert reasoning.execute_program('print(1)', FOCUS).answer_line == '1'\n"
+        "print(reasoning._servers[reasoning.ExecutorProfile().command][0])\n"
+    )
+    completed = _owner(code)
+    assert completed.returncode == 0, completed.stderr
+    pid = int(completed.stdout)
+    deadline = time.monotonic() + 2.0
+    while os.path.exists(f"/proc/{pid}") and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not os.path.exists(f"/proc/{pid}"), "the fork server outlived its owner"

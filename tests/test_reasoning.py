@@ -11,14 +11,13 @@ import time
 import pytest
 
 from tablefocus import gateway as gw
+from tablefocus.forkserver import MEMORY_MB, _limit_resources
 from tablefocus.normalize import skip_normalization
 from tablefocus.reasoning import (
     MAX_OUTPUT_BYTES,
-    MEMORY_MB,
     Answer,
     ExecutionResult,
     ExecutorProfile,
-    _limit_resources,
     answer_adaptive,
     assess_strategy,
     execute_program,

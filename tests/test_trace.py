@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from tablefocus.trace import ReasoningTrace, digest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestTrace:
@@ -57,3 +63,15 @@ class TestTrace:
 
     def test_digest_is_sha256_hex(self):
         assert digest("") == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+def test_importing_the_package_loads_neither_openssl_nor_a_thread_pool():
+    code = "import sys, tablefocus; print(sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules)))"
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert completed.stdout.strip() == "[]", completed.stderr
