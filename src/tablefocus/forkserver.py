@@ -5,9 +5,11 @@ once per program, so a run skips the interpreter's start-up.
 where ``<fd>`` is the server's end of a control socket, with the environment
 a program gets: ``PATH``, and ``HOME`` at the first program's private work
 directory. Site, locale coercion, stdout encoding and the user site
-therefore come out as for a fresh ``python3 program.py``. The server imports no
-``tablefocus`` module, stays single-threaded, and exits when the owner's end
-of the control socket closes, killing the programs still running.
+therefore come out as for a fresh ``python3 program.py``. ``PYTHONHASHSEED=0``,
+dropped from the server's environment before it serves, gives every program
+hash seed 0. The server imports no ``tablefocus`` module, stays
+single-threaded, and exits when the owner's end of the control socket
+closes, killing the programs still running.
 
 Protocol. A run sends one byte on the control socket with two fds: the
 server's end of a per-run socket and the program's stdout file. It then
@@ -137,6 +139,7 @@ def serve(ctrl_fd: int) -> None:
     import select  # here, not at the top: the callers that import this module only for its limits do not need them
     import socket
 
+    os.environ.pop("PYTHONHASHSEED", None)  # it seeded this interpreter; a program's environment is as given
     ctrl = socket.socket(fileno=ctrl_fd)
     wake_r, wake_w = socket.socketpair()
     wake_w.setblocking(False)

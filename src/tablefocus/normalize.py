@@ -11,9 +11,9 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import cached_property
-from itertools import islice, repeat, takewhile
-from operator import not_
-from typing import Callable, Iterable
+from itertools import repeat, takewhile
+from operator import itemgetter, not_
+from typing import Iterable, Sequence
 
 from .core import Table, transpose
 
@@ -29,11 +29,10 @@ _SPACES = (
 # A stripped cell's number is the cell without its leading currency signs and
 # the spaces after each: its lstrip of these characters.
 _NUMBER_LEAD = _CURRENCY + _SPACES
-_INT = r"[+-]?(?:\d{1,3}(?:,\d{3})*|\d+)"
+_INT = r"[+-]?(?:\d+|\d{1,3}(?:,\d{3})*)"
 _DEC = r"[+-]?(?:\d{1,3}(?:,\d{3})*\.\d+|\d+\.\d+|\.\d+)"
 _IS_INT = re.compile(_INT).fullmatch
 _IS_DEC = re.compile(_DEC).fullmatch
-_IS_NUMBER = re.compile(f"{_INT}|{_DEC}").fullmatch
 
 # Ambiguous numeric day/month forms are read month-first.
 _DATE_FORMATS = (
@@ -78,22 +77,33 @@ def _date_pattern(fmt: str, directives: dict[str, str], space: str) -> str:
 
 _DATE_SHAPES = tuple((fmt, re.compile(_date_pattern(fmt, _DIRECTIVE_SHAPES, r"\s+"))) for fmt in _DATE_FORMATS)
 _ANY_DATE_SHAPE = re.compile("|".join(f"(?P<f{i}>{shape.pattern})" for i, (_, shape) in enumerate(_DATE_SHAPES)))
-# Every shape holds a "-", "/" or "," or two whitespace runs, so a cell without
-# them skips the shape union, which is slow to reject a plain word.
-_MAY_BE_DATE = re.compile(r"[-/,]|\s.*\s").search
+# Every shape holds a "-", "/" or "," or two whitespace characters, so a cell
+# without them skips the shape union, which is slow to reject a plain word. The
+# test scans from the left without backtracking, up to the first of those
+# characters or the second whitespace character.
+_DATE_MARK = r"[^-/,\s]*+(?:[-/,]|\s[^-/,\s]*+[-/,\s])"
+_MAY_BE_DATE = re.compile(_DATE_MARK).match
+# Whether a stripped cell may be a number or a date: a number without the
+# marks of a date is its currency signs and spaces, then "+" or not, then
+# digits with at most one ".".
+_MAY_HAVE_FORM = re.compile(rf"{_DATE_MARK}|[{_CURRENCY}\s]*+\+?\d*\.?\d+\Z").match
 
 
 def _ascii_date(i: int, fmt: str) -> tuple[int, re.Pattern, tuple]:
-    """Format ``i``, its ASCII pattern and where the pattern's groups() hold
-    the year, the month and the day. No string this pattern fullmatches fits
-    an earlier format's shape, so ``_ANY_DATE_SHAPE`` names format ``i``, or
-    a twin with the same shape and pattern, first for each of them."""
+    """Format ``i``, its ASCII pattern and the pattern's group numbers of the
+    year, the month and the day. No string this pattern fullmatches fits an
+    earlier format's shape, so ``_ANY_DATE_SHAPE`` names format ``i``, or a
+    twin with the same shape and pattern, first for each of them."""
     pattern = re.compile(_date_pattern(fmt, _ASCII_DIRECTIVES, r"[ \t\n\r\f\v]+"))
-    at = {name: number - 1 for name, number in pattern.groupindex.items()}
+    at = pattern.groupindex
     return i, pattern, (at.get("Y", at.get("y")), at.get("m", at.get("b")), at["d"], "y" in at, "b" in at)
 
 
 _ASCII_DATES = {f"f{i}": _ascii_date(i, fmt) for i, fmt in enumerate(_DATE_FORMATS)}
+# Each %y year as strptime reads it: 00-68 in 2000-2068, 69-99 in 1969-1999.
+_PIVOT = {f"{y:02d}": str(y + 2000 if y <= 68 else y + 1900) for y in range(100)}
+# Each day or month field the ASCII patterns allow, as two digits.
+_TWO_DIGITS = {field: f"{n:02d}" for n in range(1, 32) for field in (str(n), f"{n:02d}", f" {n}")}
 
 
 @dataclass(frozen=True)
@@ -142,9 +152,9 @@ class NormalizedTable:
         for j, (kind, renames) in enumerate(zip(self.column_kinds, self.renames)):
             notes = list(renames)
             if kind.kind in _KINDS:
-                k = _KINDS.index(kind.kind)
-                for i, cell in enumerate(self.source.column(j)):
-                    parsed = parses[cell][k]
+                cells = self.source.column(j)
+                _, forms = parses.column(cells)
+                for i, (cell, parsed) in enumerate(zip(cells, forms[_KINDS.index(kind.kind)])):
                     if parsed is None:
                         notes.append(f"row {i + 1}: kept verbatim (not parseable as {kind.kind})")
                     elif parsed != cell:
@@ -159,41 +169,23 @@ class NormalizedTable:
         )
 
 
-def parse_integer(cell: str) -> str | None:
-    """Canonical integer form of a cell, or None if it is not an integer."""
-    return _Parses()[cell][0]
-
-
-def parse_decimal(cell: str) -> str | None:
-    return _Parses()[cell][1]
-
-
-def parse_date(cell: str) -> str | None:
-    """ISO-8601 form of a date cell, or None."""
-    return _Parses()[cell][2]
-
-
 # The order of the parsed forms; on a tie the earlier, more specific kind wins
 # (integers also parse as decimals).
 _KINDS = ("integer", "decimal", "date")
 
 
-def _misses(hits: Iterable[object]) -> int:
-    """How many items of ``hits`` are falsy before the first truthy one."""
-    return len(list(takewhile(not_, hits)))
-
-
 class _Parses(dict):
     """Memo for one call: cell -> its (integer, decimal, date) canonical forms,
     None where the cell does not parse as that kind. ``months`` maps each
-    month word seen to its month number, or None when it names no month.
+    month word seen to its month as two digits, or None when it names none.
 
-    ``__missing__`` classifies one cell and is the reference; ``classify``
-    settles a column's cells in one pass where they share one form."""
+    ``__missing__`` classifies one cell and is the reference; ``column``
+    classifies a column's cells run by run, and only the first cell of each
+    run enters the memo."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.months: dict[str, int | None] = {}
+        self.months: dict[str, str | None] = {}
 
     def __missing__(self, cell: str) -> tuple[str | None, str | None, str | None]:
         s = cell.strip()
@@ -209,77 +201,83 @@ class _Parses(dict):
         self[cell] = parsed
         return parsed
 
-    def classify(self, cells: list[str]) -> bool:
-        """Settle the distinct cells of a column that are new to the memo. The
-        first goes through ``__missing__``; one check for its form then settles
-        the cells after it in bulk, up to the first of another form, which is
-        left to ``__missing__`` with the cells after it. The forms: integers,
-        decimals, no form (no number, and nothing every date shape holds), or
-        dates in the first cell's format in ASCII form.
+    def column(self, cells: Sequence[str]) -> tuple[list[int], tuple[list, list, list]]:
+        """A column's tally, how many of its cells parse as each kind of
+        ``_KINDS``, and the forms of each kind of its cells, in cell order.
 
-        Returns whether every distinct cell was new and now shares the first
-        cell's form."""
-        distinct = dict.fromkeys(cells)
-        new = [cell for cell in distinct if cell not in self]
-        if not new:
-            return False
-        integer, decimal, dated = self.__missing__(new[0])
-        rest = new[1:]
+        The cells go in runs. A run's first cell is read from the memo; one
+        C-level check for its form then reads the cells after it, up to the
+        first of another form, which starts the next run. The forms:
+        integers, decimals, no form (no number, and nothing every date shape
+        holds), or dates in the first cell's format in ASCII form. A column
+        whose cells share one form is one run. A run pays for itself over
+        about eight cells, so the cells go on one by one, through the memo,
+        from where fewer than eight are left or, after three runs, from where
+        the runs average fewer than eight."""
+        forms: tuple[list, list, list] = ([], [], [])
+        start = runs = 0
+        while len(cells) - start >= 8 and (runs < 3 or start >= 8 * runs):
+            parsed = self[cells[start]]
+            run = self._run(parsed, cells[start], map(cells.__getitem__, range(start + 1, len(cells))))
+            for out, first, rest in zip(forms, parsed, run):
+                out.append(first)
+                out.extend(rest)
+            start += 1 + len(run[0])
+            runs += 1
+        if start < len(cells):
+            for out, rest in zip(forms, zip(*map(self.__getitem__, cells[start:]))):
+                out.extend(rest)
+        return [len(cells) - out.count(None) for out in forms], forms
+
+    def _run(self, parsed: tuple, cell: str, cells: Iterable[str]) -> tuple[list, list, list]:
+        """The forms of each kind of the ``cells`` that share the form of
+        ``cell``, whose forms are ``parsed``, up to the first that does not."""
+        integer, decimal, dated = parsed
+        stripped = map(str.strip, cells)
         if dated is not None:
-            settled = self._dates(rest, new[0].strip())
-        elif decimal is None:
-            # The number test is the cheaper, so it runs first and bounds the date test.
-            stripped = list(map(str.strip, rest))
-            settled = _misses(map(_IS_NUMBER, map(str.lstrip, stripped, repeat(_NUMBER_LEAD))))
-            settled = _misses(map(_MAY_BE_DATE, islice(stripped, settled)))
-            self.update(zip(rest, repeat((None, None, None), settled)))
-        elif integer is not None:
-            numbers = takewhile(_IS_INT, map(str.lstrip, map(str.strip, rest), repeat(_NUMBER_LEAD)))
-            integers = [str(int(number.replace(",", ""))) for number in numbers]
-            settled = len(integers)
-            self.update(zip(rest, zip(integers, integers, repeat(None))))
-        else:
-            numbers = takewhile(_IS_DEC, map(str.lstrip, map(str.strip, rest), repeat(_NUMBER_LEAD)))
-            decimals = [number.replace(",", "") for number in numbers]
-            settled = len(decimals)
-            self.update(zip(rest, zip(repeat(None), decimals, repeat(None))))
-        return settled == len(rest) and len(new) == len(distinct)
+            # None of them is a number: every format puts a "-", "/" or letters between two fields.
+            _, ascii_date, layout = _ASCII_DATES[_ANY_DATE_SHAPE.fullmatch(cell.strip()).lastgroup]
+            dates = self._built(takewhile(bool, map(ascii_date.fullmatch, stripped)), layout)
+            return [None] * len(dates), [None] * len(dates), dates
+        if decimal is None:
+            none = [None] * len(list(takewhile(not_, map(_MAY_HAVE_FORM, stripped))))
+            return none, none, none
+        numbers = map(str.lstrip, stripped, repeat(_NUMBER_LEAD))
+        if integer is not None:
+            integers = list(map(str, map(int, map(str.replace, takewhile(_IS_INT, numbers), repeat(","), repeat("")))))
+            return integers, integers, [None] * len(integers)
+        decimals = list(map(str.replace, takewhile(_IS_DEC, numbers), repeat(","), repeat("")))
+        return [None] * len(decimals), decimals, [None] * len(decimals)
 
-    def _dates(self, rest: list[str], first: str) -> int:
-        """Settle the cells of ``rest`` that fullmatch the format of the date
-        ``first`` in ASCII form and name a real date, up to the first that
-        does not, and return how many were settled. None of them is a
-        number: every format puts a "-", "/" or letters between two fields."""
-        _, ascii_date, layout = _ASCII_DATES[_ANY_DATE_SHAPE.fullmatch(first).lastgroup]
-        dates = []
-        for fields in map(ascii_date.fullmatch, map(str.strip, rest)):
-            built = None if fields is None else self._built(fields.groups(), layout)
-            if built is None:
-                break
-            dates.append(built)
-        self.update(zip(rest, zip(repeat(None), repeat(None), dates)))
-        return len(dates)
-
-    def _built(self, fields: tuple[str, ...], layout: tuple) -> str | None:
-        """The ISO date that an ASCII date match's ``fields`` name, or None when
-        its word names no month or the date does not exist."""
+    def _built(self, matches: Iterable[re.Match], layout: tuple) -> list[str]:
+        """The ISO dates that ASCII date ``matches`` name, up to the first
+        whose word names no month or whose date does not exist."""
         year_at, month_at, day_at, two_digit, word = layout
-        year = int(fields[year_at])
+        fields = list(matches)
+        years = list(map(itemgetter(year_at), fields))
         if two_digit:
-            year += 2000 if year <= 68 else 1900  # strptime's %y pivot
+            years = list(map(_PIVOT.__getitem__, years))
+        months = map(itemgetter(month_at), fields)
         if word:
-            name = fields[month_at]
-            if name not in self.months:
+            words = list(months)
+            for name in set(words).difference(self.months):
                 self.months[name] = _month_number(name)
-            month = self.months[name]
-            if month is None:
-                return None
+            months = map(self.months.__getitem__, words)
         else:
-            month = int(fields[month_at])
-        try:
-            return date(year, month, int(fields[day_at])).isoformat()
-        except ValueError:
-            return None
+            months = map(_TWO_DIGITS.__getitem__, months)
+        days = list(map(_TWO_DIGITS.__getitem__, map(itemgetter(day_at), fields)))
+        built: list[str] = []
+        try:  # extend keeps what the map gave before it raised, here at a month of None
+            built.extend(map("-".join, zip(years, months, days)))
+        except TypeError:
+            pass
+        if "0000" in years or max(days, default="") > "28":  # then some may name no date
+            real: list[date] = []
+            try:
+                real.extend(map(date.fromisoformat, built))
+            except ValueError:
+                del built[len(real) :]
+        return built
 
     def _date(self, s: str) -> str | None:
         shape = _ANY_DATE_SHAPE.fullmatch(s) if _MAY_BE_DATE(s) else None
@@ -287,8 +285,8 @@ class _Parses(dict):
             return None
         first, ascii_date, layout = _ASCII_DATES[shape.lastgroup]
         fields = ascii_date.fullmatch(s)
-        if fields is not None and (built := self._built(fields.groups(), layout)) is not None:
-            return built
+        if fields is not None and (built := self._built([fields], layout)):
+            return built[0]
         # No earlier format's shape fits, so strptime starts at the first that does.
         for fmt, shape in _DATE_SHAPES[first:]:
             if not shape.fullmatch(s):
@@ -300,31 +298,18 @@ class _Parses(dict):
         return None
 
 
-def _month_number(word: str) -> int | None:
-    """The month ``word`` names as strptime reads it: abbreviated, else in full.
+def _month_number(word: str) -> str | None:
+    """The month ``word`` names as strptime reads it, as two digits:
+    abbreviated, else in full.
 
     Each %B format follows its %b twin, whose shape is the same, so strptime
     also tries the abbreviation first."""
     for directive in ("%b", "%B"):
         try:
-            return datetime.strptime(word, directive).month
+            return f"{datetime.strptime(word, directive).month:02d}"
         except ValueError:
             continue
     return None
-
-
-def _tally(cells: list[str], parses: _Parses) -> list[int]:
-    """A column's tally: how many of its cells parse as each kind of ``_KINDS``."""
-    forms = zip(*[parses[cell] for cell in cells])
-    return [len(cells) - form.count(None) for form in forms] if cells else [0] * len(_KINDS)
-
-
-def _counts(cells: list[str], parses: _Parses) -> list[int]:
-    """``_tally`` of a column that ``parses.classify`` settles first; a
-    column whose cells it finds all of one form is tallied from its first."""
-    if parses.classify(cells):
-        return [len(cells) * (form is not None) for form in parses[cells[0]]]
-    return _tally(cells, parses)
 
 
 def _kind(counts: list[int], n: int) -> ColumnKind:
@@ -348,25 +333,32 @@ def infer_column_kind(cells: list[str]) -> ColumnKind:
     """
     if not cells:
         raise ValueError("cannot infer kind of an empty column")
-    return _kind(_counts(cells, _Parses()), len(cells))
+    return _kind(_Parses().column(cells)[0], len(cells))
 
 
-def _scored(
-    table: Table, parses: _Parses, count: Callable[[list[str], _Parses], list[int]]
-) -> tuple[float, list[list[int]]]:
-    """The table's homogeneity, and the tally of each of its columns by
-    ``count``. A transpose is scored by ``_tally``: its columns are short and
-    hold cells already settled, so a column pass costs more than it saves.
+def _score(columns: list[tuple[list[int], tuple]], rows: int) -> float:
+    """The homogeneity of a table of ``rows`` rows with ``columns``: the
+    fraction of columns whose data cells share one inferred primitive type.
+    Every cell parses as the same primitive (ratio 1.0) or no cell parses as
+    any primitive (pure text, ratio 0.0)."""
+    if rows == 0:
+        return 0.0
+    return sum(max(counts) in (0, rows) for counts, _ in columns) / len(columns)
 
-    Homogeneity is the fraction of columns whose data cells share one inferred
-    primitive type: every cell parses as the same primitive (ratio 1.0) or no
-    cell parses as any primitive (pure text, ratio 0.0).
-    """
-    tallies = [count(table.column(j), parses) for j in range(table.column_count)]
-    if table.row_count == 0:
-        return 0.0, tallies
-    homogeneous = sum(1 for counts in tallies if max(counts) in (0, table.row_count))
-    return homogeneous / table.column_count, tallies
+
+def _flipped_score(table: Table, columns: list[tuple[list[int], tuple]], parses: _Parses) -> float:
+    """``_score`` of ``transpose(table)``, without building it, from the
+    ``columns`` of ``table``. The transpose's first column is the headers
+    after the first. Its column i + 1 is row i after the first cell, which is
+    homogeneous when those cells are all numbers (they have a decimal form),
+    all dates or all of no form. A kind that some column lacks is not read."""
+    headers, tallies = table.headers[1:], [counts for counts, _ in columns[1:]]
+    numbers, dates = [forms[1] for _, forms in columns[1:]], [forms[2] for _, forms in columns[1:]]
+    rows = sum(map(all, zip(*numbers))) if all(counts[1] for counts in tallies) else 0
+    rows += sum(map(all, zip(*dates))) if all(counts[2] for counts in tallies) else 0
+    if all(counts[1] + counts[2] < table.row_count for counts in tallies):
+        rows += sum(map(not_, map(any, zip(*numbers, *dates))))
+    return ((max(parses.column(headers)[0]) in (0, len(headers))) + rows) / (table.row_count + 1)
 
 
 def _too_small(table: Table) -> bool:
@@ -383,8 +375,8 @@ def detect_orientation(table: Table) -> Orientation:
     if _too_small(table):
         return Orientation(value="row_major", confidence=0.5)
     parses = _Parses()
-    score_row, _ = _scored(table, parses, _counts)
-    score_col, _ = _scored(transpose(table), parses, _tally)
+    columns = [parses.column(table.column(j)) for j in range(table.column_count)]
+    score_row, score_col = _score(columns, table.row_count), _flipped_score(table, columns, parses)
     confidence = 0.5 + abs(score_row - score_col) / 2.0
     value = "row_major" if score_row >= score_col else "column_major"
     return Orientation(value=value, confidence=confidence)
@@ -421,35 +413,38 @@ def normalize(table: Table) -> NormalizedTable:
 
     Total and idempotent; unparseable cells in a typed column stay verbatim and
     are flagged in the per-column provenance, which is built only when read.
-    Each distinct cell is parsed once, and each column of each orientation
-    scored is tallied once.
+    One pass per column gives its tally and its cells' forms, from which the
+    canonical cells are taken; the transpose is scored from those forms and
+    built only when it wins.
     """
     parses = _Parses()
     work, transposed = table, False
-    score_row, tallies = _scored(table, parses, _counts)
+    columns = [parses.column(table.column(j)) for j in range(table.column_count)]
+    score_row = _score(columns, table.row_count)
     # As in ``detect_orientation``; a row score of 1.0 skips the transpose,
     # which can at best tie, and ties read row_major.
-    if score_row < 1.0 and not _too_small(table):
-        flipped = transpose(table)
-        score_col, flipped_tallies = _scored(flipped, parses, _tally)
-        if score_col > score_row:
-            work, tallies, transposed = flipped, flipped_tallies, True
-    # Renaming headers leaves the data cells, and so the tallies, as they are.
+    if score_row < 1.0 and not _too_small(table) and _flipped_score(table, columns, parses) > score_row:
+        work, transposed = transpose(table), True
+        # Its columns: the headers after the first, then each row after its first cell.
+        rows = [list(zip(*(forms[k] for _, forms in columns[1:]))) for k in range(3)]
+        columns = [parses.column(table.headers[1:])]
+        columns += [([len(f) - f.count(None) for f in forms], forms) for forms in zip(*rows)]
+    # Renaming headers leaves the data cells, and so the columns' forms, as they are.
     work, renames = _unique_headers(work)
 
     kinds: list[ColumnKind] = []
-    columns: list[list[str]] = []
-    for j, counts in enumerate(tallies):
-        cells = work.column(j)
-        kind = _kind(counts, work.row_count)
-        kinds.append(kind)
-        if kind.kind in _KINDS:
-            k = _KINDS.index(kind.kind)
-            cells = [cell if (parsed := parses[cell][k]) is None else parsed for cell in cells]
-        columns.append(cells)
+    cells: list[list[str]] = []
+    for j, (counts, forms) in enumerate(columns):
+        kinds.append(kind := _kind(counts, work.row_count))
+        if kind.kind not in _KINDS:
+            cells.append(work.column(j))
+        elif counts[k := _KINDS.index(kind.kind)] == work.row_count:
+            cells.append(forms[k])
+        else:  # a cell without the column's form stays as it is
+            cells.append([cell if parsed is None else parsed for cell, parsed in zip(work.column(j), forms[k])])
 
     return NormalizedTable(
-        table=Table(work.headers, tuple(zip(*columns))),
+        table=Table(work.headers, tuple(zip(*cells))),
         column_kinds=tuple(kinds),
         transposed=transposed,
         renames=renames,
@@ -462,7 +457,7 @@ def skip_normalization(table: Table) -> NormalizedTable:
     the ``normalization=False`` ablation (``--no-normalize``)."""
     table, renames = _unique_headers(table)
     parses = _Parses()
-    kinds = tuple(_kind(_counts(table.column(j), parses), table.row_count) for j in range(table.column_count))
+    kinds = tuple(_kind(parses.column(table.column(j))[0], table.row_count) for j in range(table.column_count))
     return NormalizedTable(
         table=table,
         column_kinds=kinds,

@@ -4,6 +4,7 @@ server left behind."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -25,7 +26,7 @@ from tablefocus.reasoning import Answer, ExecutorProfile, execute_program, focus
 from tablefocus.sqlrows import RowSet
 from tablefocus.structure import construct_focus
 
-from conftest import RIDERS_TABLE
+from conftest import GOLDEN_CASES, RIDERS_TABLE, record_run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 STORES = Table.make(
@@ -37,6 +38,16 @@ STORES = Table.make(
     ],
 )
 FOCUS = construct_focus(skip_normalization(STORES), RowSet(indices=(0, 1, 2)), list(STORES.headers))
+# A symbolic case whose program prints a set of strings, whose order follows
+# the hash seed of the interpreter that runs it.
+SET_CASE = dataclasses.replace(
+    GOLDEN_CASES[0],
+    id="riders-set",
+    replies={
+        **GOLDEN_CASES[0].replies,
+        "symbolic_reasoning": ["```python\nprint(' '.join({'alpha', 'bravo', 'charlie', 'delta', 'echo', 'foxtrot'}))\n```"],
+    },
+)
 
 
 def _reference_execute(program, focus, profile=ExecutorProfile(), question=""):
@@ -178,10 +189,30 @@ def test_a_killed_server_is_restarted_on_the_next_run():
     assert (result.exit_status, result.answer_line) == (0, "2")
 
 
-def _owner(code: str, **kwargs) -> subprocess.CompletedProcess:
+def _owner(code: str, extra_env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that can import tablefocus and this module."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)]), **(extra_env or {})}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, **kwargs)
+
+
+def test_a_replayed_trace_does_not_follow_the_owners_hash_seed(tmp_path):
+    record_run(SET_CASE, tmp_path)
+    code = (
+        "from conftest import replay_run\n"
+        "from test_forkserver import SET_CASE\n"
+        f"print(replay_run(SET_CASE, {str(tmp_path)!r})[1].to_json())\n"
+    )
+    traces = []
+    for seed, tz in (("1", "UTC"), ("2", "Asia/Tokyo"), ("3", "America/New_York")):
+        completed = _owner(code, extra_env={"PYTHONHASHSEED": seed, "TZ": tz})
+        assert completed.returncode == 0, completed.stderr
+        traces.append(completed.stdout)
+    assert traces[0] == traces[1] == traces[2]
+
+
+def test_a_program_runs_with_hash_seed_0_and_its_own_environment():
+    result = execute_program("import os, sys; print(sys.flags.hash_randomization, 'PYTHONHASHSEED' in os.environ)", FOCUS)
+    assert result.answer_line == "0 False"
 
 
 def test_stdin_is_empty_not_the_callers():

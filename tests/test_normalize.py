@@ -17,17 +17,28 @@ from hypothesis import strategies as st
 from tablefocus.core import Table, transpose
 from tablefocus.normalize import (
     ColumnKind,
+    NormalizedTable,
     Orientation,
     detect_orientation,
     infer_column_kind,
     normalize,
-    parse_date,
-    parse_decimal,
-    parse_integer,
     skip_normalization,
 )
 
 normalize_module = importlib.import_module("tablefocus.normalize")
+
+
+# The forms of one cell by kind, as the per-cell classifier gives them.
+def parse_integer(cell: str) -> str | None:
+    return normalize_module._Parses()[cell][0]
+
+
+def parse_decimal(cell: str) -> str | None:
+    return normalize_module._Parses()[cell][1]
+
+
+def parse_date(cell: str) -> str | None:
+    return normalize_module._Parses()[cell][2]
 
 
 # Reference for parse_date: strptime with every format in turn, no shape check.
@@ -140,6 +151,10 @@ def _date_like(draw):
 
 
 _PADDING = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000"])
+# The date prefilter the scan replaced, and characters that test it: its marks,
+# ASCII and Unicode spaces, a newline (which "." does not match) and others.
+_OLD_DATE_PREFILTER = re.compile(r"[-/,]|\s.*\s").search
+_PREFILTER_ALPHABET = st.sampled_from(list("a1.+$-/, \t\n\r\x1c\x85") + ["\u00a0", "\u2003", "\u200b", "\u3000", "€"])
 _UNICODE_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
@@ -252,6 +267,18 @@ class TestPrimitiveParsers:
         if normalize_module._ANY_DATE_SHAPE.fullmatch(raw):
             assert normalize_module._MAY_BE_DATE(raw)
 
+    @settings(max_examples=2000, deadline=None)
+    @given(_shape_like() | _date_like() | st.text(_PREFILTER_ALPHABET) | st.text())
+    def test_date_prefilter_is_the_search_it_replaced(self, raw):
+        assert bool(normalize_module._MAY_BE_DATE(raw)) == bool(_OLD_DATE_PREFILTER(raw))
+
+    @settings(max_examples=2000, deadline=None)
+    @given(_number_like() | _date_like() | st.text(_PREFILTER_ALPHABET))
+    def test_form_prefilter_is_number_or_date_prefilter(self, raw):
+        s = raw.strip()
+        expected = _reference_parse_decimal(s) is not None or bool(_OLD_DATE_PREFILTER(s))
+        assert bool(normalize_module._MAY_HAVE_FORM(s)) == expected
+
     @pytest.mark.parametrize(
         "raw", ["42", "-3", "3.50", ".25", "1999-03-05"]
     )
@@ -345,8 +372,9 @@ class TestColumnPass:
         parses = normalize_module._Parses()
         for cell in data.draw(st.lists(st.sampled_from(cells), max_size=2)):
             parses[cell]  # settled before the pass, one by one
-        counts = normalize_module._counts(cells, parses)
-        assert dict(parses) == expected
+        counts, forms = parses.column(cells)
+        assert list(zip(*forms)) == [expected[cell] for cell in cells]
+        assert dict(parses).items() <= expected.items()
         assert counts == [sum(expected[cell][k] is not None for cell in cells) for k in range(3)]
 
     @pytest.mark.parametrize(
@@ -369,20 +397,36 @@ class TestColumnPass:
         ],
     )
     def test_settles_the_cells_before_the_first_of_another_form(self, cells, settled):
+        # The first run reads the cells up to the first of another form, which
+        # starts the next run; ``settled`` counts the distinct cells of the
+        # first run. Only the first cell of each run enters the memo. Eight
+        # cells of another form after them make the column long enough for runs.
+        column = cells + ["x" if any(normalize_module._Parses()[cells[0]]) else "0"] * 8
         parses = normalize_module._Parses()
-        distinct = list(dict.fromkeys(cells))
-        assert parses.classify(cells) == (settled == len(distinct))
-        assert list(parses) == distinct[:settled]
-        assert dict(parses) == {cell: normalize_module._Parses()[cell] for cell in parses}
+        _, forms = parses.column(column)
+        assert list(zip(*forms)) == [normalize_module._Parses()[cell] for cell in column]
+        starts = list(parses)
+        assert len(set(column[: column.index(starts[1])])) == settled
 
     def test_settles_only_cells_new_to_the_memo(self):
-        parses = normalize_module._Parses()
+        # A run's first cell that is in the memo is read, not classified again.
+        classified: list[str] = []
+
+        class CountingParses(normalize_module._Parses):
+            def __missing__(self, cell):
+                classified.append(cell)
+                return super().__missing__(cell)
+
+        parses = CountingParses()
         assert parses["7"] == ("7", "7", None)
-        assert not parses.classify(["7", "x", "8", "9"])
-        assert dict(parses) == {"7": ("7", "7", None), "x": (None, None, None)}
-        assert not parses.classify(["7", "x", "8", "9"])
-        assert list(parses) == ["7", "x", "8", "9"]
-        assert parses["9"] == ("9", "9", None)
+        column = ["7", "x", *map(str, range(8, 16))]
+        integers = ["7", None, *column[2:]]
+        assert parses.column(column) == ([9, 9, 0], (integers, integers, [None] * 10))
+        # "8" starts a run that settles the cells after it.
+        assert classified == ["7", "x", "8"]
+        assert list(parses) == ["7", "x", "8"]
+        parses.column(column)
+        assert classified == ["7", "x", "8"]
 
     @settings(max_examples=300, deadline=None)
     @given(_ascii_dates())
@@ -399,16 +443,17 @@ class TestColumnPass:
     def test_two_digit_years_pivot_as_strptime_does(self):
         cells = [f"{m}/28/{yy:02d}" for yy in range(100) for m in (1, 12)]
         parses = normalize_module._Parses()
-        assert parses.classify(cells)
-        assert {cell: parses[cell][2] for cell in cells} == {
-            cell: datetime.strptime(cell, "%m/%d/%y").date().isoformat() for cell in cells
-        }
+        _, forms = parses.column(cells)
+        assert len(parses) == 1  # one run
+        assert forms[2] == [datetime.strptime(cell, "%m/%d/%y").date().isoformat() for cell in cells]
 
     def test_spaces_are_every_character_strip_removes(self):
         spaces = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
         assert normalize_module._SPACES == spaces
 
     def test_normalize_peak_memory_on_a_5000_row_table(self):
+        # The table of uniform columns, and the same table with a blank first
+        # cell in Units and a Notes column of mixed forms.
         rng = random.Random(3)
 
         def store_row():
@@ -420,19 +465,37 @@ class TestColumnPass:
                 f"{rng.choice(calendar.month_abbr[1:])} {rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
             ]
 
+        def note():
+            return rng.choice(
+                [
+                    str(rng.randint(1, 999)),
+                    f"{rng.randint(1, 999)}.{rng.randint(0, 99):02d}",
+                    f"{rng.randint(1950, 2020)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
+                    f"{rng.choice(calendar.month_abbr[1:])} {rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
+                    rng.choice(["n/a", "closed", "see note"]),
+                    "",
+                ]
+            )
+
         rows = [store_row() for _ in range(5000)]
-        table = Table.make(["Store", "Units", "Revenue", "Opened"], rows)
-        normalize(table)  # the first call imports and caches strptime's locale data
-        tracemalloc.start()
-        try:
-            out = normalize(table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
-        # A regex that repeats once per cell over the joined column keeps a
-        # backtracking frame per repetition and peaks above 5 MB here.
-        assert peak < 4 * 2**20
+        uniform = Table.make(["Store", "Units", "Revenue", "Opened"], rows)
+        mixed = Table.make(
+            ["Store", "Units", "Revenue", "Opened", "Notes"],
+            [[row[0], "" if i == 0 else row[1], *row[2:], note()] for i, row in enumerate(rows)],
+        )
+        kinds = ["text", "integer", "decimal", "date"]
+        for table, kinds in ((uniform, kinds), (mixed, [*kinds, "text"])):
+            normalize(table)  # the first call imports and caches strptime's locale data
+            tracemalloc.start()
+            try:
+                out = normalize(table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [kind.kind for kind in out.column_kinds] == kinds
+            # A regex that repeats once per cell over the joined column keeps a
+            # backtracking frame per repetition and peaks above 5 MB here.
+            assert peak < 4 * 2**20
 
 
 class TestInferColumnKind:
@@ -530,7 +593,106 @@ def wild_tables(draw, min_rows=0):
     return Table.make(headers, rows)
 
 
+@st.composite
+def _month_ends(draw):
+    """Dates in one format on days 27 to 31, many of which name no date, in
+    years that include year 0 and both sides of the %y pivot."""
+    template = re.split(r"(%[a-zA-Z])", draw(st.sampled_from(_DATE_FORMATS)))
+    cells = []
+    for _ in range(draw(st.integers(1, 10))):
+        month, day = draw(st.integers(1, 12)), draw(st.integers(27, 31))
+        fields = {
+            "%Y": draw(st.sampled_from(["0000", "1900", "1999", "2000"])),
+            "%y": draw(st.sampled_from(["00", "68", "69", "99"])),
+            "%m": str(month),
+            "%d": str(day),
+            "%b": calendar.month_abbr[month],
+            "%B": calendar.month_name[month],
+        }
+        cells.append("".join(fields.get(piece, piece) for piece in template))
+    return cells
+
+
+@st.composite
+def _lines(draw):
+    """Cells that share one form, with odd cells anywhere (the first place
+    too) and repeats, dates in two formats, or dates near the end of a
+    month; now and then padded with ASCII or Unicode spaces."""
+    shape = draw(st.integers(0, 4))
+    if shape > 1:
+        cells = draw(_columns())
+    elif shape:
+        cells = draw(_month_ends())
+    else:
+        formats = st.sampled_from(_DATE_FORMATS)
+        cells = draw(st.lists(st.one_of(_date_cell(draw(formats)), _date_cell(draw(formats))), min_size=1, max_size=12))
+    return [draw(_PADDING) + cell + draw(_PADDING) if draw(_RARELY) else cell for cell in cells]
+
+
+@st.composite
+def _form_tables(draw):
+    """Tables whose columns, or in about a third of them whose rows, are
+    ``_lines``; laid out by rows, the transpose mostly wins."""
+    lines = draw(st.lists(_lines(), min_size=1, max_size=5))
+    length = min(map(len, lines))
+    lines = [line[:length] for line in lines]
+    by_rows = draw(st.integers(0, 2)) == 0
+    width = length if by_rows else len(lines)
+    headers = draw(st.lists(st.sampled_from(["h", "Year", "1999", "2,000", "Mar 5, 1999", "n/a", ""]), min_size=width, max_size=width))
+    return Table.make(headers, lines if by_rows else list(zip(*lines)))
+
+
+def _reference_normalize(table: Table) -> tuple:
+    """``normalize`` and ``detect_orientation`` from the per-cell classifier
+    alone: every cell's forms from ``__missing__``, and the transpose built
+    and tallied cell by cell. Returns the table, the kinds, whether it was
+    transposed, the provenance and the orientation."""
+    parses = normalize_module._Parses()
+
+    def tallies(t: Table) -> list[list[int]]:
+        return [[sum(parses[cell][k] is not None for cell in t.column(j)) for k in range(3)] for j in range(t.column_count)]
+
+    def score(t: Table, counts: list[list[int]]) -> float:
+        return sum(max(c) in (0, t.row_count) for c in counts) / t.column_count if t.row_count else 0.0
+
+    work, counts, transposed = table, tallies(table), False
+    orientation = Orientation("row_major", 0.5)
+    if table.row_count >= 1 and table.column_count >= 2:
+        flipped = transpose(table)
+        flipped_counts = tallies(flipped)
+        score_row, score_col = score(table, counts), score(flipped, flipped_counts)
+        transposed = score_col > score_row
+        orientation = Orientation("column_major" if transposed else "row_major", 0.5 + abs(score_row - score_col) / 2.0)
+        if transposed:
+            work, counts = flipped, flipped_counts
+    work, renames = normalize_module._unique_headers(work)
+    kinds = tuple(normalize_module._kind(c, work.row_count) for c in counts)
+    columns, provenance = [], []
+    for j, (kind, notes) in enumerate(zip(kinds, renames)):
+        cells, notes = work.column(j), list(notes)
+        if kind.kind in ("integer", "decimal", "date"):
+            k = ("integer", "decimal", "date").index(kind.kind)
+            for i, cell in enumerate(cells):
+                parsed = parses[cell][k]
+                if parsed is None:
+                    notes.append(f"row {i + 1}: kept verbatim (not parseable as {kind.kind})")
+                elif parsed != cell:
+                    notes.append(f"row {i + 1}: {cell!r} -> {parsed!r}")
+                    cells[i] = parsed
+        columns.append(cells)
+        provenance.append(tuple(notes))
+    return Table(work.headers, tuple(zip(*columns))), kinds, transposed, tuple(provenance), orientation
+
+
 class TestNormalize:
+    @settings(max_examples=600, deadline=None)
+    @given(_form_tables())
+    def test_matches_the_per_cell_reference(self, table):
+        table_, kinds, transposed, provenance, orientation = _reference_normalize(table)
+        out = normalize(table)
+        assert (out.table, out.column_kinds, out.transposed, out.provenance) == (table_, kinds, transposed, provenance)
+        assert detect_orientation(table) == orientation
+
     def test_canonicalizes_typed_columns(self):
         t = Table.make(["Name", "Total"], [["A", "1,234"], ["B", "$56"]])
         out = normalize(t)
@@ -578,8 +740,6 @@ class TestNormalize:
 
     def test_kind_count_invariant(self):
         with pytest.raises(ValueError):
-            from tablefocus.normalize import NormalizedTable
-
             NormalizedTable(
                 table=Table.make(["a", "b"], []),
                 column_kinds=(ColumnKind("text", 0.0),),
@@ -602,19 +762,13 @@ class TestNormalize:
             for _ in range(200)
         ]
         table = Table.make(["Store", "Units", "Revenue", "Opened", "Closed"], rows)
-        in_bulk: list[str] = []
         one_by_one: list[str] = []
         parsed: list[str] = []
 
         class CountingParses(normalize_module._Parses):
-            def __setitem__(self, cell, forms):
+            def __missing__(self, cell):
                 one_by_one.append(cell)
-                super().__setitem__(cell, forms)
-
-            def update(self, entries):
-                entries = list(entries)
-                in_bulk.extend(cell for cell, _ in entries)
-                super().update(entries)
+                return super().__missing__(cell)
 
         class CountingDatetime(datetime):
             @classmethod
@@ -626,11 +780,11 @@ class TestNormalize:
         monkeypatch.setattr(normalize_module, "datetime", CountingDatetime)
         out = normalize(table)
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date", "date"]
-        # Every column is homogeneous, so the transpose, and its header cells, is never classified.
-        assert sorted(in_bulk + one_by_one) == sorted({cell for row in rows for cell in row})
-        # Only each column's first cell, and the column outside the ASCII
-        # date forms, go one cell at a time.
-        assert sorted(one_by_one) == sorted({row[4] for row in rows} | set(rows[0]))
+        # Every column is homogeneous, so the transpose, and its header cells,
+        # is never classified. A column whose cells share one form is one run,
+        # and only its first cell goes on its own; the column outside the
+        # ASCII date forms goes one cell at a time, each distinct cell once.
+        assert sorted(one_by_one) == sorted({row[4] for row in rows} | set(rows[0][:4]))
         month_words = {row[3].split()[0] for row in rows}
         assert sorted(parsed) == sorted(month_words | {row[4] for row in rows})
 
@@ -648,7 +802,7 @@ class TestNormalize:
             ]
             for i in range(200)
         ]
-        classified: list[list[str]] = []
+        passed: list[list[str]] = []
         lookups = 0
 
         class CountingParses(normalize_module._Parses):
@@ -657,19 +811,19 @@ class TestNormalize:
                 lookups += 1
                 return super().__getitem__(cell)
 
-            def classify(self, cells):
-                classified.append(cells)
-                return super().classify(cells)
+            def column(self, cells):
+                passed.append(list(cells))
+                return super().column(cells)
 
         monkeypatch.setattr(normalize_module, "_Parses", CountingParses)
         out = normalize(Table.make(["Store", "Units", "Price", "Opened"], rows))
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
         assert not out.transposed
-        assert classified == [list(column) for column in zip(*rows)]
-        # The tally of a column whose cells share one form reads its first
-        # cell; the other column's reads every cell. Then one lookup per
-        # typed cell canonicalizes it.
-        assert lookups == 3 + 200 + 3 * 200
+        assert passed == [list(column) for column in zip(*rows)]
+        # A column whose cells share one form is looked up once, at its first
+        # cell, and never again. The other column's runs are one cell long, so
+        # after three of them it goes on cell by cell: each cell once.
+        assert lookups == 3 + 200
 
     @settings(max_examples=300, deadline=None)
     @given(wild_tables())

@@ -23,6 +23,7 @@ from tablefocus.reasoning import (
     execute_program,
     focus_as_csv,
     format_answer,
+    generate_guidance,
     looks_abstaining,
 )
 from tablefocus.sqlrows import RowSet
@@ -74,6 +75,20 @@ class TestAssessStrategy:
         trace = ReasoningTrace()
         assert assess_strategy(FOCUS, DESCRIPTION, "q", lm, trace=trace) == "textual"
         assert any("defaulted to textual" in w for w in trace.warnings)
+
+
+class TestGenerateGuidance:
+    def test_reply_is_stripped(self):
+        lm = make_gateway({"textual_guidance": ["  1) Sum the Wins column.  "]})
+        trace = ReasoningTrace()
+        assert generate_guidance(FOCUS, DESCRIPTION, "q", lm, trace) == "1) Sum the Wins column."
+        assert trace.warnings == []
+
+    def test_empty_reply_gets_the_default_and_a_warning(self):
+        lm = make_gateway({"textual_guidance": [" \n "]})
+        trace = ReasoningTrace()
+        assert generate_guidance(FOCUS, DESCRIPTION, "q", lm, trace) == "Answer step by step."
+        assert trace.warnings == ["empty guidance reply; used the default guidance"]
 
 
 def _dead(pid: int) -> bool:

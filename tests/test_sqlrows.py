@@ -274,6 +274,13 @@ class TestExecuteRowLookup:
         got = execute_row_lookup(_fixture_table(), "SELECT rider FROM t WHERE wins >= 3")
         assert got.indices == (0, 1)
 
+    def test_null_row_ids_are_skipped(self):
+        # UNION sorts the NULL first, so LIMIT 2 keeps it and row 0; re-running
+        # the WHERE clause alone would give rows 0 and 2.
+        sql = "SELECT NULL AS _row_id FROM t UNION SELECT _row_id FROM t WHERE country = 'Belgium' LIMIT 2"
+        assert execute_row_lookup(_fixture_table(), sql).indices == (0,)
+        assert execute_row_lookup(_fixture_table(), "SELECT NULL AS _row_id FROM t UNION SELECT 2").indices == (2,)
+
     def test_order_and_limit_respected(self):
         got = execute_row_lookup(_fixture_table(), "SELECT * FROM t ORDER BY wins DESC LIMIT 2")
         assert got.indices == (0, 1)

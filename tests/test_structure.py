@@ -99,6 +99,13 @@ class TestColumnLookup:
         assert got == ("Wins",)
         assert trace.warnings
 
+    def test_unknown_items_dropped_with_a_warning(self):
+        lm = make_gateway({"column_lookup": ["Wins, Team, Country"]})
+        trace = ReasoningTrace()
+        got = column_lookup(self.RANKED, "q", 6, lm, PEEK, trace, "Wins")
+        assert got == ("Wins", "Country")
+        assert trace.warnings == ["column lookup dropped unknown items: ['Team']"]
+
     def test_b_max_validation(self):
         lm = make_gateway({"column_lookup": ["Wins"]})
         with pytest.raises(ValueError):
