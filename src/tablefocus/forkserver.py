@@ -7,9 +7,10 @@ a program gets: ``PATH``, and ``HOME`` at the first program's private work
 directory. Site, locale coercion, stdout encoding and the user site
 therefore come out as for a fresh ``python3 program.py``. ``PYTHONHASHSEED=0``,
 dropped from the server's environment before it serves, gives every program
-hash seed 0. The server imports no ``tablefocus`` module, stays
-single-threaded, and exits when the owner's end of the control socket
-closes, killing the programs still running.
+hash seed 0, unless the command's ``-I`` or ``-E`` has the server ignore it.
+The server imports no ``tablefocus`` module, stays single-threaded, and
+exits when the owner's end of the control socket closes, killing the
+programs still running.
 
 Protocol. A run sends one byte on the control socket with two fds: the
 server's end of a per-run socket and the program's stdout file. It then

@@ -254,7 +254,6 @@ def execute_program(
             conn, theirs = _socket.socketpair(_socket.AF_UNIX, _socket.SOCK_STREAM)
             try:
                 try:
-                    # Hash seed 0, so a program prints a set in one order whatever its owner.
                     ctrl = _fork_server(profile.command, {"PATH": env["PATH"], "HOME": workdir, "PYTHONHASHSEED": "0"})
                     fds = struct.pack("2i", theirs.fileno(), out.fileno())
                     ctrl.sendmsg([b"\0"], [(_socket.SOL_SOCKET, _socket.SCM_RIGHTS, fds)])

@@ -215,6 +215,12 @@ def test_a_program_runs_with_hash_seed_0_and_its_own_environment():
     assert result.answer_line == "0 False"
 
 
+def test_an_isolated_interpreter_ignores_the_hash_seed():
+    # -I ignores PYTHON* variables, so PYTHONHASHSEED=0 does not reach its programs.
+    profile = ExecutorProfile(command=("python3", "-I"))
+    assert execute_program("import sys; print(sys.flags.hash_randomization)", FOCUS, profile=profile).answer_line == "1"
+
+
 def test_stdin_is_empty_not_the_callers():
     code = (
         "from tablefocus.reasoning import execute_program\n"
