@@ -8,9 +8,11 @@ directory. Site, locale coercion, stdout encoding and the user site
 therefore come out as for a fresh ``python3 program.py``. ``PYTHONHASHSEED=0``,
 dropped from the server's environment before it serves, gives every program
 hash seed 0, unless the command's ``-I`` or ``-E`` has the server ignore it.
-The server imports no ``tablefocus`` module, stays single-threaded, and
-exits when the owner's end of the control socket closes, killing the
-programs still running.
+Before it serves, the server imports the ``PRELOADED`` modules, so a program
+that imports them finds them loaded, and one that writes its own ``csv.py``
+or ``decimal.py`` and imports it gets the standard library's. The server
+imports no ``tablefocus`` module, stays single-threaded, and exits when the
+owner's end of the control socket closes, killing the programs still running.
 
 Protocol. A run sends one byte on the control socket with two fds: the
 server's end of a per-run socket and the program's stdout file. It then
@@ -32,6 +34,11 @@ import signal
 import sys
 from importlib.machinery import SourceFileLoader
 
+# Modules the server imports before it serves. Each is one that recorded
+# programs import: csv by every program, since the table comes as a CSV file,
+# and decimal by sums of money. A module that starts a thread or holds state
+# a fork would share (numpy with OpenBLAS, for one) must not join them.
+PRELOADED = ("csv", "decimal")
 MEMORY_MB = 512  # address-space cap of a generated program
 MAX_OUTPUT_BYTES = 1024 * 1024  # cap on each file a generated program writes, stdout included
 REPLY_BYTES = 12
@@ -140,6 +147,8 @@ def serve(ctrl_fd: int) -> None:
     import select  # here, not at the top: the callers that import this module only for its limits do not need them
     import socket
 
+    for name in PRELOADED:
+        __import__(name)
     os.environ.pop("PYTHONHASHSEED", None)  # it seeded this interpreter; a program's environment is as given
     ctrl = socket.socket(fileno=ctrl_fd)
     wake_r, wake_w = socket.socketpair()

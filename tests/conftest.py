@@ -44,6 +44,16 @@ print(sum(int(r["Wins"]) for r in rows if r["Country"] == "Belgium"))
 """
 
 
+def process_ended(pid: int) -> bool:
+    """Gone, or a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
 def make_gateway(replies: dict[str, list[str]]) -> Gateway:
     return Gateway(ScriptedBackend(replies))
 

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from tablefocus.reasoning import Answer, ExecutorProfile, execute_program, focus
 from tablefocus.sqlrows import RowSet
 from tablefocus.structure import construct_focus
 
-from conftest import GOLDEN_CASES, RIDERS_TABLE, record_run
+from conftest import GOLDEN_CASES, RIDERS_TABLE, process_ended, record_run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 STORES = Table.make(
@@ -127,6 +128,10 @@ CORPUS = {
     + 'print(sum((Decimal(r["Revenue"]) for r in rows), Decimal("0.00")))\n',
     "opened before": _HEAD.format(extra="") + 'print(sum(1 for r in rows if r["Opened"] < "2000-01-01"))\n',
     "exec failure": "import sys\nsys.exit(3)\n",
+    # State of the modules the server preloads.
+    "decimal context": "import decimal\nprint(decimal.getcontext())",
+    "csv state": "import csv\nprint(csv.field_size_limit(), csv.list_dialects())",
+    "no tablefocus module": "import sys\nprint(sorted(m for m in sys.modules if m.startswith('tablefocus')))",
 }
 
 
@@ -187,6 +192,113 @@ def test_a_killed_server_is_restarted_on_the_next_run():
     os.waitpid(pid, 0)
     result = execute_program("print(2)", FOCUS)
     assert (result.exit_status, result.answer_line) == (0, "2")
+
+
+def test_a_program_sees_no_state_a_former_one_left():
+    setter = (
+        "import csv, decimal\n"
+        "decimal.getcontext().prec = 3\n"
+        "csv.field_size_limit(7)\n"
+        "csv.register_dialect('pipes', delimiter='|')\n"
+        "print(decimal.getcontext().prec, csv.field_size_limit(), csv.list_dialects())\n"
+    )
+    assert execute_program(setter, FOCUS).answer_line == "3 7 ['excel', 'excel-tab', 'unix', 'pipes']"
+    reader = "import csv, decimal\nprint(decimal.getcontext().prec, csv.field_size_limit(), csv.list_dialects())"
+    assert execute_program(reader, FOCUS).answer_line == "28 131072 ['excel', 'excel-tab', 'unix']"
+
+
+def test_each_program_draws_its_own_random_numbers():
+    # Where site's imports load random at start-up, the server's copy is
+    # shared by every fork, and only random's at-fork reseed keeps the runs apart.
+    draw = "import sys\nloaded = 'random' in sys.modules\nimport random\nprint(loaded, random.getrandbits(64))"
+    first, second = (execute_program(draw, FOCUS).answer_line.split() for _ in range(2))
+    assert first[0] == second[0] == _reference_execute(draw, FOCUS)[0].split()[0]
+    assert first[1] != second[1]
+
+
+def test_a_programs_own_csv_module_is_not_what_it_imports():
+    # The server preloads csv, so the program's csv.py is never looked for.
+    program = "with open('csv.py', 'w') as fh:\n    fh.write('MINE = 1\\n')\nimport csv\nprint(hasattr(csv, 'MINE'))"
+    assert execute_program(program, FOCUS).answer_line == "False"
+    assert _reference_execute(program, FOCUS)[0] == "True\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the server's threads from /proc")
+def test_the_server_stays_single_threaded():
+    execute_program("pass", FOCUS)  # the server has preloaded its modules before it serves
+    pid, _ = reasoning._servers[ExecutorProfile().command]
+    assert len(os.listdir(f"/proc/{pid}/task")) == 1
+
+
+def _wait_for(path: Path) -> None:
+    deadline = time.monotonic() + 10.0
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.01)
+
+
+def _started(pids_path: Path) -> str:
+    """Program text that writes its pid and a background child's to ``pids_path``, then sleeps."""
+    return (
+        "import os, subprocess, time\n"
+        "child = subprocess.Popen(['sleep', '30'])\n"
+        f"with open({str(pids_path)!r} + '.part', 'w') as fh:\n"
+        "    fh.write(f'{os.getpid()} {child.pid}')\n"
+        f"os.replace({str(pids_path)!r} + '.part', {str(pids_path)!r})\n"
+        "time.sleep(30)\n"
+    )
+
+
+def _assert_ended(pids_path: Path) -> None:
+    pids = [int(pid) for pid in pids_path.read_text().split()]
+    deadline = time.monotonic() + 2.0
+    while not all(map(process_ended, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert all(map(process_ended, pids)), "the program's process group outlived its run"
+    finally:
+        for pid in pids:
+            if not process_ended(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_a_run_whose_server_dies_reports_127_and_the_next_run_restarts_it(tmp_path):
+    pids_path = tmp_path / "pids"
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        run = pool.submit(execute_program, _started(pids_path), FOCUS, ExecutorProfile(timeout_s=30.0))
+        _wait_for(pids_path)
+        server, _ = reasoning._servers[ExecutorProfile().command]
+        os.kill(server, signal.SIGKILL)
+        result = run.result(timeout=20.0)
+    assert (result.exit_status, result.timed_out) == (127, False)
+    assert result.duration_ms < 5000.0
+    _assert_ended(pids_path)
+    after = execute_program("print(2)", FOCUS)
+    assert (after.exit_status, after.answer_line) == (0, "2")
+    assert reasoning._servers[ExecutorProfile().command][0] != server
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_a_deadline_that_passes_between_the_replies_times_the_run_out(tmp_path, monkeypatch):
+    pids_path = tmp_path / "pids"
+    readings = 0
+
+    def monotonic() -> float:
+        """The clock ``execute_program`` reads at its start and before each
+        reply; from its third reading, the one after the pid reply, it reads
+        past the deadline once the program is running."""
+        nonlocal readings
+        readings += 1
+        if readings < 3:
+            return time.monotonic()
+        _wait_for(pids_path)
+        return time.monotonic() + 60.0
+
+    monkeypatch.setattr(reasoning, "time", types.SimpleNamespace(monotonic=monotonic))
+    result = execute_program(_started(pids_path), FOCUS, ExecutorProfile(timeout_s=30.0))
+    assert (result.exit_status, result.timed_out) == (-1, True)
+    _assert_ended(pids_path)
 
 
 def _owner(code: str, extra_env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:

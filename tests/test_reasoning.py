@@ -30,7 +30,7 @@ from tablefocus.sqlrows import RowSet
 from tablefocus.structure import construct_focus
 from tablefocus.trace import ReasoningTrace
 
-from conftest import RIDERS_TABLE, make_gateway
+from conftest import RIDERS_TABLE, make_gateway, process_ended
 
 NORM = skip_normalization(RIDERS_TABLE)
 FOCUS = construct_focus(NORM, RowSet(indices=(0, 2, 4)), ["Rider", "Country", "Wins"])
@@ -91,16 +91,6 @@ class TestGenerateGuidance:
         assert trace.warnings == ["empty guidance reply; used the default guidance"]
 
 
-def _dead(pid: int) -> bool:
-    """Gone, or a zombie waiting to be reaped."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            stat = fh.read()
-    except FileNotFoundError:
-        return True
-    return stat.rsplit(")", 1)[1].split()[0] == "Z"
-
-
 class TestExecuteProgram:
     def test_table_and_question_exposed_via_env(self):
         program = (
@@ -158,11 +148,11 @@ class TestExecuteProgram:
         pid = int(pid_file.read_text())
         try:
             deadline = time.monotonic() + 2.0
-            while not _dead(pid) and time.monotonic() < deadline:
+            while not process_ended(pid) and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert _dead(pid), "grandchild survived the timeout"
+            assert process_ended(pid), "grandchild survived the timeout"
         finally:
-            if not _dead(pid):
+            if not process_ended(pid):
                 os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
@@ -182,11 +172,11 @@ class TestExecuteProgram:
             assert (result.exit_status, result.timed_out, result.stdout) == (0, False, "42\n")
             assert result.duration_ms < 5000.0
             deadline = time.monotonic() + 2.0
-            while not _dead(pid) and time.monotonic() < deadline:
+            while not process_ended(pid) and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert _dead(pid), "background child survived the program's exit"
+            assert process_ended(pid), "background child survived the program's exit"
         finally:
-            if not _dead(pid):
+            if not process_ended(pid):
                 os.kill(pid, signal.SIGKILL)
 
     def test_output_is_capped(self):
