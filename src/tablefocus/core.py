@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Sequence
 
 
@@ -34,9 +35,9 @@ class Table:
         if not self.headers:
             raise ValueError("table must have at least one header")
         n = len(self.headers)
-        for i, row in enumerate(self.rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
+        if not set(map(len, self.rows)) <= {n}:
+            i = next(i for i, row in enumerate(self.rows) if len(row) != n)
+            raise ValueError(f"row {i} has {len(self.rows[i])} cells, expected {n}")
 
     @classmethod
     def make(cls, headers: Sequence[str], rows: Sequence[Sequence[str]]) -> "Table":
@@ -55,7 +56,7 @@ class Table:
 
     def column(self, index: int) -> list[str]:
         """Data cells of one column, top to bottom (header excluded)."""
-        return [row[index] for row in self.rows]
+        return list(map(itemgetter(index), self.rows))
 
 
 @dataclass(frozen=True)

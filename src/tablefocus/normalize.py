@@ -8,7 +8,7 @@ left verbatim and flagged in provenance instead of raising.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import cached_property
 from itertools import repeat, takewhile
@@ -137,10 +137,16 @@ class NormalizedTable:
     # The cells before canonicalization, from which ``provenance`` is rebuilt;
     # None when nothing was canonicalized (``skip_normalization``).
     source: Table | None = None
+    # The data cells of ``table`` column by column, which the row-lookup table
+    # is loaded from: the columns ``normalize`` built its rows from, or else
+    # read from ``table``.
+    columns: tuple[Sequence[str], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if len(self.column_kinds) != self.table.column_count:
             raise ValueError("one ColumnKind per column required")
+        if not self.columns:
+            object.__setattr__(self, "columns", tuple(map(self.table.column, range(self.table.column_count))))
 
     @cached_property
     def provenance(self) -> tuple[tuple[str, ...], ...]:
@@ -454,6 +460,7 @@ def normalize(table: Table) -> NormalizedTable:
         transposed=transposed,
         renames=renames,
         source=work,
+        columns=tuple(cells),
     )
 
 
@@ -462,5 +469,6 @@ def skip_normalization(table: Table) -> NormalizedTable:
     the ``normalization=False`` ablation (``--no-normalize``)."""
     table, renames = _unique_headers(table)
     parses = _Parses()
-    kinds = tuple(_kind(parses.column(table.column(j))[0], table.row_count) for j in range(table.column_count))
-    return NormalizedTable(table=table, column_kinds=kinds, transposed=False, renames=renames)
+    columns = tuple(map(table.column, range(table.column_count)))
+    kinds = tuple(_kind(parses.column(cells)[0], table.row_count) for cells in columns)
+    return NormalizedTable(table=table, column_kinds=kinds, transposed=False, renames=renames, columns=columns)

@@ -49,6 +49,12 @@ class TestTableModel:
         with pytest.raises(ValueError):
             Table.make(["a", "b"], [["1"]])
 
+    def test_ragged_table_names_its_first_bad_row(self):
+        with pytest.raises(ValueError, match=r"^row 1 has 1 cells, expected 2$"):
+            Table.make(["a", "b"], [["1", "2"], ["3"], ["4", "5", "6"]])
+        with pytest.raises(ValueError, match=r"^row 2 has 3 cells, expected 2$"):
+            Table(("a", "b"), (("1", "2"), ("3", "4"), ("5", "6", "7"), ("8",)))
+
     def test_empty_header_rejected(self):
         with pytest.raises(ValueError):
             Table(headers=(), rows=())

@@ -725,6 +725,16 @@ class TestNormalize:
         assert (out.table, out.column_kinds, out.transposed, out.provenance) == (table_, kinds, transposed, provenance)
         assert detect_orientation(table) == orientation
 
+    @settings(max_examples=300, deadline=None)
+    @given(_form_tables())
+    def test_columns_are_the_tables_columns(self, table):
+        # The row-lookup table is loaded from ``columns``, whichever way the table was built.
+        direct = normalize(table)
+        direct = NormalizedTable(direct.table, direct.column_kinds, direct.transposed, direct.renames, direct.source)
+        for out in (normalize(table), skip_normalization(table), direct):
+            assert list(map(list, out.columns)) == [out.table.column(j) for j in range(out.table.column_count)]
+        assert normalize(table) == direct
+
     def test_canonicalizes_typed_columns(self):
         t = Table.make(["Name", "Total"], [["A", "1,234"], ["B", "$56"]])
         out = normalize(t)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sqlite3
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablefocus.core import Table
 from tablefocus.normalize import ColumnKind, NormalizedTable, normalize, skip_normalization
@@ -15,6 +18,7 @@ from tablefocus import sqlrows
 from tablefocus.sqlrows import (
     AggregateOnly,
     RowSet,
+    SqlError,
     SqlPolicyError,
     SqlSemanticError,
     SqlSyntaxError,
@@ -129,6 +133,59 @@ class TestLoad:
         assert execute_row_lookup(table, "SELECT * FROM t WHERE id < 0").indices == (1,)
 
 
+class TestBatchedLoad:
+    """``_load`` inserts whole batches of rows per statement; each table must
+    read back as one bound cell by cell with ``_numeric_value``, one row per
+    INSERT, would."""
+
+    KINDS = ("text", "integer", "decimal", "date", "mixed")
+    # Unparseable, beyond 64 bits, inf/nan-like and blank cells, in every kind of column.
+    CELLS = ("7", "-3", " 4 ", "n/a", "", "123456789012345678901234", "-98765432109876543210",
+             "inf", "-Infinity", "nan", "NaN", "1e3", "2.5", "x", "2020-01-05")
+
+    def _table(self, width: int, m: int) -> NormalizedTable:
+        rows = [[self.CELLS[(7 * i + j) % len(self.CELLS)] for j in range(width)] for i in range(m)]
+        return NormalizedTable(
+            table=Table.make([f"c{j}" for j in range(width)], rows),
+            column_kinds=tuple(ColumnKind(self.KINDS[j % len(self.KINDS)], 1.0) for j in range(width)),
+            transposed=False,
+            renames=tuple(() for _ in range(width)),
+        )
+
+    @pytest.mark.parametrize("width", [1, 4, 300, 1999])
+    def test_every_batch_size_reads_back_as_bound_cell_by_cell(self, width):
+        batch = max(1, sqlrows._BATCH_PARAMETERS // (width + 1))
+        assert batch > 1 or width >= 300  # the widest tables go one row per statement
+        for m in sorted({0, 1, batch - 1, batch, batch + 1, 2 * batch + 1}):
+            table = self._table(width, m)
+            schema = build_schema(table)
+            loaded = _load(table, schema)
+            per_cell = sqlite3.connect(":memory:")
+            try:
+                per_cell.execute(loaded.execute("SELECT sql FROM sqlite_master").fetchone()[0])
+                kinds = [kind for _, _, kind in schema.columns]
+                for i, row in enumerate(table.table.rows):
+                    per_cell.execute(
+                        f"INSERT INTO t VALUES ({', '.join('?' * (width + 1))})", [*map(_numeric_value, row, kinds), i]
+                    )
+                names = [name for _, name, _ in schema.columns]
+                for at in range(0, width, 500):  # SQLite returns at most 2,000 columns
+                    select = ", ".join(f"{name}, typeof({name})" for name in names[at : at + 500])
+                    query = f"SELECT {select}, _row_id FROM t"
+                    assert loaded.execute(query).fetchall() == per_cell.execute(query).fetchall(), (width, m)
+            finally:
+                loaded.close()
+                per_cell.close()
+
+    def test_table_sqlite_cannot_hold_raises_sql_error(self):
+        # 2,001 data columns and _row_id pass SQLite's cap of 2,000 columns.
+        table = skip_normalization(Table.make([f"c{j}" for j in range(2001)], [[str(j) for j in range(2001)]]))
+        with pytest.raises(SqlError, match="too many columns on t"):
+            execute_row_lookup(table, "SELECT * FROM t WHERE c1 = 1")
+        widest = skip_normalization(Table.make([f"c{j}" for j in range(1999)], [[str(j) for j in range(1999)]]))
+        assert execute_row_lookup(widest, "SELECT * FROM t WHERE c1 = 1").indices == (0,)
+
+
 class TestSanitizeIdentifier:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -218,7 +275,68 @@ def test_sqlite_errors_map_to_their_class(exc, expected):
     assert str(info.value).endswith("'q'") and info.value.__cause__ is exc
 
 
+def _check_policy_reference(sql: str) -> str:
+    """``check_policy`` as it was, with ``complete_statement`` run on the SQL
+    up to each ";": its work grows with the square of the SQL's length."""
+    trimmed = sql.strip().rstrip(";").strip()
+    if not trimmed:
+        raise SqlSyntaxError("empty SQL statement")
+    if any(sqlite3.complete_statement(trimmed[: i + 1]) for i, ch in enumerate(trimmed) if ch == ";"):
+        raise SqlPolicyError("statement lists are not allowed")
+    if not re.match(r"(?is)^(select|with)\b", trimmed):
+        head = trimmed.split()[0]
+        if sqlrows._FORBIDDEN_RE.match(head):
+            raise SqlPolicyError(f"only SELECT statements are allowed, got: {head!r}")
+        raise SqlSyntaxError(f"statement does not start with SELECT: {head!r}")
+    if sqlrows._FORBIDDEN_RE.search(trimmed):
+        raise SqlPolicyError("DDL/DML keywords are not allowed")
+    return trimmed
+
+
+def _outcome(check, sql: str):
+    try:
+        return "returned", check(sql)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+# Quotes, brackets, backticks, comments, ";" and the words of SQLite's trigger rule.
+_SQL_PIECES = ("SELECT", "x", "1", " ", "\n", "\t", "'", '"', "`", "[", "]", "--", "/*", "*/", "/", "*", "-",
+               ";", "CREATE", "TEMP", "temporary", "TRIGGER", "BEGIN", "END", "end;", "EXPLAIN", "é")
+
+
 class TestPolicy:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.booleans(), st.lists(st.sampled_from(_SQL_PIECES), max_size=16).map("".join))
+    def test_matches_the_prefix_by_prefix_reference(self, select, sql):
+        sql = "SELECT " + sql if select else sql
+        assert _outcome(check_policy, sql) == _outcome(_check_policy_reference, sql)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM t WHERE a = '" + ";" * 4000 + "'",
+            "SELECT * FROM t WHERE a = '" + ";" * 4000,
+            'SELECT "' + ";" * 4000 + '" FROM t',
+            "SELECT [" + ";" * 4000 + "] FROM t",
+            "SELECT `" + ";" * 4000 + "` FROM t",
+            "SELECT 1 /*" + ";" * 4000 + "*/",
+            "SELECT 1 -- " + ";" * 4000,
+            "CREATE TRIGGER x BEGIN " + ";" * 4000 + " END",
+            "SELECT 1" + "; x" * 4000,
+        ],
+        ids=["string", "open-string", "quoted", "bracketed", "backticked", "comment", "line-comment", "trigger", "list"],
+    )
+    def test_semicolon_scan_is_linear(self, monkeypatch, sql):
+        expected = _outcome(_check_policy_reference, sql)
+        judged = []
+        complete = sqlite3.complete_statement
+        monkeypatch.setattr(sqlrows.sqlite3, "complete_statement", lambda s: judged.append(len(s)) or complete(s))
+        assert _outcome(check_policy, sql) == expected
+        # SQLite reads each character once, plus the 15-character trigger-body
+        # prefix for each ";" token that ends no statement.
+        assert sum(judged) <= 16 * len(sql)
+
     def test_plain_select_passes(self):
         assert check_policy("SELECT * FROM t;") == "SELECT * FROM t"
 
@@ -338,6 +456,31 @@ class TestExecuteRowLookup:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a._row_id FROM t a, t b",
+            "WITH RECURSIVE r(x) AS (SELECT 0 UNION ALL SELECT x + 1 FROM r) SELECT x AS _row_id FROM r",
+        ],
+    )
+    def test_runaway_lookup_ends_on_its_instruction_budget(self, monkeypatch, sql):
+        monkeypatch.setattr(sqlrows.time, "monotonic", lambda: 0.0)  # the clock never runs out
+        table = skip_normalization(Table.make(["n"], [[str(i)] for i in range(1000)]))
+        with pytest.raises(SqlTimeout):
+            execute_row_lookup(table, sql)
+        if "RECURSIVE" not in sql:  # the same join of 100 rows fits in the budget
+            table = skip_normalization(Table.make(["n"], [[str(i)] for i in range(100)]))
+            assert execute_row_lookup(table, sql).indices == tuple(range(100))
+
+    def test_wall_clock_is_the_backstop(self, monkeypatch):
+        monkeypatch.setattr(sqlrows, "INSTRUCTION_BUDGET", 10**12)
+        ticks = itertools.count(0.0, 1.0)  # a second per progress check
+        monkeypatch.setattr(sqlrows.time, "monotonic", lambda: next(ticks))
+        sql = "WITH RECURSIVE r(x) AS (SELECT 0 UNION ALL SELECT x + 1 FROM r) SELECT x AS _row_id FROM r"
+        with pytest.raises(SqlTimeout):
+            execute_row_lookup(_fixture_table(), sql)
+        assert next(ticks) == sqlrows.TIMEOUT_S + 2  # interrupted at the first check past the deadline
 
     def test_trailing_line_comment(self):
         sql = "SELECT * FROM t WHERE country = 'Belgium' -- the Belgians"

@@ -132,6 +132,17 @@ class TestRowLookup:
         assert got.indices == tuple(range(6))
         assert trace.warnings == ["row lookup SQL is aggregate-only; selected all rows"]
 
+    def test_table_too_wide_for_sqlite_degrades_to_all_rows(self):
+        # SQLite holds at most 2,000 columns, _row_id included.
+        table = skip_normalization(Table.make([f"c{j}" for j in range(2001)], [[str(j) for j in range(2001)]] * 2))
+        lm = make_gateway({"row_lookup_sql": ["SELECT * FROM t WHERE c1 = 1"]})
+        trace = ReasoningTrace()
+        got = row_lookup(table, "q", lm, peek_markdown(table, 2), build_schema(table), trace)
+        assert got.indices == (0, 1)
+        assert trace.warnings == [
+            "row lookup SQL failed (SqlError: cannot load the table: too many columns on t); selected all rows"
+        ]
+
     def test_executes_against_full_table_despite_peek(self):
         # The prompt renders a 2-row peek, but matching happens over all rows.
         lm = make_gateway({"row_lookup_sql": ["SELECT * FROM t WHERE country = 'France'"]})
