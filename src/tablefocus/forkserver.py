@@ -1,18 +1,32 @@
-"""Fork server for generated programs: one pre-started interpreter that forks
-once per program, so a run skips the interpreter's start-up.
+"""Runs of generated programs: one pre-started server per executor command
+forks once per program, so a run skips the interpreter's start-up; ``run``
+is its client, and this docstring the one description of the sandbox.
 
-``reasoning.execute_program`` starts it as ``<command> forkserver.py <fd>``,
-where ``<fd>`` is the server's end of a control socket, with the environment
-a program gets: ``PATH``, and ``HOME`` at the first program's private work
-directory. Site, locale coercion, stdout encoding and the user site
-therefore come out as for a fresh ``python3 program.py``. ``PYTHONHASHSEED=0``,
-dropped from the server's environment before it serves, gives every program
-hash seed 0, unless the command's ``-I`` or ``-E`` has the server ignore it.
-Before it serves, the server imports the ``PRELOADED`` modules, so a program
-that imports them finds them loaded, and one that writes its own ``csv.py``
-or ``decimal.py`` and imports it gets the standard library's. The server
-imports no ``tablefocus`` module, stays single-threaded, and exits when the
-owner's end of the control socket closes, killing the programs still running.
+Sandbox. A program runs as ``python3 program.py`` would, from its own work
+directory, with the environment it is given and ``/dev/null`` as stdin. Its
+fork leads its own session and is capped at ``MEMORY_MB`` of address space,
+``MAX_OUTPUT_BYTES`` per file it writes (stdout included, so a longer output
+fails the run and no more is read back) and a CPU time one second past the
+timeout; each limit is set on its own, so one the system refuses skips no
+other, and a finite hard limit below ours is kept. Nothing caps how many
+processes it starts. The run ends when the program exits or the wall-clock
+timeout passes, and either way its process group is killed, so a background
+process can neither outlive it nor hold it open. A timed-out run reports
+exit status -1; a run whose interpreter cannot start, or whose server dies
+before it reports the status, reports 127, as a shell would.
+
+Server. ``run`` starts it as ``<command> forkserver.py <fd>``, ``<fd>`` its
+end of a control socket, with the environment a program gets: ``PATH``, and
+``HOME`` at the first program's work directory, so site, locale coercion,
+stdout encoding and the user site come out as for a fresh interpreter.
+``PYTHONHASHSEED=0``, dropped from the server's environment before it
+serves, gives every program hash seed 0, unless ``-I`` or ``-E`` has the
+server ignore it. The server preloads the ``PRELOADED`` modules, so a program
+that writes its own ``csv.py`` or ``decimal.py`` and imports it gets the
+standard library's; it imports no ``tablefocus`` module, stays
+single-threaded, and exits, killing the programs still running, when the
+owner's end of the control socket closes: at the owner's exit, which reaps
+it, or death. A server that has died is started again on the next run.
 
 Protocol. A run sends one byte on the control socket with two fds: the
 server's end of a per-run socket and the program's stdout file. It then
@@ -22,7 +36,10 @@ server answers with the child's pid once it has forked, and with the exit
 status ``Popen.returncode`` would give once it has reaped the child, each an
 int right-aligned in ``REPLY_BYTES``. A run that gets no pid never started.
 """
-
+# _socket, not socket: socket.py and the selectors it loads would add about
+# 0.3 MB to every process that runs programs.
+import _socket
+import _thread
 import atexit
 import builtins
 import gc
@@ -32,6 +49,7 @@ import os
 import resource
 import signal
 import sys
+import time
 from importlib.machinery import SourceFileLoader
 
 # Modules the server imports before it serves. Each is one that recorded
@@ -45,8 +63,7 @@ REPLY_BYTES = 12
 
 
 def _limit_resources(timeout_s: float) -> None:
-    """Set each limit on its own, so one the system refuses skips no other;
-    a finite hard limit below ours is kept, since only root may raise it."""
+    """Set the sandbox's limits; a finite hard limit below ours is kept, since only root may raise it."""
     for which, limit in (
         (resource.RLIMIT_AS, MEMORY_MB * 1024 * 1024),
         (resource.RLIMIT_FSIZE, MAX_OUTPUT_BYTES),
@@ -144,7 +161,7 @@ def _reply(conn, value: int) -> bool:
 
 def serve(ctrl_fd: int) -> None:
     """Fork one child per request until the owner's end of the control socket closes."""
-    import select  # here, not at the top: the callers that import this module only for its limits do not need them
+    import select  # here, not at the top: ``run`` needs only ``_socket``
     import socket
 
     for name in PRELOADED:
@@ -196,6 +213,105 @@ def serve(ctrl_fd: int) -> None:
         if not _reply(conn, pid):
             os.kill(pid, signal.SIGKILL)
         runs[pid] = conn
+
+
+_servers: dict[tuple[str, ...], tuple[int, _socket.socket]] = {}  # command -> (pid, control socket)
+_servers_lock = _thread.allocate_lock()
+
+
+def _fork_server(command: tuple[str, ...], env: dict[str, str]) -> _socket.socket:
+    """The control socket of ``command``'s fork server, started in ``env`` if none is running."""
+    with _servers_lock:
+        if command in _servers:
+            pid, ctrl = _servers[command]
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    return ctrl
+            except ChildProcessError:
+                pass
+            ctrl.close()
+            del _servers[command]
+        ours, theirs = _socket.socketpair(_socket.AF_UNIX, _socket.SOCK_STREAM)
+        try:
+            os.set_inheritable(theirs.fileno(), True)
+            stdio = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY if fd else os.O_RDONLY, 0) for fd in range(3)]
+            argv = [*command, __file__, str(theirs.fileno())]
+            pid = os.posix_spawnp(command[0], argv, env, file_actions=stdio, setsid=True)
+        except OSError:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        _servers[command] = pid, ours
+        # Once, and not at import: the server runs this file, and its forks inherit no hook.
+        atexit.unregister(_stop_fork_servers)
+        atexit.register(_stop_fork_servers)
+        return ours
+
+
+def _stop_fork_servers() -> None:
+    """Close each server's control socket, which ends it, and reap it."""
+    for pid, ctrl in _servers.values():
+        ctrl.close()
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+
+
+def run(command: tuple[str, ...], path: str, env: dict[str, str], timeout_s: float) -> tuple[str, int, float, bool]:
+    """Run ``path`` in a fork of ``command``'s server with ``env`` as its
+    environment: its stdout, exit status, wall time in ms and whether it timed out."""
+    import struct  # here, so the server, which runs this file, loads neither
+    import tempfile
+
+    # An unnamed file: the program cannot replace or delete it.
+    with tempfile.TemporaryFile(dir=os.path.dirname(path)) as out:
+        start = time.monotonic()
+        replies: list[int] = []  # the program's pid, then its exit status
+        timed_out = False
+        conn, theirs = _socket.socketpair(_socket.AF_UNIX, _socket.SOCK_STREAM)
+        try:
+            try:
+                ctrl = _fork_server(command, {"PATH": env["PATH"], "HOME": env["HOME"], "PYTHONHASHSEED": "0"})
+                fds = struct.pack("2i", theirs.fileno(), out.fileno())
+                ctrl.sendmsg([b"\0"], [(_socket.SOL_SOCKET, _socket.SCM_RIGHTS, fds)])
+                theirs.close()
+                conn.sendall(marshal.dumps((path, env, timeout_s)))
+                conn.shutdown(_socket.SHUT_WR)
+                while len(replies) < 2:
+                    remaining = start + timeout_s - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError
+                    conn.settimeout(remaining)
+                    reply = conn.recv(REPLY_BYTES, _socket.MSG_WAITALL)
+                    if len(reply) < REPLY_BYTES:
+                        break  # the server has gone
+                    replies.append(int(reply))
+            except TimeoutError:
+                timed_out = True
+            except OSError:  # no interpreter to start, or the server has gone
+                pass
+            duration = (time.monotonic() - start) * 1000.0
+            if replies:
+                try:
+                    os.killpg(replies[0], signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            if timed_out and replies:
+                conn.settimeout(None)
+                try:
+                    conn.recv(REPLY_BYTES, _socket.MSG_WAITALL)  # returns once the program is reaped
+                except OSError:
+                    pass
+        finally:
+            conn.close()
+            theirs.close()
+        out.seek(0)
+        # Decoded with universal newlines, as a text-mode pipe would be.
+        stdout = out.read(MAX_OUTPUT_BYTES).decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+    exit_status = -1 if timed_out else replies[1] if len(replies) == 2 else 127
+    return stdout, exit_status, duration, timed_out
 
 
 if __name__ == "__main__":

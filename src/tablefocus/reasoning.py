@@ -8,25 +8,15 @@ normalized table plus the verbalized focus.
 
 from __future__ import annotations
 
-# _socket, not socket: socket.py and the selectors it loads would add about
-# 0.3 MB to every process that runs programs.
-import _socket
-import atexit
 import csv
 import io
-import marshal
 import os
-import signal
-import struct
 import tempfile
-import threading
-import time
 from dataclasses import asdict, dataclass
 
 from . import forkserver
 from . import gateway as gw
 from .core import render_markdown
-from .forkserver import MAX_OUTPUT_BYTES, REPLY_BYTES
 from .normalize import NormalizedTable
 from .structure import TableOfFocus
 from .trace import ReasoningTrace, digest
@@ -163,76 +153,15 @@ def focus_as_csv(focus: TableOfFocus) -> str:
     return buffer.getvalue()
 
 
-_servers: dict[tuple[str, ...], tuple[int, _socket.socket]] = {}  # command -> (pid, control socket)
-_servers_lock = threading.Lock()
-
-
-def _fork_server(command: tuple[str, ...], env: dict[str, str]) -> _socket.socket:
-    """The control socket of ``command``'s fork server, started in ``env`` if none is running."""
-    with _servers_lock:
-        if command in _servers:
-            pid, ctrl = _servers[command]
-            try:
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                    return ctrl
-            except ChildProcessError:
-                pass
-            ctrl.close()
-            del _servers[command]
-        ours, theirs = _socket.socketpair(_socket.AF_UNIX, _socket.SOCK_STREAM)
-        try:
-            os.set_inheritable(theirs.fileno(), True)
-            pid = os.posix_spawnp(
-                command[0],
-                [*command, forkserver.__file__, str(theirs.fileno())],
-                env,
-                file_actions=[
-                    (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
-                    (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
-                    (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0),
-                ],
-                setsid=True,
-            )
-        except OSError:
-            ours.close()
-            raise
-        finally:
-            theirs.close()
-        _servers[command] = pid, ours
-        return ours
-
-
-@atexit.register
-def _stop_fork_servers() -> None:
-    """Close each server's control socket, which ends it, and reap it."""
-    for pid, ctrl in _servers.values():
-        ctrl.close()
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:
-            pass
-
-
 def execute_program(
     program: str,
     focus: TableOfFocus,
     profile: ExecutorProfile = ExecutorProfile(),
     question: str = "",
 ) -> ExecutionResult:
-    """Run an untrusted generated program in an isolated working directory.
-
-    The focus table is written as table.csv and exported via TM_TABLE_PATH; the
-    question via TM_QUESTION. The program runs in a fork of one pre-started
-    interpreter per ``profile.command`` (``forkserver``), which gives it a
-    minimal environment, a memory cap, a cap of ``MAX_OUTPUT_BYTES`` on each
-    file it writes (stdout included, so a longer output fails the run and no
-    more is read back), a CPU-time cap one second past the timeout, and
-    ``/dev/null`` as stdin. The run ends when the program exits or the
-    wall-clock timeout passes, and either way its whole process group is then
-    killed, so a background process it left cannot hold the run open. An
-    interpreter that cannot be started, or a server that dies before it
-    reports the exit status, reports exit status 127, as a shell would.
-    """
+    """Run an untrusted generated program in the ``forkserver`` sandbox, from a
+    private work directory that holds it as program.py and the focus table as
+    table.csv; TM_TABLE_PATH names the table and TM_QUESTION holds the question."""
     with tempfile.TemporaryDirectory(prefix="tf-exec-") as workdir:
         program_path = os.path.join(workdir, "program.py")
         table_path = os.path.join(workdir, "table.csv")
@@ -246,53 +175,7 @@ def execute_program(
             TABLE_PATH_ENV: table_path,
             QUESTION_ENV: question,
         }
-        # An unnamed file: the program cannot replace or delete it.
-        with tempfile.TemporaryFile(dir=workdir) as out:
-            start = time.monotonic()
-            replies: list[int] = []  # the program's pid, then its exit status
-            timed_out = False
-            conn, theirs = _socket.socketpair(_socket.AF_UNIX, _socket.SOCK_STREAM)
-            try:
-                try:
-                    ctrl = _fork_server(profile.command, {"PATH": env["PATH"], "HOME": workdir, "PYTHONHASHSEED": "0"})
-                    fds = struct.pack("2i", theirs.fileno(), out.fileno())
-                    ctrl.sendmsg([b"\0"], [(_socket.SOL_SOCKET, _socket.SCM_RIGHTS, fds)])
-                    theirs.close()
-                    conn.sendall(marshal.dumps((program_path, env, profile.timeout_s)))
-                    conn.shutdown(_socket.SHUT_WR)
-                    while len(replies) < 2:
-                        remaining = start + profile.timeout_s - time.monotonic()
-                        if remaining <= 0:
-                            raise TimeoutError
-                        conn.settimeout(remaining)
-                        reply = conn.recv(REPLY_BYTES, _socket.MSG_WAITALL)
-                        if len(reply) < REPLY_BYTES:
-                            break  # the server has gone
-                        replies.append(int(reply))
-                except TimeoutError:
-                    timed_out = True
-                except OSError:  # no interpreter to start, or the server has gone
-                    pass
-                duration = (time.monotonic() - start) * 1000.0
-                if replies:
-                    try:
-                        os.killpg(replies[0], signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
-                if timed_out and replies:
-                    conn.settimeout(None)
-                    try:
-                        conn.recv(REPLY_BYTES, _socket.MSG_WAITALL)  # returns once the program is reaped
-                    except OSError:
-                        pass
-            finally:
-                conn.close()
-                theirs.close()
-            out.seek(0)
-            # Decoded with universal newlines, as a text-mode pipe would be.
-            stdout = out.read(MAX_OUTPUT_BYTES).decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
-        exit_status = -1 if timed_out else replies[1] if len(replies) == 2 else 127
-        return ExecutionResult(stdout=stdout, exit_status=exit_status, duration_ms=duration, timed_out=timed_out)
+        return ExecutionResult(*forkserver.run(profile.command, program_path, env, profile.timeout_s))
 
 
 def looks_abstaining(text: str) -> bool:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from tablefocus import reasoning
+from tablefocus import forkserver, reasoning
 from tablefocus.core import Table
 from tablefocus.evaluation import EvalInstance, evaluate
 from tablefocus.forkserver import MAX_OUTPUT_BYTES, _limit_resources
@@ -171,7 +171,7 @@ def test_runs_in_flight_do_not_wait_for_each_other():
 
 def test_concurrent_runs_each_get_their_own_output():
     """Eight threads share one server, started cold under a racing first call."""
-    running = reasoning._servers.get(ExecutorProfile().command)
+    running = forkserver._servers.get(ExecutorProfile().command)
     if running is not None:
         os.kill(running[0], signal.SIGKILL)
         os.waitpid(running[0], 0)
@@ -187,7 +187,7 @@ def test_concurrent_runs_each_get_their_own_output():
 
 def test_a_killed_server_is_restarted_on_the_next_run():
     assert execute_program("print(1)", FOCUS).answer_line == "1"
-    pid, _ = reasoning._servers[ExecutorProfile().command]
+    pid, _ = forkserver._servers[ExecutorProfile().command]
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
     result = execute_program("print(2)", FOCUS)
@@ -226,7 +226,7 @@ def test_a_programs_own_csv_module_is_not_what_it_imports():
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the server's threads from /proc")
 def test_the_server_stays_single_threaded():
     execute_program("pass", FOCUS)  # the server has preloaded its modules before it serves
-    pid, _ = reasoning._servers[ExecutorProfile().command]
+    pid, _ = forkserver._servers[ExecutorProfile().command]
     assert len(os.listdir(f"/proc/{pid}/task")) == 1
 
 
@@ -268,7 +268,7 @@ def test_a_run_whose_server_dies_reports_127_and_the_next_run_restarts_it(tmp_pa
     with ThreadPoolExecutor(max_workers=1) as pool:
         run = pool.submit(execute_program, _started(pids_path), FOCUS, ExecutorProfile(timeout_s=30.0))
         _wait_for(pids_path)
-        server, _ = reasoning._servers[ExecutorProfile().command]
+        server, _ = forkserver._servers[ExecutorProfile().command]
         os.kill(server, signal.SIGKILL)
         result = run.result(timeout=20.0)
     assert (result.exit_status, result.timed_out) == (127, False)
@@ -276,7 +276,7 @@ def test_a_run_whose_server_dies_reports_127_and_the_next_run_restarts_it(tmp_pa
     _assert_ended(pids_path)
     after = execute_program("print(2)", FOCUS)
     assert (after.exit_status, after.answer_line) == (0, "2")
-    assert reasoning._servers[ExecutorProfile().command][0] != server
+    assert forkserver._servers[ExecutorProfile().command][0] != server
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
@@ -295,7 +295,7 @@ def test_a_deadline_that_passes_between_the_replies_times_the_run_out(tmp_path, 
         _wait_for(pids_path)
         return time.monotonic() + 60.0
 
-    monkeypatch.setattr(reasoning, "time", types.SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(forkserver, "time", types.SimpleNamespace(monotonic=monotonic))
     result = execute_program(_started(pids_path), FOCUS, ExecutorProfile(timeout_s=30.0))
     assert (result.exit_status, result.timed_out) == (-1, True)
     _assert_ended(pids_path)
@@ -346,10 +346,10 @@ def test_stdin_is_empty_not_the_callers():
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
 def test_no_server_outlives_its_owner():
     code = (
-        "from tablefocus import reasoning\n"
+        "from tablefocus import forkserver, reasoning\n"
         "from test_forkserver import FOCUS\n"
         "assert reasoning.execute_program('print(1)', FOCUS).answer_line == '1'\n"
-        "print(reasoning._servers[reasoning.ExecutorProfile().command][0])\n"
+        "print(forkserver._servers[reasoning.ExecutorProfile().command][0])\n"
     )
     completed = _owner(code)
     assert completed.returncode == 0, completed.stderr

@@ -11,10 +11,9 @@ import time
 import pytest
 
 from tablefocus import gateway as gw
-from tablefocus.forkserver import MEMORY_MB, _limit_resources
+from tablefocus.forkserver import MAX_OUTPUT_BYTES, MEMORY_MB, _limit_resources
 from tablefocus.normalize import skip_normalization
 from tablefocus.reasoning import (
-    MAX_OUTPUT_BYTES,
     Answer,
     ExecutionResult,
     ExecutorProfile,
