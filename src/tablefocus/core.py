@@ -120,8 +120,6 @@ def _is_separator_row(cells: list[str]) -> bool:
 
 def _parse_markdown(text: str) -> tuple[list[str], list[list[str]]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("no table lines found")
     if not any("|" in ln for ln in lines):
         raise ParseError("markdown table must contain pipe delimiters")
     headers = _split_markdown_row(lines[0])
@@ -135,8 +133,6 @@ def _parse_markdown(text: str) -> tuple[list[str], list[list[str]]]:
 def _parse_delimited(text: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     records = [row for row in reader if row]
-    if not records:
-        raise ParseError("no records found")
     return records[0], records[1:]
 
 

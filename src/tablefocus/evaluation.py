@@ -139,8 +139,6 @@ def _tabfact_instances(record: tuple[str, Any], base: Path) -> list[EvalInstance
 
 def _parse_hash_table(text: str) -> Table:
     rows = [line.split("#") for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise DatasetFormatError("empty table file")
     return Table.make(rows[0], rows[1:])
 
 

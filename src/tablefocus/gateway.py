@@ -77,6 +77,10 @@ class TransportError(GatewayError):
     pass
 
 
+class UnencodableReply(GatewayError, ValueError):
+    """A reply text with a lone surrogate, which UTF-8, and so the trace, cannot encode."""
+
+
 class ProviderError(GatewayError):
     def __init__(self, status: int, body: str):
         super().__init__(f"provider returned HTTP {status}: {body[:500]}")
@@ -108,6 +112,13 @@ class LmResponse:
     backend_id: str = ""
 
     def __post_init__(self) -> None:
+        # HttpBackend and Cassette report a ValueError or TypeError here as their own GatewayError.
+        if not isinstance(self.text, str):
+            raise TypeError(f"reply text is {type(self.text).__name__}, not text")
+        try:
+            self.text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise UnencodableReply(f"reply text is not valid UTF-8: {exc}") from None
         if self.prompt_tokens < 0 or self.completion_tokens < 0:
             raise ValueError("token counts must be non-negative")
 
@@ -168,12 +179,9 @@ class HttpBackend:
             raise ProviderError(resp.status_code, resp.text)
         try:
             data = resp.json()
-            text = data["choices"][0]["message"]["content"]
-            if not isinstance(text, str):
-                raise TypeError(f"message content is {type(text).__name__}, not text")
             usage = data.get("usage") or {}
             return LmResponse(
-                text=text,
+                text=data["choices"][0]["message"]["content"],
                 prompt_tokens=int(usage.get("prompt_tokens", 0)),
                 completion_tokens=int(usage.get("completion_tokens", 0)),
                 backend_id=f"http:{self.model}",
@@ -235,8 +243,6 @@ class Cassette:
             raise StorageFault(f"cassette entry {key} could not be read: {exc}") from exc
         except (ValueError, LookupError, TypeError) as exc:
             raise CorruptEntry(f"cassette entry {key} is unreadable: {exc}") from exc
-        if not isinstance(response.text, str):
-            raise CorruptEntry(f"cassette entry {key} has no response text")
         return response
 
     def store(self, request: LmRequest, response: LmResponse) -> None:

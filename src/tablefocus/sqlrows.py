@@ -131,10 +131,6 @@ _FORBIDDEN_RE = re.compile(
 )
 
 
-def is_aggregate_query(sql: str) -> bool:
-    return bool(_AGGREGATE_RE.search(sql))
-
-
 # A ";" token, or a run that SQLite's tokenizer reads as one token or comment
 # and that may hold a ";": a quoted string or identifier, a bracketed
 # identifier or a comment, each closed. An unclosed one matches as its opening
@@ -143,6 +139,8 @@ _SEMICOLON_OR_QUOTED = re.compile(r"""(;)|'[^']*'|"[^"]*"|`[^`]*`|\[[^\]]*\]|--[
 # After a ";" token that ends no statement, SQLite's tokenizer is in a trigger
 # body, where only "END;" ends one: the state this text leaves it in.
 _IN_TRIGGER_BODY = "CREATE TRIGGER;"
+# SQLite reads SQL as NUL-terminated UTF-8.
+_UNREADABLE = re.compile("[\x00\ud800-\udfff]")
 
 
 def _ends_a_statement_early(sql: str) -> bool:
@@ -160,11 +158,36 @@ def _ends_a_statement_early(sql: str) -> bool:
     return False
 
 
+def _top_level(sql: str) -> str:
+    """``sql`` with each quoted run and comment, and the inside of each
+    parenthesis, blanked: the query's top level, at the offsets of ``sql``."""
+    text = list(sql)
+    for match in _SEMICOLON_OR_QUOTED.finditer(sql):
+        if not match[1]:
+            end = len(sql) if match[2] else match.end()  # an unclosed run holds the rest
+            text[match.start() : end] = " " * (end - match.start())
+    depth = 0
+    for i, char in enumerate(text):
+        if char == ")" and depth:
+            depth -= 1
+        if depth:
+            text[i] = " "
+        if char == "(":
+            depth += 1
+    return "".join(text)
+
+
+def is_aggregate_query(sql: str) -> bool:
+    return bool(_AGGREGATE_RE.search(_top_level(sql)))
+
+
 def check_policy(sql: str) -> str:
     """Reject anything but a single SELECT statement; returns the trimmed SQL."""
     trimmed = sql.strip().rstrip(";").strip()
     if not trimmed:
         raise SqlSyntaxError("empty SQL statement")
+    if _UNREADABLE.search(trimmed):
+        raise SqlSyntaxError("the query holds a NUL character or a lone surrogate, which SQLite cannot read")
     if _ends_a_statement_early(trimmed):
         raise SqlPolicyError("statement lists are not allowed")
     if not re.match(r"(?is)^(select|with)\b", trimmed):
@@ -251,11 +274,9 @@ _WHERE_RE = re.compile(r"(?is)\bwhere\b(.*?)(?:\bgroup\s+by\b|\border\s+by\b|\bl
 
 
 def extract_where_clause(sql: str) -> str | None:
-    match = _WHERE_RE.search(sql)
-    if match:
-        clause = match.group(1).strip()
-        return clause or None
-    return None
+    """The top-level WHERE clause of ``sql``, up to its GROUP BY, ORDER BY or LIMIT."""
+    match = _WHERE_RE.search(_top_level(sql))
+    return (sql[match.start(1) : match.end(1)].strip() or None) if match else None
 
 
 def execute_row_lookup(table: NormalizedTable, sql: str, schema: SqlSchema | None = None) -> RowSet:

@@ -4,6 +4,7 @@ fault-injection degradation ladder, structural invariants, and cost accounting.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import time
@@ -262,6 +263,19 @@ class TestDegradationLadder:
         answer, trace = replay_run(case, tmp_path / "c")
         assert answer.abstained
         assert trace.answer["abstained"] is True
+        assert any(w.startswith("pipeline degraded: CorruptEntry") for w in trace.warnings)
+
+    def test_replayed_reply_with_a_lone_surrogate_degrades(self, tmp_path):
+        # Valid JSON: the surrogate is written as the escape \ud800.
+        case = {c.id: c for c in GOLDEN_CASES}["tenure-textual"]
+        record_run(case, tmp_path / "c")
+        for path in (tmp_path / "c").glob("*.json"):
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            if entry["request"]["template_id"] == "structure_extraction":
+                entry["response"]["text"] = "key column: a\ud800"
+                path.write_text(json.dumps(entry), encoding="utf-8")
+        answer, trace = replay_run(case, tmp_path / "c")
+        assert answer.abstained
         assert any(w.startswith("pipeline degraded: CorruptEntry") for w in trace.warnings)
 
     def test_persistent_abstention_still_terminates(self):

@@ -89,6 +89,10 @@ class TestParse:
         t = parse_table("| a |\n| --- |\n| x \\| y |", format="markdown")
         assert t.rows == (("x | y",),)
 
+    def test_markdown_cell_ending_in_a_lone_backslash_keeps_it(self):
+        t = parse_table("| a | b |\n| --- | --- |\n| 1 | 2\\", format="markdown")
+        assert t.rows == (("1", "2\\"),)
+
     def test_csv(self):
         t = parse_table("a,b\n1,2\n3,4", format="csv")
         assert t.headers == ("a", "b")

@@ -181,6 +181,11 @@ class TestLoadDataset:
         assert [i.id for i in instances] == ["q1"]
         assert skipped == 1
 
+    def test_tabfact_json_must_be_an_object(self, tmp_path):
+        (tmp_path / "collected.json").write_text(json.dumps([["t1.csv", [["claim"], [1], "caption"]]]))
+        with pytest.raises(DatasetFormatError, match="must be an object"):
+            load_dataset(tmp_path / "collected.json", format="tabfact-json")
+
     def test_tabfact_json(self, tmp_path):
         (tmp_path / "tables").mkdir()
         (tmp_path / "tables" / "t1.csv").write_text("a#b\n1#2\n")

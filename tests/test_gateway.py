@@ -12,7 +12,7 @@ import pytest
 from tablefocus import gateway as gw
 from tablefocus.trace import ReasoningTrace, digest
 
-from conftest import edited_templates
+from conftest import GOLDEN_CASES, edited_templates
 
 
 def _request(template_id="column_lookup", rendered="hello"):
@@ -221,6 +221,39 @@ class TestHttpBackend:
         with pytest.raises(gw.ProviderError) as info:
             self._send(monkeypatch, 503, "busy")
         assert info.value.status == 503
+
+    def test_api_key_is_sent_as_a_bearer_token(self, monkeypatch):
+        monkeypatch.setenv("TF_API_KEY", "sk-test")
+        self._send(monkeypatch, 200, json.dumps({"choices": [{"message": {"content": "hi"}}]}))
+        assert self.posted[0]["headers"]["Authorization"] == "Bearer sk-test"
+
+    def test_failed_request_is_transport_error(self, monkeypatch):
+        import requests
+
+        def refused(*args, **kwargs):
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(requests, "post", refused)
+        with pytest.raises(gw.TransportError, match="connection refused"):
+            gw.HttpBackend("http://localhost:1", "m").send(_request())
+
+    def test_reply_with_a_lone_surrogate_degrades_the_run(self, monkeypatch):
+        from tablefocus.pipeline import PipelineConfig, run_instance
+
+        import requests
+
+        body = json.dumps({"choices": [{"message": {"content": "key column: a\ud800"}}]})
+        monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeReply(200, body))
+        case = GOLDEN_CASES[0]
+        lm = gw.Gateway(gw.HttpBackend("http://localhost:1", "m"))
+        answer, trace = run_instance(case.table, case.question, lm, PipelineConfig(backend_mode="passthrough"))
+        assert answer.abstained
+        assert any(w.startswith("pipeline degraded: ProviderError") for w in trace.warnings)
+
+    def test_scripted_reply_with_a_lone_surrogate_is_a_gateway_error(self):
+        with pytest.raises(gw.UnencodableReply):
+            gw.ScriptedBackend({"column_lookup": ["a\ud800"]}).send(_request())
+        assert issubclass(gw.UnencodableReply, gw.GatewayError)
 
 
 class TestTemplatesAndGateway:

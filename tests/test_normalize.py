@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import calendar
 import importlib
-import pkgutil
 import random
 import re
 import sys
@@ -15,7 +14,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import tablefocus
 from tablefocus.core import Table, transpose
 from tablefocus.normalize import (
     ColumnKind,
@@ -160,27 +158,6 @@ _PREFILTER_ALPHABET = st.sampled_from(list("a1.+$-/, \t\n\r\x1c\x85") + ["\u00a0
 _UNICODE_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
-def _patterns(values):
-    """The compiled patterns among ``values``, their bound methods and the
-    tuples and dicts that hold them."""
-    for value in values:
-        if isinstance(value, re.Pattern):
-            yield value
-        elif isinstance(getattr(value, "__self__", None), re.Pattern):
-            yield value.__self__
-        elif isinstance(value, (tuple, list, dict)):
-            yield from _patterns(value.values() if isinstance(value, dict) else value)
-
-
-def _tree_items(node):
-    """Every leaf of a parsed pattern's tree, its opcodes among them."""
-    if isinstance(node, (tuple, list)) or type(node).__name__ == "SubPattern":
-        for item in node:
-            yield from _tree_items(item)
-    else:
-        yield node
-
-
 @st.composite
 def _number_like(draw):
     """Numbers with commas, decimals, leading dots, signs, currency prefixes,
@@ -301,15 +278,6 @@ class TestPrimitiveParsers:
         s = raw.strip()
         expected = _reference_parse_decimal(s) is not None or bool(_OLD_DATE_PREFILTER(s))
         assert bool(normalize_module._MAY_HAVE_FORM(s)) == expected
-
-    def test_patterns_use_no_syntax_newer_than_python_3_10(self):
-        # re accepts possessive quantifiers and atomic groups only from Python 3.11 on.
-        parser = pytest.importorskip("re._parser")
-        newer = (parser.POSSESSIVE_REPEAT, parser.ATOMIC_GROUP)
-        for info in pkgutil.iter_modules(tablefocus.__path__):
-            for pattern in _patterns(vars(importlib.import_module(f"tablefocus.{info.name}")).values()):
-                ops = _tree_items(parser.parse(pattern.pattern, pattern.flags))
-                assert not any(op is new for op in ops for new in newer), (info.name, pattern.pattern)
 
     @pytest.mark.parametrize(
         "raw", ["42", "-3", "3.50", ".25", "1999-03-05"]

@@ -301,6 +301,19 @@ class TestAnswerAdaptive:
         assert answer.value == "7"
         assert any("nonzero exit" in f for f in trace.fallbacks)
 
+    def test_empty_output_falls_back_to_textual(self):
+        lm = make_gateway({
+            "strategy_assessment": ["symbolic"],
+            "textual_guidance": ["g"],
+            "symbolic_reasoning": ["```python\npass\n```"],
+            "textual_reasoning": ["Answer: 7"],
+            "answer_formatting": ["7"],
+        })
+        answer, trace = answer_adaptive(NORM, FOCUS, DESCRIPTION, "q", "qa", lm, ReasoningTrace())
+        assert answer.value == "7"
+        assert trace.fallbacks == ["textual (executor empty output)"]
+        assert [s["exit_status"] for s in trace.steps if s["kind"] == "exec"] == [0]
+
     def test_oversized_output_falls_back_to_textual(self):
         lm = make_gateway({
             "strategy_assessment": ["symbolic"],

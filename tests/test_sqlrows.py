@@ -378,6 +378,19 @@ class TestPolicy:
         assert extract_where_clause("SELECT * FROM t WHERE a = 1 ORDER BY b") == "a = 1"
         assert extract_where_clause("SELECT * FROM t") is None
 
+    def test_quoted_runs_comments_and_parentheses_are_not_the_top_level(self):
+        assert not is_aggregate_query("SELECT * FROM t WHERE a != 'count(x)' -- max(b)")
+        assert not is_aggregate_query("SELECT * FROM t WHERE a > (SELECT AVG(a) FROM t)")
+        assert is_aggregate_query("SELECT COUNT(*) FROM t WHERE a IN (SELECT a FROM t)")
+        assert extract_where_clause("SELECT COUNT(*) FROM t WHERE a = 'limit' /* order by */ LIMIT 1") == (
+            "a = 'limit' /* order by */"
+        )
+        assert extract_where_clause("SELECT * FROM (SELECT * FROM t WHERE a = 1) LIMIT 2") is None
+        assert extract_where_clause("SELECT * FROM t WHERE b IN (SELECT b FROM t GROUP BY b) LIMIT 2") == (
+            "b IN (SELECT b FROM t GROUP BY b)"
+        )
+        assert extract_where_clause("SELECT COUNT(*) FROM t WHERE a = 'open") == "a = 'open"
+
 
 class TestExecuteRowLookup:
     def test_simple_filter(self):
@@ -487,6 +500,33 @@ class TestExecuteRowLookup:
         assert execute_row_lookup(_fixture_table(), sql).indices == (0, 2)
         sql = "SELECT COUNT(*) FROM t WHERE country = 'Belgium' -- how many"
         assert execute_row_lookup(_fixture_table(), sql).indices == (0, 2)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM t WHERE wins = 1 \x00; SELECT 2",
+            "SELECT * FROM t WHERE country = '\ud800'",
+            "SELECT * FROM t WHERE country = 'a\x00'",
+        ],
+        ids=["nul-before-semicolon", "lone-surrogate", "nul-in-literal"],
+    )
+    def test_sql_sqlite_cannot_read_is_sql_error(self, sql):
+        with pytest.raises(SqlError):
+            execute_row_lookup(_fixture_table(), sql)
+
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            ("SELECT * FROM t WHERE units > (SELECT AVG(units) FROM t) ORDER BY units DESC LIMIT 1", (1,)),
+            ("SELECT * FROM t WHERE chain IN (SELECT chain FROM t GROUP BY chain HAVING COUNT(*) > 1)", (0, 1, 2, 3)),
+            ("SELECT COUNT(*) FROM t WHERE chain = 'limit'", (4,)),
+            ("SELECT * FROM t WHERE chain != 'count(x)' ORDER BY units DESC LIMIT 2", (1, 2)),
+        ],
+        ids=["aggregate-subquery", "grouped-subquery", "keyword-literal", "aggregate-literal"],
+    )
+    def test_only_the_top_level_makes_an_aggregate_or_ends_the_where_clause(self, sql, expected):
+        rows = [["a", "5"], ["a", "9"], ["b", "7"], ["b", "1"], ["limit", "3"]]
+        assert execute_row_lookup(normalize(Table.make(["chain", "units"], rows)), sql).indices == expected
 
     def test_non_finite_row_id_is_semantic_error(self):
         with pytest.raises(SqlSemanticError):

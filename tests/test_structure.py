@@ -143,6 +143,14 @@ class TestRowLookup:
             "row lookup SQL failed (SqlError: cannot load the table: too many columns on t); selected all rows"
         ]
 
+    @pytest.mark.parametrize("sql", ["SELECT * FROM t WHERE wins = 1 \x00; SELECT 2", "SELECT * FROM t WHERE country = 'a\x00'"])
+    def test_sql_with_a_nul_degrades_to_all_rows(self, sql):
+        lm = make_gateway({"row_lookup_sql": [sql]})
+        trace = ReasoningTrace()
+        got = row_lookup(NORM, "q", lm, PEEK, SCHEMA, trace=trace)
+        assert got.indices == tuple(range(6))
+        assert any("failed" in w and "selected all rows" in w for w in trace.warnings)
+
     def test_executes_against_full_table_despite_peek(self):
         # The prompt renders a 2-row peek, but matching happens over all rows.
         lm = make_gateway({"row_lookup_sql": ["SELECT * FROM t WHERE country = 'France'"]})
