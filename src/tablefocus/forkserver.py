@@ -1,6 +1,5 @@
-"""Runs of generated programs: one pre-started server per executor command
-forks once per program, so a run skips the interpreter's start-up; ``run``
-is its client, and this docstring the one description of the sandbox.
+"""Program execution: one pre-started server per executor command forks once
+per program, so a run skips the interpreter's start-up; ``run`` is its client.
 
 Sandbox. A program runs as ``python3 program.py`` would, from its own work
 directory, with the environment it is given and ``/dev/null`` as stdin. Its
@@ -36,6 +35,7 @@ server answers with the child's pid once it has forked, and with the exit
 status ``Popen.returncode`` would give once it has reaped the child, each an
 int right-aligned in ``REPLY_BYTES``. A run that gets no pid never started.
 """
+
 # _socket, not socket: socket.py and the selectors it loads would add about
 # 0.3 MB to every process that runs programs.
 import _socket

@@ -238,9 +238,9 @@ class TestHttpBackend:
             gw.HttpBackend("http://localhost:1", "m").send(_request())
 
     def test_reply_with_a_lone_surrogate_degrades_the_run(self, monkeypatch):
-        from tablefocus.pipeline import PipelineConfig, run_instance
-
         import requests
+
+        from tablefocus.pipeline import PipelineConfig, run_instance
 
         body = json.dumps({"choices": [{"message": {"content": "key column: a\ud800"}}]})
         monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeReply(200, body))
