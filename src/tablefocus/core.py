@@ -131,8 +131,10 @@ def _parse_markdown(text: str) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_delimited(text: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    records = [row for row in reader if row]
+    try:
+        records = [row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row]
+    except csv.Error as exc:  # such as a lone carriage return inside a row
+        raise ParseError(f"invalid delimited text: {exc}") from exc
     return records[0], records[1:]
 
 

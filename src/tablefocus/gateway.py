@@ -81,6 +81,11 @@ class UnencodableReply(GatewayError, ValueError):
     """A reply text with a lone surrogate, which UTF-8, and so the trace, cannot encode."""
 
 
+class UnencodablePrompt(GatewayError, ValueError):
+    """A prompt with a lone surrogate, from a table cell or the question, which
+    UTF-8, and so the request key and the provider, cannot encode."""
+
+
 class ProviderError(GatewayError):
     def __init__(self, status: int, body: str):
         super().__init__(f"provider returned HTTP {status}: {body[:500]}")
@@ -102,6 +107,12 @@ class PromptTemplate:
 class LmRequest:
     template_id: str
     rendered: str
+
+    def __post_init__(self) -> None:
+        try:
+            self.rendered.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise UnencodablePrompt(f"prompt {self.template_id} is not valid UTF-8: {exc}") from None
 
 
 @dataclass(frozen=True)

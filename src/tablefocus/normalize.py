@@ -10,10 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from functools import cached_property
-from itertools import repeat, takewhile
+from functools import cache, cached_property
 from operator import itemgetter, not_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Table, transpose
 
@@ -92,12 +91,12 @@ _MAY_HAVE_FORM = re.compile(rf"{_DATE_MARK}|[{_CURRENCY}\s]*\+?\d*\.?\d+\Z").mat
 
 
 def _ascii_date(i: int, fmt: str) -> tuple[int, re.Pattern, tuple]:
-    """Format ``i``, its ASCII pattern and the pattern's group numbers of the
-    year, the month and the day. No string this pattern fullmatches fits an
-    earlier format's shape, so ``_ANY_DATE_SHAPE`` names format ``i``, or a
-    twin with the same shape and pattern, first for each of them."""
+    """Format ``i``, its ASCII pattern and the places of the year, the month
+    and the day among the pattern's groups. No string this pattern fullmatches
+    fits an earlier format's shape, so ``_ANY_DATE_SHAPE`` names format ``i``,
+    or a twin with the same shape and pattern, first for each of them."""
     pattern = re.compile(_date_pattern(fmt, _ASCII_DIRECTIVES, r"[ \t\n\r\f\v]+"))
-    at = pattern.groupindex
+    at = {name: number - 1 for name, number in pattern.groupindex.items()}
     return i, pattern, (at.get("Y", at.get("y")), at.get("m", at.get("b")), at["d"], "y" in at, "b" in at)
 
 
@@ -106,6 +105,59 @@ _ASCII_DATES = {f"f{i}": _ascii_date(i, fmt) for i, fmt in enumerate(_DATE_FORMA
 _PIVOT = {f"{y:02d}": str(y + 2000 if y <= 68 else y + 1900) for y in range(100)}
 # Each day or month field the ASCII patterns allow, as two digits.
 _TWO_DIGITS = {field: f"{n:02d}" for n in range(1, 32) for field in (str(n), f"{n:02d}", f" {n}")}
+
+# A column pass joins the column's cells into one text, each followed by the
+# first of these control characters that no cell holds. None is a space, a
+# digit, a letter or a mark of a number or a date, so no cell pattern below
+# reads across one. A run ends at the first separator not followed by a cell
+# of its form: a search with a lookahead over one cell, since a pattern that
+# repeats over the cells keeps a backtracking frame per cell, megabytes on a
+# long column. The patterns are written for NUL, and ``_separated`` compiles
+# them on first use. ``_SPACE`` is ``\s`` as a set of characters, which
+# ``re`` tests about twice as fast as the category.
+_SEPARATORS = "".join(map(chr, [*range(0x00, 0x09), *range(0x0E, 0x1C), 0x7F]))
+_SPACE = f"[{_SPACES}]"
+# As ``_IS_INT``/``_IS_DEC`` read ``cell.strip().lstrip(_NUMBER_LEAD)``.
+_INT_RUN = rf"\x00(?![{_NUMBER_LEAD}]*{_INT}{_SPACE}*\x00)"
+_DEC_RUN = rf"\x00(?![{_NUMBER_LEAD}]*{_DEC}{_SPACE}*\x00)"
+# A stripped cell fails ``_DATE_MARK`` when it holds no "-", "/" or "," and
+# at most one space: at most two words, one space between. It has no form
+# when it is also no number as ``_MAY_HAVE_FORM`` reads one.
+_WORD = rf"[^-/,\x00{_SPACES}]+"
+_NO_FORM_RUN = (
+    rf"\x00(?:(?=[{_NUMBER_LEAD}]*\+?\d*\.?\d+{_SPACE}*\x00)"
+    rf"|(?!{_SPACE}*(?:{_WORD}(?:{_SPACE}{_WORD})?)?{_SPACE}*\x00))"
+)
+# An integer's form differs from its text when it holds a non-ASCII digit, a
+# "+", a leading zero or "-0"; this finds the last two.
+_NOT_CANONICAL = r"\x00(?:-0|0[0-9])"
+_NUMBER_MARKS = str.maketrans("", "", _NUMBER_LEAD + ",")  # what a number's form drops
+# Per date format, the search that ends a run of its ASCII dates, as
+# ``ascii_date.fullmatch(cell.strip())`` reads them. Such a cell is three
+# fields of digits or letters with spaces, "-", "/" or "," between and
+# around them, so with those marks and the separator made spaces, ``split``
+# gives each cell's fields in format order.
+_DATE_RUNS = {
+    group: rf"\x00(?!{_SPACE}*(?:{ascii_date.pattern}){_SPACE}*\x00)"
+    for group, (_, ascii_date, _) in _ASCII_DATES.items()
+}
+_DATE_MARKS = str.maketrans(dict.fromkeys("-/," + _SEPARATORS, " "))
+
+
+@cache
+def _separated(pattern: str, sep: str) -> re.Pattern:
+    """``pattern``, written for the separator NUL, compiled for the separator ``sep``."""
+    return re.compile(pattern.replace(r"\x00", f"\\x{ord(sep):02x}"))
+
+
+def _joined(cells: Sequence[str]) -> tuple[str, str]:
+    """The first of ``_SEPARATORS`` that no cell holds, and the cells joined
+    by it, each followed by it; ("", "") when the cells hold every one."""
+    text = "\x00".join(cells)
+    if text.count("\x00") == len(cells) - 1:
+        return "\x00", text + "\x00"
+    sep = next((sep for sep in _SEPARATORS if sep not in text), "")
+    return sep, sep and sep.join(cells) + sep
 
 
 @dataclass(frozen=True)
@@ -212,22 +264,27 @@ class _Parses(dict):
         """A column's tally, how many of its cells parse as each kind of
         ``_KINDS``, and the forms of each kind of its cells, in cell order.
 
-        The cells go in runs. A run's first cell is read from the memo; one
-        C-level check for its form then reads the cells after it, up to the
-        first of another form, which starts the next run. The forms:
-        integers, decimals, no form (no number, and nothing every date shape
-        holds), or dates in the first cell's format in ASCII form. A column
-        whose cells share one form is one run. The cells go on one by one,
-        through the memo, from where fewer than eight are left or, after three
-        runs, from where the runs average fewer than eight. In timings, four in
-        place of eight slowed a table of four-cell columns by a third, no
-        average rule a column of six forms in random order by half, and no
-        three-run grace a blank first cell by a tenth; 16, 2 and 5 timed the same."""
+        The cells go in runs, over the column joined once into one text (see
+        ``_SEPARATORS``). A run's first cell is read from the memo; one search
+        from its end then finds the first cell after it of another form,
+        which starts the next run, and the forms of the cells between are
+        taken from that slice of the text at once. The forms: integers,
+        decimals, no form (no number, and nothing every date shape holds), or
+        dates in the first cell's format in ASCII form. A column whose cells
+        share one form is one run. The cells go on one by one, through the
+        memo, from where fewer than eight are left or, after three runs, from
+        where the runs average fewer than eight. In timings, four in place of
+        eight slowed a table of four-cell columns by a third, no average rule
+        a column of six forms in random order by half, and no three-run grace
+        a blank first cell by a tenth; 16, 2 and 5 timed the same."""
         forms: tuple[list, list, list] = ([], [], [])
+        sep, text = _joined(cells) if len(cells) >= 8 else ("", "")
         start = runs = 0
-        while len(cells) - start >= 8 and (runs < 3 or start >= 8 * runs):
-            parsed = self[cells[start]]
-            run = self._run(parsed, cells[start], map(cells.__getitem__, range(start + 1, len(cells))))
+        end = -1  # the separator before cell ``start``
+        while sep and len(cells) - start >= 8 and (runs < 3 or start >= 8 * runs):
+            cell = cells[start]
+            parsed = self[cell]
+            run, end = self._run(parsed, cell, text, sep, end + 1 + len(cell))
             for out, first, rest in zip(forms, parsed, run):
                 out.append(first)
                 out.extend(rest)
@@ -237,43 +294,52 @@ class _Parses(dict):
             out.extend(rest)
         return [len(cells) - out.count(None) for out in forms], forms
 
-    def _run(self, parsed: tuple, cell: str, cells: Iterable[str]) -> tuple[list, list, list]:
-        """The forms of each kind of the ``cells`` that share the form of
-        ``cell``, whose forms are ``parsed``, up to the first that does not."""
+    def _run(self, parsed: tuple, cell: str, text: str, sep: str, at: int) -> tuple[tuple[list, list, list], int]:
+        """The forms of each kind of the cells after ``cell`` that share the
+        form of ``cell``, whose forms are ``parsed``, up to the first that does
+        not, and the offset of the separator after the last of them. ``text``
+        is the column joined by ``sep``, and ``cell`` ends at offset ``at``."""
         integer, decimal, dated = parsed
-        stripped = map(str.strip, cells)
         if dated is not None:
             # None of them is a number: every format puts a "-", "/" or letters between two fields.
-            _, ascii_date, layout = _ASCII_DATES[_ANY_DATE_SHAPE.fullmatch(cell.strip()).lastgroup]
-            dates = self._built(takewhile(bool, map(ascii_date.fullmatch, stripped)), layout)
-            return [None] * len(dates), [None] * len(dates), dates
+            group = _ANY_DATE_SHAPE.fullmatch(cell.strip()).lastgroup
+            end = _separated(_DATE_RUNS[group], sep).search(text, at).start()
+            fields = text[at:end].translate(_DATE_MARKS).split()
+            dates = self._built(fields, _ASCII_DATES[group][2])
+            if 3 * len(dates) < len(fields):  # cut at a word that names no month or a date that does not exist
+                end = at + len(dates) + sum(map(len, text[at + 1 : end].split(sep, len(dates))[: len(dates)]))
+            none = [None] * len(dates)
+            return (none, none, dates), end
         if decimal is None:
-            none = [None] * len(list(takewhile(not_, map(_MAY_HAVE_FORM, stripped))))
-            return none, none, none
-        numbers = map(str.lstrip, stripped, repeat(_NUMBER_LEAD))
-        if integer is not None:
-            integers = list(map(str, map(int, map(str.replace, takewhile(_IS_INT, numbers), repeat(","), repeat("")))))
-            return integers, integers, [None] * len(integers)
-        decimals = list(map(str.replace, takewhile(_IS_DEC, numbers), repeat(","), repeat("")))
-        return [None] * len(decimals), decimals, [None] * len(decimals)
+            end = _separated(_NO_FORM_RUN, sep).search(text, at).start()
+            none = [None] * text.count(sep, at, end)
+            return (none, none, none), end
+        end = _separated(_INT_RUN if integer is not None else _DEC_RUN, sep).search(text, at).start()
+        numbers = text[at:end].translate(_NUMBER_MARKS)  # a separator before each cell
+        run = numbers.split(sep)[1:]
+        none = [None] * len(run)
+        if integer is None:
+            return (none, run, none), end
+        if not numbers.isascii() or "+" in numbers or _separated(_NOT_CANONICAL, sep).search(numbers):
+            run = list(map(str, map(int, run)))
+        return (run, run, none), end
 
-    def _built(self, matches: Iterable[re.Match], layout: tuple) -> list[str]:
-        """The ISO dates that ASCII date ``matches`` name, up to the first
-        whose word names no month or whose date does not exist."""
+    def _built(self, fields: list[str], layout: tuple) -> list[str]:
+        """The ISO dates that ASCII dates name, from their ``fields``, three
+        a date in format order, up to the first whose word names no month or
+        whose date does not exist."""
         year_at, month_at, day_at, two_digit, word = layout
-        fields = list(matches)
-        years = list(map(itemgetter(year_at), fields))
+        years = fields[year_at::3]
         if two_digit:
             years = list(map(_PIVOT.__getitem__, years))
-        months = map(itemgetter(month_at), fields)
+        months = fields[month_at::3]
         if word:
-            words = list(months)
-            for name in set(words).difference(self.months):
+            for name in set(months).difference(self.months):
                 self.months[name] = _month_number(name)
-            months = map(self.months.__getitem__, words)
+            months = map(self.months.__getitem__, months)
         else:
             months = map(_TWO_DIGITS.__getitem__, months)
-        days = list(map(_TWO_DIGITS.__getitem__, map(itemgetter(day_at), fields)))
+        days = list(map(_TWO_DIGITS.__getitem__, fields[day_at::3]))
         built: list[str] = []
         try:  # extend keeps what the map gave before it raised, here at a month of None
             built.extend(map("-".join, zip(years, months, days)))
@@ -294,7 +360,7 @@ class _Parses(dict):
         first, ascii_date, (year_at, month_at, day_at, two_digit, word) = _ASCII_DATES[shape.lastgroup]
         fields = ascii_date.fullmatch(s)
         if fields is not None:  # one date, built without the maps of ``_built``
-            year, month, day = fields.group(year_at, month_at, day_at)
+            year, month, day = itemgetter(year_at, month_at, day_at)(fields.groups())
             if word and month not in self.months:
                 self.months[month] = _month_number(month)
             try:  # int(None), for a word that names no month, raises TypeError

@@ -245,7 +245,7 @@ def _load(table: NormalizedTable, schema: SqlSchema) -> sqlite3.Connection:
     """The table as relation ``t``, loaded from ``table.columns``: whole batches
     of rows by one multi-row INSERT of about ``_BATCH_PARAMETERS`` values, the
     rows left over one by one. A table SQLite cannot hold, such as one of more
-    than 1,999 columns, raises ``SqlError``."""
+    than 1,999 columns or with a cell UTF-8 cannot encode, raises ``SqlError``."""
     width = len(schema.columns) + 1
     per_batch = max(1, _BATCH_PARAMETERS // width)
     batched = table.table.row_count - table.table.row_count % per_batch
@@ -264,7 +264,7 @@ def _load(table: NormalizedTable, schema: SqlSchema) -> sqlite3.Connection:
             )
         conn.executemany(f"INSERT INTO {TABLE_NAME} VALUES {row}", rows)
         conn.commit()
-    except sqlite3.Error as exc:
+    except (sqlite3.Error, UnicodeEncodeError) as exc:  # the latter from a cell with a lone surrogate
         conn.close()
         raise SqlError(f"cannot load the table: {exc}") from exc
     return conn

@@ -102,6 +102,11 @@ class TestParse:
         t = parse_table("a\tb\n1\t2", format="tsv")
         assert t.rows == (("1", "2"),)
 
+    @pytest.mark.parametrize("fmt,text", [("csv", "a,b\r1,2"), ("tsv", "a\tb\r1\t2")])
+    def test_delimited_text_the_csv_reader_refuses_is_a_parse_error(self, fmt, text):
+        with pytest.raises(ParseError, match="new-line character"):
+            parse_table(text, format=fmt)
+
     def test_jsonl_table(self):
         t = parse_table('{"header": ["a", "b"], "rows": [["1", "2"]]}', format="jsonl-table")
         assert t.headers == ("a", "b")

@@ -250,6 +250,12 @@ class TestHttpBackend:
         assert answer.abstained
         assert any(w.startswith("pipeline degraded: ProviderError") for w in trace.warnings)
 
+    def test_prompt_with_a_lone_surrogate_is_a_gateway_error(self):
+        lm = gw.Gateway(gw.ScriptedBackend({}))
+        with pytest.raises(gw.UnencodablePrompt, match="column_lookup"):
+            lm.build_request("column_lookup", {"headers": "a", "question": "Which\ud800?", "table": ""})
+        assert issubclass(gw.UnencodablePrompt, gw.GatewayError)
+
     def test_scripted_reply_with_a_lone_surrogate_is_a_gateway_error(self):
         with pytest.raises(gw.UnencodableReply):
             gw.ScriptedBackend({"column_lookup": ["a\ud800"]}).send(_request())

@@ -9,6 +9,8 @@ import re
 import sys
 import tracemalloc
 from datetime import datetime
+from itertools import chain, repeat, takewhile
+from operator import methodcaller, not_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -363,6 +365,97 @@ def _ascii_dates(draw):
     return group, draw(st.from_regex(normalize_module._ASCII_DATES[group][1], fullmatch=True))
 
 
+class _ChainParses(normalize_module._Parses):
+    """The column pass before it searched the joined column: each run read
+    with C-level ``map`` chains over the cells, kept as it was but for the
+    fields ``_built`` now takes, as the reference for where runs start."""
+
+    def column(self, cells):
+        forms = ([], [], [])
+        start = runs = 0
+        while len(cells) - start >= 8 and (runs < 3 or start >= 8 * runs):
+            parsed = self[cells[start]]
+            run = self._run(parsed, cells[start], map(cells.__getitem__, range(start + 1, len(cells))))
+            for out, first, rest in zip(forms, parsed, run):
+                out.append(first)
+                out.extend(rest)
+            start += 1 + len(run[0])
+            runs += 1
+        for out, rest in zip(forms, zip(*map(self.__getitem__, cells[start:]))):
+            out.extend(rest)
+        return [len(cells) - out.count(None) for out in forms], forms
+
+    def _run(self, parsed, cell, cells):
+        integer, decimal, dated = parsed
+        stripped = map(str.strip, cells)
+        if dated is not None:
+            _, ascii_date, layout = normalize_module._ASCII_DATES[
+                normalize_module._ANY_DATE_SHAPE.fullmatch(cell.strip()).lastgroup
+            ]
+            matches = takewhile(bool, map(ascii_date.fullmatch, stripped))
+            dates = self._built(list(chain.from_iterable(map(methodcaller("groups"), matches))), layout)
+            return [None] * len(dates), [None] * len(dates), dates
+        if decimal is None:
+            none = [None] * len(list(takewhile(not_, map(normalize_module._MAY_HAVE_FORM, stripped))))
+            return none, none, none
+        numbers = map(str.lstrip, stripped, repeat(normalize_module._NUMBER_LEAD))
+        if integer is not None:
+            digits = map(str.replace, takewhile(normalize_module._IS_INT, numbers), repeat(","), repeat(""))
+            integers = list(map(str, map(int, digits)))
+            return integers, integers, [None] * len(integers)
+        decimals = list(map(str.replace, takewhile(normalize_module._IS_DEC, numbers), repeat(","), repeat("")))
+        return [None] * len(decimals), decimals, [None] * len(decimals)
+
+
+# Cells that hold separators, among them one that holds every one, which
+# leaves the column no separator.
+_SEPARATOR_CELL = st.sampled_from(["\x00", "a\x00b", "1\x00", "\x01", "\x07 5", "\x1b", "\x7f", normalize_module._SEPARATORS])
+_ODD_INTEGER = st.sampled_from(
+    ["0", "-0", "+0", "007", "-007", "+5", "-0,001", "0,123", "٠", "1,23", "12,3456", "1,,234", "1,234,"]
+)
+_ODD_DECIMAL = st.sampled_from(["0.0", "-0.50", "+.5", "00.1", "1,23.5", "1,234.", "1.2.3", "$ -1,234.5 ", "٣.٥"])
+# Text of one or two words, then cells that a space, a mark or a number
+# gives a form: the no-form run's edge.
+_ODD_TEXT = st.sampled_from(
+    ["a b", " a b ", "Cedar 12", "12 ab", "5 $", "+", "..", "a\tb", "a \x1c", "\u3000"]
+) | st.sampled_from(["a  b", "a b c", "1  2", "x \u00a0y", "a\u3000 b", "x-y", "n/a", "a,", " 12 ", "$.5"])
+# Dates of one shape whose month word or day may name no date, which cuts a run.
+_MONTH_DAY = st.sampled_from(calendar.month_name[1:] + calendar.month_abbr[1:] + ["Sept", "Foo"]).flatmap(
+    lambda month: st.sampled_from([f"{month} {day}, 2001" for day in (1, 28, 29, 30, 31)] + [f"{month} 29, 2000"])
+)
+
+
+def _padded_cells(cells):
+    return st.tuples(_PADDING, cells, _PADDING).map("".join)
+
+
+_FAMILIES = {
+    "integer": _number_cell(False) | _ODD_INTEGER,
+    "decimal": _number_cell(True) | _ODD_DECIMAL,
+    "date": st.sampled_from(_DATE_FORMATS).flatmap(_date_cell),
+    "month day": _padded_cells(_MONTH_DAY),
+    "text": _TEXT_CELL | _ODD_TEXT | _SEPARATOR_CELL,
+}
+
+
+@st.composite
+def _long_columns(draw):
+    """A column of 8 to 300 cells in blocks of any length, so that runs break
+    at every position. A block repeats the few cells drawn for one family:
+    integers, decimals, dates in one format, dates in any, month days or
+    text. Now and then a cell of any kind lands anywhere."""
+    pools = {family: draw(st.lists(cells, min_size=1, max_size=4)) for family, cells in _FAMILIES.items()}
+    one_format = _padded_cells(_date_cell(draw(st.sampled_from(_DATE_FORMATS))))
+    pools["one format"] = draw(st.lists(one_format, min_size=1, max_size=4))
+    size, rng = draw(st.integers(8, 300)), draw(st.randoms(use_true_random=False))
+    cells: list[str] = []
+    while len(cells) < size:
+        cells += rng.choices(pools[rng.choice(sorted(pools))], k=rng.choice([1, 2, 3, 7, 8, 9, 20, 60, 150]))
+    for cell in draw(st.lists(st.one_of(*_FAMILIES.values(), _number_like(), _date_like()), max_size=3)):
+        cells.insert(rng.randint(0, len(cells)), cell)
+    return cells[:size]
+
+
 class TestColumnPass:
     @settings(max_examples=1000, deadline=None)
     @given(_columns(), st.data())
@@ -376,6 +469,22 @@ class TestColumnPass:
         assert list(zip(*forms)) == [expected[cell] for cell in cells]
         assert dict(parses).items() <= expected.items()
         assert counts == [sum(expected[cell][k] is not None for cell in cells) for k in range(3)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_long_columns())
+    def test_long_columns_match_the_per_cell_memo_and_the_chain_runs(self, cells):
+        reference = normalize_module._Parses()
+        expected = [reference[cell] for cell in cells]
+        chains = _ChainParses()
+        parses = normalize_module._Parses()
+        counts, forms = parses.column(cells)
+        assert list(zip(*forms)) == expected
+        assert counts == [sum(parsed[k] is not None for parsed in expected) for k in range(3)]
+        assert (counts, forms) == chains.column(cells)
+        # The runs start at the same cells as the chains' runs: the memo
+        # holds the first cell of each run, then the cells gone one by one.
+        # A column that holds every separator goes one by one from the start.
+        assert list(parses) == (list(chains) if normalize_module._joined(cells)[0] else list(dict.fromkeys(cells)))
 
     @pytest.mark.parametrize(
         "cells,settled",

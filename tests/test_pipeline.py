@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from tablefocus import gateway as gw
+from tablefocus.core import Table
 from tablefocus.evaluation import predicted_cost
 from tablefocus.pipeline import PipelineConfig, build_backend, run_instance
 from tablefocus.trace import ReasoningTrace
@@ -200,3 +201,31 @@ class TestScriptedFlows:
         _, trace = _run_scripted(GOLDEN_CASES[0])
         assert trace.config["peek_size"] == 25
         assert trace.config["task_kind"] == "qa"
+
+    @pytest.mark.parametrize(
+        "row, question, warnings",
+        [
+            (36, "How many?", ["row lookup SQL failed (SqlError", "pipeline degraded: UnencodablePrompt"]),
+            (3, "How many?", ["pipeline degraded: UnencodablePrompt"]),
+            (None, "How many\ud800?", ["pipeline degraded: UnencodablePrompt"]),
+        ],
+        ids=["cell-past-the-peek", "cell-in-the-peek", "question"],
+    )
+    def test_a_lone_surrogate_degrades_the_run(self, row, question, warnings):
+        # A cell past the 25-row peek first reaches the row-lookup table,
+        # whose load fails and selects all rows; a prompt that holds one
+        # cannot be encoded, so the run abstains.
+        rows = [["x\ud800" if i == row else f"r{i}", str(i % 7)] for i in range(40)]
+        replies = {
+            "structure_extraction": ["key column: name"],
+            "column_ranking": ["name, wins"],
+            "column_lookup": ["name, wins"],
+            "row_lookup_sql": ["```sql\nSELECT * FROM t WHERE wins > 3\n```"],
+            "information_estimation": ["Yes."],
+        }
+        table = Table.make(["name", "wins"], rows)
+        answer, trace = run_instance(table, question, make_gateway(replies), SCRIPTED_CONFIG)
+        assert answer.abstained
+        assert [w[: len(start)] for w, start in zip(trace.warnings, warnings)] == warnings
+        trace.to_json().encode("utf-8")
+

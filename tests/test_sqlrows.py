@@ -486,6 +486,27 @@ class TestExecuteRowLookup:
             table = skip_normalization(Table.make(["n"], [[str(i)] for i in range(100)]))
             assert execute_row_lookup(table, sql).indices == tuple(range(100))
 
+    def test_the_instruction_budget_admits_exactly_its_progress_checks(self, monkeypatch):
+        checks = 0
+
+        def clock():  # read once for the deadline, then at each progress check within the budget
+            nonlocal checks
+            checks += 1
+            return 0.0
+
+        monkeypatch.setattr(sqlrows.time, "monotonic", clock)
+        monkeypatch.setattr(sqlrows, "INSTRUCTION_BUDGET", 10**12)
+        table = skip_normalization(Table.make(["n"], [[str(i)] for i in range(60)]))
+        sql = "SELECT a._row_id FROM t a, t b"
+        assert execute_row_lookup(table, sql).indices == tuple(range(60))
+        needed = checks - 1
+        assert needed > 1
+        monkeypatch.setattr(sqlrows, "INSTRUCTION_BUDGET", needed * sqlrows._PROGRESS_STEP)
+        assert execute_row_lookup(table, sql).indices == tuple(range(60))
+        monkeypatch.setattr(sqlrows, "INSTRUCTION_BUDGET", (needed - 1) * sqlrows._PROGRESS_STEP)
+        with pytest.raises(SqlTimeout):
+            execute_row_lookup(table, sql)
+
     def test_wall_clock_is_the_backstop(self, monkeypatch):
         monkeypatch.setattr(sqlrows, "INSTRUCTION_BUDGET", 10**12)
         ticks = itertools.count(0.0, 1.0)  # a second per progress check
@@ -513,6 +534,11 @@ class TestExecuteRowLookup:
     def test_sql_sqlite_cannot_read_is_sql_error(self, sql):
         with pytest.raises(SqlError):
             execute_row_lookup(_fixture_table(), sql)
+
+    def test_a_cell_with_a_lone_surrogate_is_a_load_error(self):
+        table = normalize(Table.make(["name", "wins"], [["a", "1"], ["x\ud800", "2"]]))
+        with pytest.raises(SqlError, match="cannot load the table"):
+            execute_row_lookup(table, "SELECT * FROM t WHERE wins > 1")
 
     @pytest.mark.parametrize(
         "sql, expected",
