@@ -241,28 +241,61 @@ def _bound(cells: Sequence[str], kind: str) -> Sequence:
     return values
 
 
-def _load(table: NormalizedTable, schema: SqlSchema) -> sqlite3.Connection:
+def _read_columns(conn: sqlite3.Connection, statements: Sequence[str], table: NormalizedTable) -> set[int] | None:
+    """The data columns of the empty ``t`` that the programs of ``statements``
+    read: in their ``EXPLAIN`` listings, ``p2`` of each ``Column`` on a cursor
+    ``OpenRead`` opened on ``t``. None, for every column, when a statement does
+    not compile, opens no ``t`` or reads a whole record, or when a column left
+    out holds a cell UTF-8 cannot encode, so that the load raises its error."""
+    root = conn.execute(f"SELECT rootpage FROM sqlite_master WHERE name = '{TABLE_NAME}'").fetchone()[0]
+    read: set[int] = set()
+    for sql in statements:
+        try:
+            program = conn.execute(f"EXPLAIN {sql}").fetchall()
+        except (sqlite3.Error, sqlite3.Warning):
+            return None
+        cursors = {p1 for _, op, p1, p2, p3, *_ in program if op == "OpenRead" and (p2, p3) == (root, 0)}
+        if not cursors or any(op in ("RowData", "RowCell", "Offset") for _, op, *_ in program):
+            return None
+        read.update(p2 for _, op, p1, p2, *_ in program if op == "Column" and p1 in cursors)
+    try:
+        "".join(chain.from_iterable(cells for j, cells in enumerate(table.columns) if j not in read)).encode()
+    except UnicodeEncodeError:
+        return None
+    return read
+
+
+def _load(table: NormalizedTable, schema: SqlSchema, statements: Sequence[str] = ()) -> sqlite3.Connection:
     """The table as relation ``t``, loaded from ``table.columns``: whole batches
     of rows by one multi-row INSERT of about ``_BATCH_PARAMETERS`` values, the
-    rows left over one by one. A table SQLite cannot hold, such as one of more
-    than 1,999 columns or with a cell UTF-8 cannot encode, raises ``SqlError``."""
-    width = len(schema.columns) + 1
-    per_batch = max(1, _BATCH_PARAMETERS // width)
-    batched = table.table.row_count - table.table.row_count % per_batch
-    row = f"({', '.join('?' * width)})"
-    columns = [_bound(cells, kind) for cells, (_, _, kind) in zip(table.columns, schema.columns)]
-    rows = zip(*columns, range(table.table.row_count))
+    rows left over one by one; of the data columns, those that ``statements``
+    read (``_read_columns``), or else all. A table SQLite cannot hold, such as one
+    of more than 1,999 columns or with a cell UTF-8 cannot encode, raises ``SqlError``."""
     conn = sqlite3.connect(":memory:")
     try:
         cols = ", ".join(f'"{s}" {_AFFINITY.get(k, "TEXT")}' for _, s, k in schema.columns)
         conn.execute(f'CREATE TABLE {TABLE_NAME} ({cols}, "{ROW_ID}" INTEGER)')
+        # Under the lookup's authorizer, EXPLAIN compiles as the lookup will, and
+        # builds no virtual table, such as json_each or dbstat, the lookup may not.
+        conn.set_authorizer(_authorizer)
+        read = _read_columns(conn, statements, table) if statements else None
+        conn.set_authorizer(lambda *args: sqlite3.SQLITE_OK)  # None clears it only from Python 3.11 on
+        kept = [j for j in range(len(schema.columns)) if read is None or j in read]
+        width = len(kept) + 1
+        per_batch = max(1, _BATCH_PARAMETERS // width)
+        batched = table.table.row_count - table.table.row_count % per_batch
+        names = [f'"{schema.columns[j][1]}"' for j in kept] + [f'"{ROW_ID}"']
+        into = f"{TABLE_NAME} ({', '.join(names)})"
+        row = f"({', '.join('?' * width)})"
+        columns = [_bound(table.columns[j], schema.columns[j][2]) for j in kept]
+        rows = zip(*columns, range(table.table.row_count))
         if batched:
             values = chain.from_iterable(islice(rows, batched))
             conn.executemany(
-                f"INSERT INTO {TABLE_NAME} VALUES {', '.join([row] * per_batch)}",
+                f"INSERT INTO {into} VALUES {', '.join([row] * per_batch)}",
                 zip(*[values] * (per_batch * width)),
             )
-        conn.executemany(f"INSERT INTO {TABLE_NAME} VALUES {row}", rows)
+        conn.executemany(f"INSERT INTO {into} VALUES {row}", rows)
         conn.commit()
     except (sqlite3.Error, UnicodeEncodeError) as exc:  # the latter from a cell with a lone surrogate
         conn.close()
@@ -291,27 +324,28 @@ def execute_row_lookup(table: NormalizedTable, sql: str, schema: SqlSchema | Non
     trimmed = check_policy(sql)
     m = table.table.row_count
 
+    where = extract_where_clause(trimmed)
     if is_aggregate_query(trimmed):
-        where = extract_where_clause(trimmed)
         if where is None:
             raise AggregateOnly(f"aggregate query without a WHERE clause: {sql!r}")
         trimmed = f"SELECT * FROM {TABLE_NAME} WHERE {where}"
 
-    conn = _load(table, schema)
+    # The newline ends a trailing "--" comment before the closing parenthesis.
+    wrapped = f'SELECT "{ROW_ID}" FROM ({trimmed}\n)'
+    # A SELECT list without _row_id is recovered by re-running the WHERE clause
+    # only. Both are compiled before the one load, so the re-run finds its
+    # columns loaded and shares the lookup's connection, budget and deadline.
+    fallback = where and f'SELECT "{ROW_ID}" FROM {TABLE_NAME} WHERE {where}'
+    conn = _load(table, schema, [wrapped, fallback] if fallback else [wrapped])
     conn.set_authorizer(_authorizer)
     checks, deadline = count(1), time.monotonic() + TIMEOUT_S
     limit = INSTRUCTION_BUDGET // _PROGRESS_STEP
     conn.set_progress_handler(lambda: next(checks) > limit or time.monotonic() > deadline, _PROGRESS_STEP)
-    # The newline ends a trailing "--" comment before the closing parenthesis.
-    wrapped = f'SELECT "{ROW_ID}" FROM ({trimmed}\n)'
     try:
         indices = _run(conn, wrapped, sql, m)
     except SqlSemanticError:
-        # SELECT list without _row_id: recover by re-running the WHERE clause only.
-        where = extract_where_clause(trimmed)
-        if where is None:
+        if not fallback:
             raise
-        fallback = f'SELECT "{ROW_ID}" FROM {TABLE_NAME} WHERE {where}'
         indices = _run(conn, fallback, sql, m)
     finally:
         conn.close()

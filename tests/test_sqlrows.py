@@ -7,6 +7,7 @@ import random
 import re
 import sqlite3
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -405,6 +406,16 @@ class TestExecuteRowLookup:
         got = execute_row_lookup(_fixture_table(), "SELECT rider FROM t WHERE wins >= 3")
         assert got.indices == (0, 1)
 
+    def test_a_select_list_without_row_id_and_no_where_clause_keeps_its_error(self):
+        with pytest.raises(SqlSemanticError, match="no usable row identifiers in: 'SELECT rider FROM t'"):
+            execute_row_lookup(_fixture_table(), "SELECT rider FROM t")
+
+    def test_a_timeout_says_the_budget_ran_out(self, monkeypatch):
+        monkeypatch.setattr(sqlrows, "INSTRUCTION_BUDGET", sqlrows._PROGRESS_STEP)
+        table = skip_normalization(Table.make(["n"], [[str(i)] for i in range(100)]))
+        with pytest.raises(SqlTimeout, match="^statement exceeded its work or time budget: 'SELECT a._row_id"):
+            execute_row_lookup(table, "SELECT a._row_id FROM t a, t b")
+
     def test_null_row_ids_are_skipped(self):
         # UNION sorts the NULL first, so LIMIT 2 keeps it and row 0; re-running
         # the WHERE clause alone would give rows 0 and 2.
@@ -455,8 +466,10 @@ class TestExecuteRowLookup:
             execute_row_lookup(_fixture_table(), sql)
 
     def test_runaway_lookup_holds_only_in_range_ids(self, monkeypatch):
-        # Each progress check advances the clock by one tick, so the query is
-        # interrupted after the same 2,500 checks, about 170,000 returned rows.
+        # Each progress check advances the clock by one tick, so the deadline
+        # would pass after 2,500 checks; the instruction budget ends the query
+        # first, after 1,000 (INSTRUCTION_BUDGET // _PROGRESS_STEP), about
+        # 62,500 returned rows.
         ticks = itertools.count(0.0, sqlrows.TIMEOUT_S / 2500)
         monkeypatch.setattr(sqlrows.time, "monotonic", lambda: next(ticks))
         table = skip_normalization(Table.make(["n"], [[str(i)] for i in range(100)]))
@@ -563,6 +576,128 @@ class TestExecuteRowLookup:
             RowSet(indices=(2, 1))
         with pytest.raises(ValueError):
             RowSet(indices=(1, 1))
+
+
+# Lookups over the oracle's tables (columns name, category, value, score and
+# "when") that cover the SQL forms whose compiled programs read columns in
+# different ways. {p} and {q} stand for random predicates, {a} and {b} for
+# column names, {k} for a small number.
+_DIFFERENTIAL_SQL = (
+    "SELECT * FROM t WHERE {p}",
+    "SELECT DISTINCT * FROM t WHERE {p}",
+    "SELECT * FROM (SELECT * FROM t WHERE {p}) WHERE {q}",
+    "SELECT * FROM t WHERE {a} IN (SELECT {a} FROM t WHERE {p})",
+    "SELECT * FROM t WHERE EXISTS (SELECT 1 FROM t AS u WHERE u.{b} = t.{b} AND u._row_id != t._row_id)",
+    "WITH s AS (SELECT * FROM t WHERE {p}) SELECT * FROM s WHERE {q}",
+    "WITH RECURSIVE r(n) AS (SELECT {k} UNION ALL SELECT n + 2 FROM r WHERE n < 9) "
+    "SELECT t.* FROM t JOIN r ON t._row_id = r.n WHERE {p}",
+    "SELECT a.* FROM t AS a, t AS b WHERE a.{a} = b.{a} AND b._row_id = {k}",
+    "SELECT * FROM t WHERE {a} IN (SELECT {a} FROM t GROUP BY {a} HAVING count(*) > 1)",
+    "SELECT {a}, count(*) FROM t WHERE {p} GROUP BY {a} HAVING count(*) > 0",
+    "SELECT * FROM t WHERE {p} ORDER BY {a} DESC, {b} LIMIT {k} OFFSET 1",
+    "SELECT * FROM t ORDER BY {a} LIMIT {k}",
+    "SELECT _row_id FROM (SELECT _row_id, row_number() OVER (PARTITION BY {a} ORDER BY {b}) AS n FROM t) WHERE n = 1",
+    "SELECT * FROM (SELECT *, lag({b}) OVER (ORDER BY {a}) AS prev FROM t WHERE {p}) WHERE prev IS NOT NULL",
+    "SELECT _row_id FROM t WHERE {p} UNION SELECT _row_id FROM t WHERE {q}",
+    "SELECT * FROM t WHERE {p} EXCEPT SELECT * FROM t WHERE {q}",
+    "SELECT typeof({a}) AS ty, length({b}) AS _row_id FROM t WHERE {p}",
+    "SELECT * FROM t WHERE typeof({a}) = 'integer' OR length({b}) > 5",
+    "SELECT {a} FROM t WHERE {p}",
+    "SELECT {a} AS _row_id FROM t WHERE {p}",
+    "SELECT count(*) FROM t WHERE {p}",
+    "SELECT * FROM (SELECT {a} AS {b} FROM t) WHERE {b} IS NOT NULL",
+    "SELECT * FROM t WHERE {a} IN (SELECT value FROM json_each('[1, 2.5, \"alder\", \"alpha\"]')) AND {p}",
+    "SELECT * FROM t WHERE _row_id < (SELECT count(*) FROM dbstat) AND {p}",
+    "SELECT * FROM t WHERE _row_id < (SELECT count(*) FROM sqlite_stmt) AND {p}",
+    "SELECT bogus FROM t WHERE {p}",
+    "SELECT * FROM t WHERE bogus = {k}",
+)
+_WIDE = "123456789012345678901234"
+
+
+class TestPrunedLoad:
+    """A lookup loads only ``_row_id`` and the columns its compiled statements
+    read; the other columns hold NULL."""
+
+    def _loaded(self, monkeypatch, table, sql):
+        """The count of non-NULL values in each column of ``t`` as the lookup
+        loaded it, ``_row_id`` last, and the lookup's row ids."""
+        counts, load = [], sqlrows._load
+
+        def spy(*args):
+            conn = load(*args)
+            names = [name for _, name, _ in args[1].columns] + ["_row_id"]
+            counts.append(conn.execute(f"SELECT {', '.join(f'count({n})' for n in names)} FROM t").fetchone())
+            assert [i for i, in conn.execute("SELECT _row_id FROM t")] == list(range(table.table.row_count))
+            return conn
+
+        monkeypatch.setattr(sqlrows, "_load", spy)
+        rows = execute_row_lookup(table, sql)
+        return counts[0], rows
+
+    def _stores(self):
+        rows = [["Maple 1", "5", "2.5", "2020-01-05"], ["Cedar 2", "7", "1.5", "2021-03-01"], ["Maple 3", "1", "4", "2022-07-04"]]
+        return normalize(Table.make(["Store", "Units", "Revenue", "Opened"], rows))
+
+    def test_select_star_loads_the_filtered_column_and_the_row_ids(self, monkeypatch):
+        counts, rows = self._loaded(monkeypatch, self._stores(), "SELECT * FROM t WHERE store = 'Cedar 2'")
+        assert counts == (3, 0, 0, 0, 3) and rows.indices == (1,)
+
+    def test_select_distinct_star_loads_every_column(self, monkeypatch):
+        counts, rows = self._loaded(monkeypatch, self._stores(), "SELECT DISTINCT * FROM t WHERE store = 'Cedar 2'")
+        assert counts == (3, 3, 3, 3, 3) and rows.indices == (1,)
+
+    def test_sql_explain_rejects_loads_every_column(self, monkeypatch):
+        # The wrapped query does not compile, so every column is loaded; the
+        # re-run of the WHERE clause then finds the rows.
+        counts, rows = self._loaded(monkeypatch, self._stores(), "SELECT bogus FROM t WHERE units > 4")
+        assert counts == (3, 3, 3, 3, 3) and rows.indices == (0, 1)
+
+    def test_a_select_list_the_wrapped_query_never_reads_is_not_loaded(self, monkeypatch):
+        # Flattened, the wrapper reads the dropped "_row_id" as a string literal
+        # and no column of the SELECT list; the WHERE clause's re-run, which
+        # reads units and _row_id, yields the rows.
+        counts, rows = self._loaded(monkeypatch, self._stores(), "SELECT store FROM t WHERE units > 4")
+        assert counts == (0, 3, 0, 0, 3) and rows.indices == (0, 1)
+
+    @pytest.mark.parametrize("source", ["json_each('[\"Cedar 2\"]')", "dbstat", "sqlite_stmt"])
+    def test_explain_builds_no_virtual_table_the_lookup_may_not(self, source):
+        # Built by an EXPLAIN, the table would stay on the connection for the lookup to read.
+        with pytest.raises(SqlSyntaxError, match="vtable constructor failed"):
+            execute_row_lookup(self._stores(), f"SELECT * FROM t WHERE store IN (SELECT * FROM {source})")
+
+    def test_the_where_clause_re_run_reads_its_own_columns(self, monkeypatch):
+        # The query's "units" is the subquery's store; the re-run's is t.units.
+        sql = "SELECT * FROM (SELECT store AS units FROM t) WHERE units IS NOT NULL"
+        counts, rows = self._loaded(monkeypatch, self._stores(), sql)
+        assert counts == (3, 3, 0, 0, 3) and rows.indices == (0, 1, 2)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(_DIFFERENTIAL_SQL),
+        st.sampled_from([None, "x\ud800", _WIDE]),
+        st.integers(0, 4),
+    )
+    def test_a_pruned_load_looks_up_as_a_load_of_every_column(self, seed, template, cell, column):
+        rng = random.Random(seed)
+        base = random_table(rng)
+        rows = [list(row) for row in base.table.rows]
+        if cell is not None:  # kinds stay as inferred, so a typed column binds the odd cell as NULL or its text
+            rows[rng.randrange(len(rows))][2 if cell == _WIDE else column] = cell
+        table = NormalizedTable(
+            table=Table.make(base.table.headers, rows), column_kinds=base.column_kinds, transposed=False,
+            renames=base.renames,
+        )
+        names = ["name", "category", "value", "score", '"when"']
+        sql = template.format(
+            p=random_predicate(rng).sql(), q=random_predicate(rng).sql(), a=rng.choice(names), b=rng.choice(names),
+            k=rng.randrange(4),
+        )
+        pruned = _outcome(lambda query: execute_row_lookup(table, query), sql)
+        with mock.patch.object(sqlrows, "_read_columns", return_value=None):
+            full = _outcome(lambda query: execute_row_lookup(table, query), sql)
+        assert pruned == full, sql
 
 
 class TestOracleSample:
