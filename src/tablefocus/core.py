@@ -138,17 +138,17 @@ def _parse_delimited(text: str, delimiter: str) -> tuple[list[str], list[list[st
     return records[0], records[1:]
 
 
-def read_table_object(obj: object) -> tuple[list[str], list[list[str]]]:
+def read_table_object(obj: object) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
     """The header and rows, as text, of a ``{"header": [...], "rows": [[...], ...]}`` table object."""
     if not isinstance(obj, dict) or "header" not in obj or "rows" not in obj:
         raise ParseError('jsonl-table object must have "header" and "rows" keys')
     header, rows = obj["header"], obj["rows"]
     if not (isinstance(header, list) and isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ParseError('jsonl-table object must have a "header" list and a "rows" list of lists')
-    return [str(h) for h in header], [[str(c) for c in row] for row in rows]
+    return tuple(map(str, header)), tuple(tuple(map(str, row)) for row in rows)
 
 
-def _parse_jsonl_table(text: str) -> tuple[list[str], list[list[str]]]:
+def _parse_jsonl_table(text: str) -> tuple[Sequence[str], Sequence[Sequence[str]]]:
     try:
         obj = json.loads(text.strip().splitlines()[0]) if text.strip() else None
     except json.JSONDecodeError as exc:
@@ -156,7 +156,7 @@ def _parse_jsonl_table(text: str) -> tuple[list[str], list[list[str]]]:
     return read_table_object(obj)
 
 
-_PARSERS: dict[str, Callable[[str], tuple[list[str], list[list[str]]]]] = {
+_PARSERS: dict[str, Callable[[str], tuple[Sequence[str], Sequence[Sequence[str]]]]] = {
     "markdown": _parse_markdown,
     "csv": lambda t: _parse_delimited(t, ","),
     "tsv": lambda t: _parse_delimited(t, "\t"),
@@ -180,14 +180,14 @@ def parse_table(text: str, format: str = "markdown", strict: bool = False) -> Ta
     if not headers or all(not h for h in headers):
         raise ParseError("empty header row")
     n = len(headers)
-    fixed: list[list[str]] = []
+    fixed: list[tuple[str, ...]] = []
     for i, row in enumerate(rows):
         if len(row) != n:
             if strict:
                 raise ParseError(f"ragged row {i}: {len(row)} cells, expected {n}")
             row = (list(row) + [""] * n)[:n]
-        fixed.append([str(c) for c in row])
-    return Table.make(headers, fixed)
+        fixed.append(tuple(row))
+    return Table(tuple(headers), tuple(fixed))
 
 
 def _escape_cell(cell: str) -> str:

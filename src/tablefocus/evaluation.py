@@ -80,7 +80,7 @@ def _jsonl_instances(line: str, base: Path) -> list[EvalInstance]:
     return [
         EvalInstance(
             id=str(record["id"]),
-            table=Table.make(*read_table_object(record["table"])),
+            table=Table(*read_table_object(record["table"])),
             question=str(record["question"]),
             gold_answers=tuple(str(a) for a in record["answers"]),
             task_kind=record.get("task_kind", "qa"),

@@ -11,7 +11,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
@@ -107,12 +107,15 @@ class PromptTemplate:
 class LmRequest:
     template_id: str
     rendered: str
+    # Stable 256-bit cassette key: the hex SHA-256 of template_id, NUL, rendered text.
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
-            self.rendered.encode("utf-8")
+            rendered = self.rendered.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise UnencodablePrompt(f"prompt {self.template_id} is not valid UTF-8: {exc}") from None
+        object.__setattr__(self, "key", sha256(b"\x00".join((self.template_id.encode("utf-8"), rendered))).hexdigest())
 
 
 @dataclass(frozen=True)
@@ -144,15 +147,6 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
     if extra:
         raise UnknownBinding(f"template {template.id}: unknown bindings {sorted(extra)}")
     return _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), template.body)
-
-
-def request_key(request: LmRequest) -> str:
-    """Stable 256-bit cassette key over (template_id, rendered text)."""
-    digest = sha256()
-    digest.update(request.template_id.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(request.rendered.encode("utf-8"))
-    return digest.hexdigest()
 
 
 class Backend(Protocol):
@@ -271,7 +265,7 @@ class Cassette:
                 "backend_id": response.backend_id,
             },
         }
-        path = self._entry_path(request_key(request))
+        path = self._entry_path(request.key)
         # Write a temp file that `*.json` does not match, then rename it into
         # place, so a crash mid-write never leaves a truncated entry.
         temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -300,12 +294,11 @@ class Cassette:
             self._entry_path(key).unlink(missing_ok=True)
 
     def send(self, request: LmRequest) -> LmResponse:
-        key = request_key(request)
-        hit = self.lookup(key)
+        hit = self.lookup(request.key)
         if hit is not None:
             return hit
         if self.mode == "replay":
-            raise CassetteMiss(f"no cassette entry for {request.template_id} ({key})")
+            raise CassetteMiss(f"no cassette entry for {request.template_id} ({request.key})")
         assert self.inner is not None
         response = self.inner.send(request)
         self.store(request, response)
@@ -353,7 +346,7 @@ class Gateway:
         """Send one prompt, record it as an ``lm`` step of ``trace``, and return the reply text."""
         request = self.build_request(template_id, bindings)
         reply = self.backend.send(request).text
-        trace.record_lm(template_id, request_key(request), reply)
+        trace.record_lm(template_id, request.key, reply)
         return reply
 
 

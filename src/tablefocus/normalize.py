@@ -84,10 +84,6 @@ _ANY_DATE_SHAPE = re.compile("|".join(f"(?P<f{i}>{shape.pattern})" for i, (_, sh
 # accepts only from Python 3.11 on, which halves the cost of a failed scan.
 _DATE_MARK = r"(?=([^-/,\s]*))\1(?:[-/,]|\s(?=([^-/,\s]*))\2[-/,\s])"
 _MAY_BE_DATE = re.compile(_DATE_MARK).match
-# Whether a stripped cell may be a number or a date: a number without the
-# marks of a date is its currency signs and spaces, then "+" or not, then
-# digits with at most one ".".
-_MAY_HAVE_FORM = re.compile(rf"{_DATE_MARK}|[{_CURRENCY}\s]*\+?\d*\.?\d+\Z").match
 
 
 def _ascii_date(i: int, fmt: str) -> tuple[int, re.Pattern, tuple]:
@@ -106,23 +102,22 @@ _PIVOT = {f"{y:02d}": str(y + 2000 if y <= 68 else y + 1900) for y in range(100)
 # Each day or month field the ASCII patterns allow, as two digits.
 _TWO_DIGITS = {field: f"{n:02d}" for n in range(1, 32) for field in (str(n), f"{n:02d}", f" {n}")}
 
-# A column pass joins the column's cells into one text, each followed by the
-# first of these control characters that no cell holds. None is a space, a
-# digit, a letter or a mark of a number or a date, so no cell pattern below
-# reads across one. A run ends at the first separator not followed by a cell
-# of its form: a search with a lookahead over one cell, since a pattern that
-# repeats over the cells keeps a backtracking frame per cell, megabytes on a
-# long column. The patterns are written for NUL, and ``_separated`` compiles
-# them on first use. ``_SPACE`` is ``\s`` as a set of characters, which
-# ``re`` tests about twice as fast as the category.
-_SEPARATORS = "".join(map(chr, [*range(0x00, 0x09), *range(0x0E, 0x1C), 0x7F]))
+# A column pass joins the column's cells into one text, each followed by a
+# NUL, unless a cell holds one. A NUL is no space, digit, letter or mark of a
+# number or a date, so no cell pattern below reads across one. A run ends at
+# the first NUL not followed by a cell of its form: a search with a lookahead
+# over one cell, since a pattern that repeats over the cells keeps a
+# backtracking frame per cell, megabytes on a long column. ``_compiled``
+# compiles each of these checks on first use. ``_SPACE`` is ``\s`` as a set
+# of characters, which ``re`` tests about twice as fast as the category.
 _SPACE = f"[{_SPACES}]"
 # As ``_IS_INT``/``_IS_DEC`` read ``cell.strip().lstrip(_NUMBER_LEAD)``.
 _INT_RUN = rf"\x00(?![{_NUMBER_LEAD}]*{_INT}{_SPACE}*\x00)"
 _DEC_RUN = rf"\x00(?![{_NUMBER_LEAD}]*{_DEC}{_SPACE}*\x00)"
-# A stripped cell fails ``_DATE_MARK`` when it holds no "-", "/" or "," and
-# at most one space: at most two words, one space between. It has no form
-# when it is also no number as ``_MAY_HAVE_FORM`` reads one.
+# A stripped cell has no form when it is no number, which would be its
+# currency signs and spaces, then "+" or not, then digits with at most one
+# ".", and it fails ``_DATE_MARK``: it holds no "-", "/" or "," and at most
+# one space, so it is at most two words with one space between.
 _WORD = rf"[^-/,\x00{_SPACES}]+"
 _NO_FORM_RUN = (
     rf"\x00(?:(?=[{_NUMBER_LEAD}]*\+?\d*\.?\d+{_SPACE}*\x00)"
@@ -135,29 +130,14 @@ _NUMBER_MARKS = str.maketrans("", "", _NUMBER_LEAD + ",")  # what a number's for
 # Per date format, the search that ends a run of its ASCII dates, as
 # ``ascii_date.fullmatch(cell.strip())`` reads them. Such a cell is three
 # fields of digits or letters with spaces, "-", "/" or "," between and
-# around them, so with those marks and the separator made spaces, ``split``
+# around them, so with those marks and the NULs made spaces, ``split``
 # gives each cell's fields in format order.
 _DATE_RUNS = {
     group: rf"\x00(?!{_SPACE}*(?:{ascii_date.pattern}){_SPACE}*\x00)"
     for group, (_, ascii_date, _) in _ASCII_DATES.items()
 }
-_DATE_MARKS = str.maketrans(dict.fromkeys("-/," + _SEPARATORS, " "))
-
-
-@cache
-def _separated(pattern: str, sep: str) -> re.Pattern:
-    """``pattern``, written for the separator NUL, compiled for the separator ``sep``."""
-    return re.compile(pattern.replace(r"\x00", f"\\x{ord(sep):02x}"))
-
-
-def _joined(cells: Sequence[str]) -> tuple[str, str]:
-    """The first of ``_SEPARATORS`` that no cell holds, and the cells joined
-    by it, each followed by it; ("", "") when the cells hold every one."""
-    text = "\x00".join(cells)
-    if text.count("\x00") == len(cells) - 1:
-        return "\x00", text + "\x00"
-    sep = next((sep for sep in _SEPARATORS if sep not in text), "")
-    return sep, sep and sep.join(cells) + sep
+_DATE_MARKS = str.maketrans(dict.fromkeys("-/,\x00", " "))
+_compiled = cache(re.compile)
 
 
 @dataclass(frozen=True)
@@ -239,8 +219,8 @@ class _Parses(dict):
     month word seen to its month as two digits, or None when it names none.
 
     ``__missing__`` classifies one cell and is the reference; ``column``
-    classifies a column's cells run by run, and only the first cell of each
-    run enters the memo."""
+    classifies a column's cells run by run, or cell by cell where some cell
+    holds a NUL, and only the first cell of each run enters the memo."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -264,11 +244,11 @@ class _Parses(dict):
         """A column's tally, how many of its cells parse as each kind of
         ``_KINDS``, and the forms of each kind of its cells, in cell order.
 
-        The cells go in runs, over the column joined once into one text (see
-        ``_SEPARATORS``). A run's first cell is read from the memo; one search
-        from its end then finds the first cell after it of another form,
-        which starts the next run, and the forms of the cells between are
-        taken from that slice of the text at once. The forms: integers,
+        The cells go in runs, over the column joined once into one text, each
+        cell followed by a NUL. A run's first cell is read from the memo; one
+        search from its end then finds the first cell after it of another
+        form, which starts the next run, and the forms of the cells between
+        are taken from that slice of the text at once. The forms: integers,
         decimals, no form (no number, and nothing every date shape holds), or
         dates in the first cell's format in ASCII form. A column whose cells
         share one form is one run. The cells go on one by one, through the
@@ -276,15 +256,17 @@ class _Parses(dict):
         where the runs average fewer than eight. In timings, four in place of
         eight slowed a table of four-cell columns by a third, no average rule
         a column of six forms in random order by half, and no three-run grace
-        a blank first cell by a tenth; 16, 2 and 5 timed the same."""
+        a blank first cell by a tenth; 16, 2 and 5 timed the same. A column
+        in which some cell holds a NUL goes one by one from the start."""
         forms: tuple[list, list, list] = ([], [], [])
-        sep, text = _joined(cells) if len(cells) >= 8 else ("", "")
+        text = "\x00".join(cells) + "\x00" if len(cells) >= 8 else ""
+        nul_free = text.count("\x00") == len(cells)
         start = runs = 0
-        end = -1  # the separator before cell ``start``
-        while sep and len(cells) - start >= 8 and (runs < 3 or start >= 8 * runs):
+        end = -1  # the NUL before cell ``start``
+        while nul_free and len(cells) - start >= 8 and (runs < 3 or start >= 8 * runs):
             cell = cells[start]
             parsed = self[cell]
-            run, end = self._run(parsed, cell, text, sep, end + 1 + len(cell))
+            run, end = self._run(parsed, cell, text, end + 1 + len(cell))
             for out, first, rest in zip(forms, parsed, run):
                 out.append(first)
                 out.extend(rest)
@@ -294,33 +276,33 @@ class _Parses(dict):
             out.extend(rest)
         return [len(cells) - out.count(None) for out in forms], forms
 
-    def _run(self, parsed: tuple, cell: str, text: str, sep: str, at: int) -> tuple[tuple[list, list, list], int]:
+    def _run(self, parsed: tuple, cell: str, text: str, at: int) -> tuple[tuple[list, list, list], int]:
         """The forms of each kind of the cells after ``cell`` that share the
         form of ``cell``, whose forms are ``parsed``, up to the first that does
-        not, and the offset of the separator after the last of them. ``text``
-        is the column joined by ``sep``, and ``cell`` ends at offset ``at``."""
+        not, and the offset of the NUL after the last of them. ``text`` is the
+        column, each cell followed by a NUL, and ``cell`` ends at offset ``at``."""
         integer, decimal, dated = parsed
         if dated is not None:
             # None of them is a number: every format puts a "-", "/" or letters between two fields.
             group = _ANY_DATE_SHAPE.fullmatch(cell.strip()).lastgroup
-            end = _separated(_DATE_RUNS[group], sep).search(text, at).start()
+            end = _compiled(_DATE_RUNS[group]).search(text, at).start()
             fields = text[at:end].translate(_DATE_MARKS).split()
             dates = self._built(fields, _ASCII_DATES[group][2])
             if 3 * len(dates) < len(fields):  # cut at a word that names no month or a date that does not exist
-                end = at + len(dates) + sum(map(len, text[at + 1 : end].split(sep, len(dates))[: len(dates)]))
+                end = at + len(dates) + sum(map(len, text[at + 1 : end].split("\x00", len(dates))[: len(dates)]))
             none = [None] * len(dates)
             return (none, none, dates), end
         if decimal is None:
-            end = _separated(_NO_FORM_RUN, sep).search(text, at).start()
-            none = [None] * text.count(sep, at, end)
+            end = _compiled(_NO_FORM_RUN).search(text, at).start()
+            none = [None] * text.count("\x00", at, end)
             return (none, none, none), end
-        end = _separated(_INT_RUN if integer is not None else _DEC_RUN, sep).search(text, at).start()
-        numbers = text[at:end].translate(_NUMBER_MARKS)  # a separator before each cell
-        run = numbers.split(sep)[1:]
+        end = _compiled(_INT_RUN if integer is not None else _DEC_RUN).search(text, at).start()
+        numbers = text[at:end].translate(_NUMBER_MARKS)  # a NUL before each cell
+        run = numbers.split("\x00")[1:]
         none = [None] * len(run)
         if integer is None:
             return (none, run, none), end
-        if not numbers.isascii() or "+" in numbers or _separated(_NOT_CANONICAL, sep).search(numbers):
+        if not numbers.isascii() or "+" in numbers or _compiled(_NOT_CANONICAL).search(numbers):
             run = list(map(str, map(int, run)))
         return (run, run, none), end
 

@@ -91,7 +91,7 @@ class TestVerbalize:
         got = verbalize(focus, lm, trace=trace)
         assert got == "Six riders with win counts."
         expected = lm.build_request("verbalization", {"table": focus.markdown})
-        assert trace.steps[0]["request_key"] == gw.request_key(expected)
+        assert trace.steps[0]["request_key"] == expected.key
 
     def test_empty_reply_uses_mechanical_fallback(self):
         lm = make_gateway({"verbalization": ["   "]})

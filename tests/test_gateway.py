@@ -47,13 +47,28 @@ class TestRequestKey:
     def test_matches_manual_sha256(self):
         request = _request("row_lookup_sql", "body text")
         expected = hashlib.sha256(b"row_lookup_sql\x00body text").hexdigest()
-        assert gw.request_key(request) == expected
+        assert request.key == expected
 
     def test_template_id_is_part_of_key(self):
-        assert gw.request_key(_request("a", "x")) != gw.request_key(_request("b", "x"))
+        assert _request("a", "x").key != _request("b", "x").key
 
     def test_stable(self):
-        assert gw.request_key(_request()) == gw.request_key(_request())
+        assert _request().key == _request().key
+
+    def test_a_recorded_call_hashes_its_prompt_once(self, tmp_path, monkeypatch):
+        # The request computes its key once; the cassette and the trace read it.
+        hashed = []
+
+        def counting(data=b""):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(gw, "sha256", counting)
+        gateway = gw.Gateway(gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend()))
+        trace = ReasoningTrace()
+        gateway.complete("answer_formatting", {"question": "q", "reasoning": "r"}, trace)
+        assert len(hashed) == 1
+        assert trace.steps[0]["request_key"] == hashlib.sha256(hashed[0]).hexdigest()
 
 
 class TestScriptedBackend:
@@ -104,13 +119,13 @@ class TestCassette:
         rec.send(_request())
         rec.send(_request())
         assert inner.calls == 1
-        assert rec.entries() == [(gw.request_key(_request()), "column_lookup")]
+        assert rec.entries() == [(_request().key, "column_lookup")]
 
     def test_entries_mark_unreadable_and_remove_deletes(self, tmp_path):
         rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend())
         rec.send(_request())
         (tmp_path / "c" / "truncated.json").write_text('{"request": {"templ', encoding="utf-8")
-        key = gw.request_key(_request())
+        key = _request().key
         assert rec.entries() == sorted([(key, "column_lookup"), ("truncated", None)])
         rec.remove("truncated")
         assert rec.entries() == [(key, "column_lookup")]
@@ -124,7 +139,7 @@ class TestCassette:
         rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend("out"))
         request = _request()
         rec.send(request)
-        entry = json.loads((tmp_path / "c" / f"{gw.request_key(request)}.json").read_text())
+        entry = json.loads((tmp_path / "c" / f"{request.key}.json").read_text())
         assert entry["request"] == {
             "template_id": "column_lookup",
             "rendered": "hello",
@@ -136,7 +151,7 @@ class TestCassette:
     def test_store_leaves_only_the_entry(self, tmp_path):
         rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend("out"))
         rec.send(_request())
-        assert [p.name for p in (tmp_path / "c").iterdir()] == [f"{gw.request_key(_request())}.json"]
+        assert [p.name for p in (tmp_path / "c").iterdir()] == [f"{_request().key}.json"]
 
     @pytest.mark.parametrize("text", [
         '{"request": {"template_id": "column_lookup", "rend',
@@ -147,7 +162,7 @@ class TestCassette:
     def test_corrupt_entry_raises_gateway_error(self, tmp_path, text):
         rec = gw.Cassette(tmp_path / "c", "record", inner=_CountingBackend())
         rec.send(_request())
-        (tmp_path / "c" / f"{gw.request_key(_request())}.json").write_text(text)
+        (tmp_path / "c" / f"{_request().key}.json").write_text(text)
         with pytest.raises(gw.CorruptEntry):
             gw.Cassette(tmp_path / "c", "replay").send(_request())
 
@@ -163,7 +178,7 @@ class TestCassetteStorageFaults:
         monkeypatch.setattr(Path, "read_text", denied)
         with pytest.raises(gw.StorageFault, match="could not be read"):
             gw.Cassette(tmp_path / "c", "replay").send(_request())
-        assert rec.entries() == [(gw.request_key(_request()), None)]
+        assert rec.entries() == [(_request().key, None)]
 
     def test_failed_write_is_storage_fault_and_leaves_no_temp(self, tmp_path, monkeypatch):
         def full(*args):
@@ -293,7 +308,7 @@ class TestTemplatesAndGateway:
         assert trace.steps == [{
             "kind": "lm",
             "template_id": "answer_formatting",
-            "request_key": gw.request_key(request),
+            "request_key": request.key,
             "reply_digest": digest("42"),
             "warnings": [],
         }]

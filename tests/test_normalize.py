@@ -157,6 +157,12 @@ _PADDING = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000"])
 # ASCII and Unicode spaces, a newline (which "." does not match) and others.
 _OLD_DATE_PREFILTER = re.compile(r"[-/,]|\s.*\s").search
 _PREFILTER_ALPHABET = st.sampled_from(list("a1.+$-/, \t\n\r\x1c\x85") + ["\u00a0", "\u2003", "\u200b", "\u3000", "€"])
+# Whether a stripped cell may be a number or a date: a number without the
+# marks of a date is its currency signs and spaces, then "+" or not, then
+# digits with at most one ".". The chain runs read a no-form run with it.
+_MAY_HAVE_FORM = re.compile(
+    rf"{normalize_module._DATE_MARK}|[{normalize_module._CURRENCY}\s]*\+?\d*\.?\d+\Z"
+).match
 _UNICODE_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
@@ -279,7 +285,7 @@ class TestPrimitiveParsers:
     def test_form_prefilter_is_number_or_date_prefilter(self, raw):
         s = raw.strip()
         expected = _reference_parse_decimal(s) is not None or bool(_OLD_DATE_PREFILTER(s))
-        assert bool(normalize_module._MAY_HAVE_FORM(s)) == expected
+        assert bool(_MAY_HAVE_FORM(s)) == expected
 
     @pytest.mark.parametrize(
         "raw", ["42", "-3", "3.50", ".25", "1999-03-05"]
@@ -396,7 +402,7 @@ class _ChainParses(normalize_module._Parses):
             dates = self._built(list(chain.from_iterable(map(methodcaller("groups"), matches))), layout)
             return [None] * len(dates), [None] * len(dates), dates
         if decimal is None:
-            none = [None] * len(list(takewhile(not_, map(normalize_module._MAY_HAVE_FORM, stripped))))
+            none = [None] * len(list(takewhile(not_, map(_MAY_HAVE_FORM, stripped))))
             return none, none, none
         numbers = map(str.lstrip, stripped, repeat(normalize_module._NUMBER_LEAD))
         if integer is not None:
@@ -407,9 +413,9 @@ class _ChainParses(normalize_module._Parses):
         return [None] * len(decimals), decimals, [None] * len(decimals)
 
 
-# Cells that hold separators, among them one that holds every one, which
-# leaves the column no separator.
-_SEPARATOR_CELL = st.sampled_from(["\x00", "a\x00b", "1\x00", "\x01", "\x07 5", "\x1b", "\x7f", normalize_module._SEPARATORS])
+# Cells that hold control characters, among them NULs, which send the
+# column cell by cell.
+_SEPARATOR_CELL = st.sampled_from(["\x00", "a\x00b", "1\x00", "\x01", "\x07 5", "\x1b", "\x7f", "\x00\x01\x7f"])
 _ODD_INTEGER = st.sampled_from(
     ["0", "-0", "+0", "007", "-007", "+5", "-0,001", "0,123", "٠", "1,23", "12,3456", "1,,234", "1,234,"]
 )
@@ -483,8 +489,8 @@ class TestColumnPass:
         assert (counts, forms) == chains.column(cells)
         # The runs start at the same cells as the chains' runs: the memo
         # holds the first cell of each run, then the cells gone one by one.
-        # A column that holds every separator goes one by one from the start.
-        assert list(parses) == (list(chains) if normalize_module._joined(cells)[0] else list(dict.fromkeys(cells)))
+        # A column in which some cell holds a NUL goes one by one from the start.
+        assert list(parses) == (list(chains) if "\x00" not in "".join(cells) else list(dict.fromkeys(cells)))
 
     @pytest.mark.parametrize(
         "cells,settled",
@@ -492,7 +498,7 @@ class TestColumnPass:
             (["1,234", " $5 ", "-7", "1,234", "٣٤"], 4),
             (["1", "2", "2.5", "3"], 2),  # integers, then a decimal
             (["3.50", "$1,234.5", ".25"], 3),
-            (["Cedar 12", "Alice", "", "\x00"], 4),
+            (["Cedar 12", "Alice", "", "\x01"], 4),
             (["Alice", "Bob", "n/a", "Carol"], 2),  # text, then a cell that may be a date
             (["Alice", "Bob", "12", "Carol"], 2),  # text, then a number
             (["n/a", "x"], 2),
@@ -516,6 +522,16 @@ class TestColumnPass:
         assert list(zip(*forms)) == [normalize_module._Parses()[cell] for cell in column]
         starts = list(parses)
         assert len(set(column[: column.index(starts[1])])) == settled
+
+    def test_a_column_with_a_nul_goes_cell_by_cell(self):
+        # A NUL ends a run, so a column in which some cell holds one takes
+        # each cell's forms from the memo, as a column under eight cells does.
+        column = ["7", "7", "x\x00y", "7", *map(str, range(8, 16)), "\x00"]
+        parses = normalize_module._Parses()
+        counts, forms = parses.column(column)
+        assert list(zip(*forms)) == [normalize_module._Parses()[cell] for cell in column]
+        assert counts == [11, 11, 0]
+        assert list(parses) == list(dict.fromkeys(column))
 
     def test_settles_only_cells_new_to_the_memo(self):
         # A run's first cell that is in the memo is read, not classified again.

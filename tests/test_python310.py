@@ -1,7 +1,7 @@
 """Guards for Python 3.10, the oldest version ``pyproject.toml`` allows, on
 whatever newer interpreter runs the tests: the source parses as 3.10 code,
 and no regular expression, whether held by a module attribute, written as a
-literal or compiled per separator by the normalizer, uses the possessive
+literal or compiled on first use by the normalizer, uses the possessive
 repeats or atomic groups that ``re`` accepts only from 3.11 on."""
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _patterns(values):
 
 def _run_checks(values):
     """The normalizer's run-check sources among ``values`` and the tuples and
-    dicts that hold them: pattern text written for the separator NUL."""
+    dicts that hold them: pattern text that reads the NUL after each cell."""
     for value in values:
         if isinstance(value, str) and r"\x00" in value:
             yield value
@@ -97,16 +97,14 @@ def test_patterns_use_no_syntax_newer_than_python_3_10():
             assert not _newer_syntax(pattern, flags), (path.name, pattern)
 
 
-def test_run_checks_for_every_separator_use_no_syntax_newer_than_python_3_10():
-    # The normalizer keeps its run checks as pattern text written for the
-    # separator NUL and compiles them inside a function, for the separator
-    # each column needs; no module attribute holds the compiled patterns.
+def test_run_checks_use_no_syntax_newer_than_python_3_10():
+    # The normalizer keeps its run checks as pattern text and compiles each
+    # on first use; no module attribute holds the compiled patterns.
     normalize = importlib.import_module("tablefocus.normalize")
     written = [*_run_checks(vars(normalize).values())]
     assert len(written) > 3
-    for sep in normalize._SEPARATORS:
-        for source in written:
-            assert not _newer_syntax(normalize._separated(source, sep).pattern, 0), (ascii(sep), source)
+    for source in written:
+        assert not _newer_syntax(normalize._compiled(source).pattern, 0), source
 
 
 def test_the_pattern_checks_find_possessive_repeats_and_atomic_groups():
