@@ -1,5 +1,5 @@
-"""Program execution: one pre-started server per executor command forks once
-per program, so a run skips the interpreter's start-up; ``run`` is its client.
+"""Program execution: one pre-started server per executor command runs each
+program in a child it forked ahead; ``run`` is its client.
 
 Sandbox. A program runs as ``python3 program.py`` would, from its own work
 directory, with the environment it is given and ``/dev/null`` as stdin. Its
@@ -14,26 +14,33 @@ process can neither outlive it nor hold it open. A timed-out run reports
 exit status -1; a run whose interpreter cannot start, or whose server dies
 before it reports the status, reports 127, as a shell would.
 
-Server. ``run`` starts it as ``<command> forkserver.py <fd>``, ``<fd>`` its
-end of a control socket, with the environment a program gets: ``PATH``, and
+Server. ``run`` starts it as ``<command> forkserver.py <fd>``, ``<fd>`` its end
+of a control socket, with the environment a program gets: ``PATH``, and
 ``HOME`` at the first program's work directory, so site, locale coercion,
 stdout encoding and the user site come out as for a fresh interpreter.
-``PYTHONHASHSEED=0``, dropped from the server's environment before it
-serves, gives every program hash seed 0, unless ``-I`` or ``-E`` has the
-server ignore it. The server preloads the ``PRELOADED`` modules, so a program
-that writes its own ``csv.py`` or ``decimal.py`` and imports it gets the
-standard library's; it imports no ``tablefocus`` module, stays
-single-threaded, and exits, killing the programs still running, when the
-owner's end of the control socket closes: at the owner's exit, which reaps
-it, or death. A server that has died is started again on the next run.
+``PYTHONHASHSEED=0``, dropped from the server's environment before it serves,
+gives every program hash seed 0, unless ``-I`` or ``-E`` has the server ignore
+it. The server preloads the ``PRELOADED`` modules, so a program that writes its
+own ``csv.py`` or ``decimal.py`` and imports it gets the standard library's; it
+imports no ``tablefocus`` module and stays single-threaded. While no program
+runs, it keeps an idle child, the spare, in its own session, holding no fd of
+the server's, waiting on its status socket; a run that finds no live spare gets
+a child forked on the spot. The server exits, killing the programs still
+running and ending and reaping the spare, when the owner's end of the control
+socket closes: at the owner's exit, which reaps it, or death. A server that has
+died is started again on the next run.
 
-Protocol. A run sends one byte on the control socket with two fds: the
-server's end of a per-run socket and the program's stdout file. It then
-writes the request, ``marshal``-ed ``(program path, environment, timeout)``,
-on the per-run socket and shuts down its writing side. On that socket the
-server answers with the child's pid once it has forked, and with the exit
-status ``Popen.returncode`` would give once it has reaped the child, each an
-int right-aligned in ``REPLY_BYTES``. A run that gets no pid never started.
+Protocol. A run sends one byte on the control socket with two fds: the server's
+end of a per-run socket and the program's stdout file. It then writes the
+request, ``marshal``-ed ``(program path, environment, timeout)``, on the
+per-run socket and shuts down its writing side. The server passes both on to a
+child the same way, on its status socket, and answers with the child's pid,
+then once with the exit status ``Popen.returncode`` would give, each an int
+right-aligned in ``REPLY_BYTES``; a run that gets no pid never started. The
+child sends the status as the program finishes, after ``atexit`` and the flush;
+one that ends otherwise (``os._exit``, a signal, a closed socket) gives it when
+reaped. A status the program writes on that socket itself counts as its exit:
+the owner then kills its process group.
 """
 
 # _socket, not socket: socket.py and the selectors it loads would add about
@@ -135,19 +142,28 @@ def _run_main(path: str) -> int:
     return status
 
 
-def _child(path: str, env: dict, timeout_s: float, out: int, inherited: list) -> int:
-    """Set up the forked child as the program's own process and run it."""
-    os.setsid()
-    _limit_resources(timeout_s)
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-    for sock in inherited:
-        sock.close()
-    os.dup2(out, 1)
-    os.close(out)
-    os.chdir(os.path.dirname(path))
-    os.environ.update(env)
-    return _run_main(path)
+def _child(sock) -> None:
+    """The forked child: set up, take a run from ``sock``, run it, send its status there and exit."""
+    status = 127
+    try:
+        os.setsid()
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        os.closerange(3, sock.fileno())  # every fd the server holds, each run's socket included
+        os.closerange(sock.fileno() + 1, os.sysconf("SC_OPEN_MAX"))
+        os.register_at_fork(after_in_child=sock.close)  # a fork the program makes ends as it did before
+        import socket  # loaded already: this is a fork of ``serve``
+        out = socket.recv_fds(sock, 1, 1)[1]
+        path, env, timeout_s = marshal.loads(b"".join(iter(lambda: sock.recv(65536), b"")))
+        _limit_resources(timeout_s)
+        os.dup2(out[0], 1)
+        os.close(out[0])
+        os.chdir(os.path.dirname(path))
+        os.environ.update(env)
+        time.tzset()  # the server's zone was set from its own environment
+        _reply(sock, status := _run_main(path))
+    finally:
+        os._exit(status)
 
 
 def _reply(conn, value: int) -> bool:
@@ -160,7 +176,7 @@ def _reply(conn, value: int) -> bool:
 
 
 def serve(ctrl_fd: int) -> None:
-    """Fork one child per request until the owner's end of the control socket closes."""
+    """Hand each request to a forked child until the owner's end of the control socket closes."""
     import select  # here, not at the top: ``run`` needs only ``_socket``
     import socket
 
@@ -172,47 +188,82 @@ def serve(ctrl_fd: int) -> None:
     wake_w.setblocking(False)
     signal.set_wakeup_fd(wake_w.fileno())
     signal.signal(signal.SIGCHLD, lambda signum, frame: None)  # only so SIGCHLD wakes the select
-    runs = {}  # pid of each running child -> its run's socket
+    runs = {}  # pid of each child given a run -> the run's socket, closed once answered, until reaped
+    statuses = {}  # status socket of each child given a run -> its pid, until read
+    spare = None  # (pid, status socket) of the idle child that takes the next run
+
+    def fork() -> tuple[int, socket.socket] | None:
+        ours, theirs = socket.socketpair()
+        with theirs:
+            gc.freeze()  # the child's collections then skip, and do not copy, the server's objects
+            try:
+                pid = os.fork()
+            except OSError:
+                ours.close()
+                return None
+            if pid == 0:
+                _child(theirs)
+        return pid, ours
+
+    def answer(conn: socket.socket | None, status: int) -> None:
+        if conn is not None:
+            with conn:  # so a second answer goes nowhere
+                _reply(conn, status)
+
     while True:
-        ready = select.select([ctrl, wake_r], [], [])[0]
+        if spare is None and not runs:  # not while a child given a run lives: a fork would slow it
+            spare = fork()
+        ready = select.select([ctrl, wake_r, *statuses], [], [])[0]
+        if ctrl in ready:  # ahead of the reaping, so a test can hand a run to a spare that died unreaped
+            data, fds, _, _ = socket.recv_fds(ctrl, 1, 2)
+            if not data:
+                for pid in runs:
+                    try:
+                        os.killpg(pid, signal.SIGKILL)
+                    except OSError:
+                        pass
+                if spare is not None:
+                    spare[1].close()  # which ends it
+                    os.waitpid(spare[0], 0)
+                return
+            conn, out = socket.socket(fileno=fds[0]), fds[1]
+            try:
+                request = b"".join(iter(lambda: conn.recv(65536), b""))
+                spare, children = None, (child or fork() for child in (spare, None))
+                for pid, sock in filter(None, children):  # a spare that has died since its fork is replaced, unseen
+                    try:
+                        socket.send_fds(sock, [b"\0"], [out])
+                        sock.sendall(request)
+                        sock.shutdown(socket.SHUT_WR)
+                        break
+                    except OSError:
+                        sock.close()
+                else:
+                    raise ChildProcessError("no child took the run")
+            except OSError:  # a run cut short, or no child took it
+                conn.close()
+                continue
+            finally:
+                os.close(out)
+            runs[pid], statuses[sock] = conn, pid
+            if not _reply(conn, pid):
+                os.kill(pid, signal.SIGKILL)
+        for sock in statuses.keys() & ready:  # a status sent at finish, or a socket closed without one
+            with sock:
+                try:
+                    answer(runs.get(statuses.pop(sock)), int(sock.recv(REPLY_BYTES)))
+                except (OSError, ValueError):  # the status comes by reaping
+                    pass
         if wake_r in ready:
             wake_r.recv(4096)
-            while runs:
-                pid, status = os.waitpid(-1, os.WNOHANG)
-                if not pid:
-                    break
-                conn = runs.pop(pid)
-                _reply(conn, os.waitstatus_to_exitcode(status))
-                conn.close()
-        if ctrl not in ready:
-            continue
-        data, fds, _, _ = socket.recv_fds(ctrl, 1, 2)
-        if not data:
-            for pid in runs:
-                try:
-                    os.killpg(pid, signal.SIGKILL)
-                except OSError:
-                    pass
-            return
-        conn, out = socket.socket(fileno=fds[0]), fds[1]
-        try:
-            path, env, timeout_s = marshal.loads(b"".join(iter(lambda: conn.recv(65536), b"")))
-            gc.freeze()  # the child's collections then skip, and do not copy, the server's objects
-            pid = os.fork()
-        except (EOFError, ValueError, TypeError, OSError):  # a run cut short, or no fork
-            conn.close()
-            os.close(out)
-            continue
-        if pid == 0:
-            status = 127
             try:
-                status = _child(path, env, timeout_s, out, [ctrl, conn, wake_r, wake_w, *runs.values()])
-            finally:
-                os._exit(status)
-        os.close(out)
-        if not _reply(conn, pid):
-            os.kill(pid, signal.SIGKILL)
-        runs[pid] = conn
+                while (reaped := os.waitpid(-1, os.WNOHANG))[0]:
+                    if spare is not None and reaped[0] == spare[0]:  # killed while idle: no run hears of it
+                        spare[1].close()
+                        spare = None
+                    answer(runs.pop(reaped[0], None), os.waitstatus_to_exitcode(reaped[1]))
+            except ChildProcessError:  # no child left
+                pass
 
 
 _servers: dict[tuple[str, ...], tuple[int, _socket.socket]] = {}  # command -> (pid, control socket)
@@ -301,7 +352,7 @@ def run(command: tuple[str, ...], path: str, env: dict[str, str], timeout_s: flo
             if timed_out and replies:
                 conn.settimeout(None)
                 try:
-                    conn.recv(REPLY_BYTES, _socket.MSG_WAITALL)  # returns once the program is reaped
+                    conn.recv(REPLY_BYTES, _socket.MSG_WAITALL)  # returns once the program has ended
                 except OSError:
                     pass
         finally:

