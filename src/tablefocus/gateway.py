@@ -273,10 +273,11 @@ class Cassette:
             try:
                 temp.write_text(json.dumps(entry, indent=2, ensure_ascii=False), encoding="utf-8")
                 os.replace(temp, path)
-            except OSError as exc:
-                raise StorageFault(f"cassette entry {path.stem} could not be written: {exc}") from exc
-            finally:
+            except BaseException as exc:  # once renamed the temp file is gone, so only a failure leaves one
                 temp.unlink(missing_ok=True)
+                if isinstance(exc, OSError):
+                    raise StorageFault(f"cassette entry {path.stem} could not be written: {exc}") from exc
+                raise
 
     def entries(self) -> list[tuple[str, str | None]]:
         """Each entry's key and template id, in key order; ``None`` marks an unreadable entry."""

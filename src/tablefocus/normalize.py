@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
+from itertools import compress
 from operator import itemgetter, not_
 from typing import Sequence
 
@@ -99,45 +100,31 @@ def _ascii_date(i: int, fmt: str) -> tuple[int, re.Pattern, tuple]:
 _ASCII_DATES = {f"f{i}": _ascii_date(i, fmt) for i, fmt in enumerate(_DATE_FORMATS)}
 # Each %y year as strptime reads it: 00-68 in 2000-2068, 69-99 in 1969-1999.
 _PIVOT = {f"{y:02d}": str(y + 2000 if y <= 68 else y + 1900) for y in range(100)}
-# Each day or month field the ASCII patterns allow, as two digits.
-_TWO_DIGITS = {field: f"{n:02d}" for n in range(1, 32) for field in (str(n), f"{n:02d}", f" {n}")}
 
-# A column pass joins the column's cells into one text, each followed by a
-# NUL, unless a cell holds one. A NUL is no space, digit, letter or mark of a
-# number or a date, so no cell pattern below reads across one. A run ends at
-# the first NUL not followed by a cell of its form: a search with a lookahead
-# over one cell, since a pattern that repeats over the cells keeps a
-# backtracking frame per cell, megabytes on a long column. ``_compiled``
-# compiles each of these checks on first use. ``_SPACE`` is ``\s`` as a set
-# of characters, which ``re`` tests about twice as fast as the category.
-_SPACE = f"[{_SPACES}]"
-# As ``_IS_INT``/``_IS_DEC`` read ``cell.strip().lstrip(_NUMBER_LEAD)``.
-_INT_RUN = rf"\x00(?![{_NUMBER_LEAD}]*{_INT}{_SPACE}*\x00)"
-_DEC_RUN = rf"\x00(?![{_NUMBER_LEAD}]*{_DEC}{_SPACE}*\x00)"
-# A stripped cell has no form when it is no number, which would be its
-# currency signs and spaces, then "+" or not, then digits with at most one
-# ".", and it fails ``_DATE_MARK``: it holds no "-", "/" or "," and at most
-# one space, so it is at most two words with one space between.
-_WORD = rf"[^-/,\x00{_SPACES}]+"
-_NO_FORM_RUN = (
-    rf"\x00(?:(?=[{_NUMBER_LEAD}]*\+?\d*\.?\d+{_SPACE}*\x00)"
-    rf"|(?!{_SPACE}*(?:{_WORD}(?:{_SPACE}{_WORD})?)?{_SPACE}*\x00))"
-)
+# A cell's shape: its ASCII letters made "a" and its ASCII digits "0". The
+# checks of ``__missing__`` before a date's values (``_IS_INT``, ``_IS_DEC``,
+# ``_MAY_BE_DATE``, ``_ANY_DATE_SHAPE``) read where a cell's digits, letters,
+# marks and spaces are, never which they are, so they answer alike per shape.
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_SHAPE = str.maketrans(_LETTERS + _LETTERS.upper() + "123456789", "a" * 52 + "0" * 9)
+# Per format, the shapes of the cells its ASCII pattern fullmatches: each
+# class of digits made "0", of letters "a". A cell of such a shape is in that
+# ASCII form when ``_built`` finds its month and day in range.
+_SHAPE_DIRECTIVES = {"%Y": "0000", "%y": "00", "%m": "00?", "%d": "(?:00?| 0)", "%b": "a+", "%B": "a+"}
+_ASCII_SHAPES = {
+    group: re.compile(_date_pattern(fmt, _SHAPE_DIRECTIVES, r"[ \t\n\r\f\v]+")).fullmatch
+    for group, fmt in zip(_ASCII_DATES, _DATE_FORMATS)
+}
+# Each day or month field of an ASCII date in range, as two digits.
+_DAYS = {field: f"{n:02d}" for n in range(1, 32) for field in (str(n), f"{n:02d}")}
+_MONTHS = {field: two for field, two in _DAYS.items() if two <= "12"}
+# A column pass joins its cells with NULs, which no number or date holds, and
+# reads their forms from one ``translate`` and ``split`` of that text.
+_NUMBER_MARKS = str.maketrans("", "", _NUMBER_LEAD + ",")  # what a number's form drops
+_DATE_MARKS = str.maketrans(dict.fromkeys("-/,\x00", " "))
 # An integer's form differs from its text when it holds a non-ASCII digit, a
 # "+", a leading zero or "-0"; this finds the last two.
-_NOT_CANONICAL = r"\x00(?:-0|0[0-9])"
-_NUMBER_MARKS = str.maketrans("", "", _NUMBER_LEAD + ",")  # what a number's form drops
-# Per date format, the search that ends a run of its ASCII dates, as
-# ``ascii_date.fullmatch(cell.strip())`` reads them. Such a cell is three
-# fields of digits or letters with spaces, "-", "/" or "," between and
-# around them, so with those marks and the NULs made spaces, ``split``
-# gives each cell's fields in format order.
-_DATE_RUNS = {
-    group: rf"\x00(?!{_SPACE}*(?:{ascii_date.pattern}){_SPACE}*\x00)"
-    for group, (_, ascii_date, _) in _ASCII_DATES.items()
-}
-_DATE_MARKS = str.maketrans(dict.fromkeys("-/,\x00", " "))
-_compiled = cache(re.compile)
+_NOT_CANONICAL = re.compile(r"\x00(?:-0|0[0-9])").search
 
 
 @dataclass(frozen=True)
@@ -215,15 +202,17 @@ _KINDS = ("integer", "decimal", "date")
 
 class _Parses(dict):
     """Memo for one call: cell -> its (integer, decimal, date) canonical forms,
-    None where the cell does not parse as that kind. ``months`` maps each
-    month word seen to its month as two digits, or None when it names none.
+    None where the cell does not parse as that kind. ``shapes`` maps each
+    shape seen to its class (``_shape_class``), and ``months`` each month word
+    seen to its month as two digits, or None when it names none.
 
-    ``__missing__`` classifies one cell and is the reference; ``column``
-    classifies a column's cells run by run, or cell by cell where some cell
-    holds a NUL, and only the first cell of each run enters the memo."""
+    ``__missing__`` classifies one cell and is the reference. ``column``
+    classifies each distinct shape once and converts each class's cells in
+    bulk, into the memo where a column's shapes are of several classes."""
 
     def __init__(self) -> None:
         super().__init__()
+        self.shapes: dict[str, str] = {}
         self.months: dict[str, str | None] = {}
 
     def __missing__(self, cell: str) -> tuple[str | None, str | None, str | None]:
@@ -244,95 +233,65 @@ class _Parses(dict):
         """A column's tally, how many of its cells parse as each kind of
         ``_KINDS``, and the forms of each kind of its cells, in cell order.
 
-        The cells go in runs, over the column joined once into one text, each
-        cell followed by a NUL. A run's first cell is read from the memo; one
-        search from its end then finds the first cell after it of another
-        form, which starts the next run, and the forms of the cells between
-        are taken from that slice of the text at once. The forms: integers,
-        decimals, no form (no number, and nothing every date shape holds), or
-        dates in the first cell's format in ASCII form. A column whose cells
-        share one form is one run. The cells go on one by one, through the
-        memo, from where fewer than eight are left or, after three runs, from
-        where the runs average fewer than eight. In timings, four in place of
-        eight slowed a table of four-cell columns by a third, no average rule
-        a column of six forms in random order by half, and no three-run grace
-        a blank first cell by a tenth; 16, 2 and 5 timed the same. A column
-        in which some cell holds a NUL goes one by one from the start."""
-        forms: tuple[list, list, list] = ([], [], [])
-        text = "\x00".join(cells) + "\x00" if len(cells) >= 8 else ""
-        nul_free = text.count("\x00") == len(cells)
-        start = runs = 0
-        end = -1  # the NUL before cell ``start``
-        while nul_free and len(cells) - start >= 8 and (runs < 3 or start >= 8 * runs):
-            cell = cells[start]
-            parsed = self[cell]
-            run, end = self._run(parsed, cell, text, end + 1 + len(cell))
-            for out, first, rest in zip(forms, parsed, run):
-                out.append(first)
-                out.extend(rest)
-            start += 1 + len(run[0])
-            runs += 1
-        for out, rest in zip(forms, zip(*map(self.__getitem__, cells[start:]))):
+        The column is joined once, the cells apart by NULs, and one
+        ``translate`` and ``split`` give each cell's shape. A column whose
+        shapes share one class is converted from that text at once. Otherwise
+        each class's cells are converted at once into the memo, and the rest
+        (dates outside the ASCII forms) go through it one by one, as does each
+        cell of a column in which some cell holds a NUL."""
+        text = "\x00".join(cells)
+        shapes = text.translate(_SHAPE).split("\x00")
+        if len(shapes) == len(cells):  # no cell holds a NUL
+            distinct = set(shapes)
+            for shape in distinct.difference(self.shapes):
+                self.shapes[shape] = _shape_class(shape)
+            classes = set(map(self.shapes.__getitem__, distinct))
+            if len(classes) == 1 and "cell" not in classes:
+                forms = self._forms(classes.pop(), cells, text)
+                return [len(cells) - out.count(None) for out in forms], forms
+            of = list(map(self.shapes.__getitem__, shapes))
+            for group in classes.difference(("cell",)):
+                some = list(compress(cells, map(group.__eq__, of)))
+                self.update(zip(some, zip(*self._forms(group, some, "\x00".join(some)))))
+        forms = ([], [], [])
+        for out, rest in zip(forms, zip(*map(self.__getitem__, cells))):
             out.extend(rest)
         return [len(cells) - out.count(None) for out in forms], forms
 
-    def _run(self, parsed: tuple, cell: str, text: str, at: int) -> tuple[tuple[list, list, list], int]:
-        """The forms of each kind of the cells after ``cell`` that share the
-        form of ``cell``, whose forms are ``parsed``, up to the first that does
-        not, and the offset of the NUL after the last of them. ``text`` is the
-        column, each cell followed by a NUL, and ``cell`` ends at offset ``at``."""
-        integer, decimal, dated = parsed
-        if dated is not None:
-            # None of them is a number: every format puts a "-", "/" or letters between two fields.
-            group = _ANY_DATE_SHAPE.fullmatch(cell.strip()).lastgroup
-            end = _compiled(_DATE_RUNS[group]).search(text, at).start()
-            fields = text[at:end].translate(_DATE_MARKS).split()
-            dates = self._built(fields, _ASCII_DATES[group][2])
-            if 3 * len(dates) < len(fields):  # cut at a word that names no month or a date that does not exist
-                end = at + len(dates) + sum(map(len, text[at + 1 : end].split("\x00", len(dates))[: len(dates)]))
-            none = [None] * len(dates)
-            return (none, none, dates), end
-        if decimal is None:
-            end = _compiled(_NO_FORM_RUN).search(text, at).start()
-            none = [None] * text.count("\x00", at, end)
-            return (none, none, none), end
-        end = _compiled(_INT_RUN if integer is not None else _DEC_RUN).search(text, at).start()
-        numbers = text[at:end].translate(_NUMBER_MARKS)  # a NUL before each cell
-        run = numbers.split("\x00")[1:]
-        none = [None] * len(run)
-        if integer is None:
-            return (none, run, none), end
-        if not numbers.isascii() or "+" in numbers or _compiled(_NOT_CANONICAL).search(numbers):
+    def _forms(self, group: str, cells: list[str], text: str) -> tuple[list, list, list]:
+        """The forms of each kind of ``cells``, all of class ``group``, which
+        ``text`` joins with NULs."""
+        none = [None] * len(cells)
+        if group == "none":
+            return none, none, none
+        if group in _ASCII_DATES:
+            dates = self._built(text.translate(_DATE_MARKS).split(), _ASCII_DATES[group][2])
+            if None in dates:  # a cell whose fields name no date goes through the memo
+                dates = [iso or self[cell][2] for cell, iso in zip(cells, dates)]
+            return none, none, dates
+        numbers = text.translate(_NUMBER_MARKS)
+        run = numbers.split("\x00")
+        if group == "decimal":
+            return none, run, none
+        if not numbers.isascii() or "+" in numbers or _NOT_CANONICAL("\x00" + numbers):
             run = list(map(str, map(int, run)))
-        return (run, run, none), end
+        return run, run, none
 
-    def _built(self, fields: list[str], layout: tuple) -> list[str]:
-        """The ISO dates that ASCII dates name, from their ``fields``, three
-        a date in format order, up to the first whose word names no month or
-        whose date does not exist."""
+    def _built(self, fields: list[str], layout: tuple) -> list[str | None]:
+        """The ISO date each date names, from its ``fields`` in an ASCII
+        format's shape, three a date in format order, or None where its month
+        or day is out of range, its word names no month or its date does not
+        exist."""
         year_at, month_at, day_at, two_digit, word = layout
-        years = fields[year_at::3]
-        if two_digit:
-            years = list(map(_PIVOT.__getitem__, years))
-        months = fields[month_at::3]
+        years, months, days = fields[year_at::3], fields[month_at::3], fields[day_at::3]
         if word:
             for name in set(months).difference(self.months):
                 self.months[name] = _month_number(name)
-            months = map(self.months.__getitem__, months)
-        else:
-            months = map(_TWO_DIGITS.__getitem__, months)
-        days = list(map(_TWO_DIGITS.__getitem__, fields[day_at::3]))
-        built: list[str] = []
-        try:  # extend keeps what the map gave before it raised, here at a month of None
-            built.extend(map("-".join, zip(years, months, days)))
-        except TypeError:
-            pass
-        if "0000" in years or max(days, default="") > "28":  # then some may name no date
-            real: list[date] = []
-            try:
-                real.extend(map(date.fromisoformat, built))
-            except ValueError:
-                del built[len(real) :]
+        numbers = self.months if word else _MONTHS
+        pivoted = map(_PIVOT.__getitem__, years) if two_digit else years
+        built = _each("-".join, zip(pivoted, map(numbers.get, months), map(_DAYS.get, days)))
+        if "0000" in years or not {"29", "30", "31"}.isdisjoint(days):  # then some may name no date
+            built = _each(date.isoformat, _each(date.fromisoformat, built))
         return built
 
     def _date(self, s: str) -> str | None:
@@ -361,10 +320,51 @@ class _Parses(dict):
         return None
 
 
+def _each(function, iterable) -> list:
+    """``list(map(function, iterable))``, with None where ``function`` raises
+    TypeError or ValueError: ``map`` and ``zip`` go on after a call raises."""
+    out, results = [], map(function, iterable)
+    while True:
+        try:
+            out.extend(results)  # keeps what came before the raise
+            return out
+        except (TypeError, ValueError):
+            out.append(None)
+
+
+def _shape_class(shape: str) -> str:
+    """The class of the cells of ``shape``, read as ``__missing__`` reads a
+    cell: "integer", "decimal", "none" (no form), the group in
+    ``_ANY_DATE_SHAPE`` of the date format whose ASCII form it fits, or
+    "cell" for a date outside the ASCII forms, which goes cell by cell."""
+    s = shape.strip()
+    number = s.lstrip(_NUMBER_LEAD)
+    if _IS_INT(number):
+        return "integer"
+    if _IS_DEC(number):
+        return "decimal"
+    fit = _ANY_DATE_SHAPE.fullmatch(s) if _MAY_BE_DATE(s) else None
+    if fit is None:
+        return "none"
+    return fit.lastgroup if _ASCII_SHAPES[fit.lastgroup](s) else "cell"
+
+
 def _month_number(word: str) -> str | None:
-    """The month ``word`` names as strptime reads it, as two digits: each %B
-    format follows its %b twin, whose shape is the same, so strptime also
-    tries the abbreviation first."""
+    """The month ``word`` names as strptime reads it in the LC_TIME locale,
+    as two digits."""
+    import locale  # loaded on the first month word, as strptime loads it
+    try:  # strptime raises ValueError too on a locale name getlocale cannot read
+        return _month_in(word, locale.getlocale(locale.LC_TIME))
+    except ValueError:
+        return None
+
+
+@lru_cache(maxsize=1024)
+def _month_in(word: str, lang: tuple) -> str | None:
+    """``_month_number`` in the LC_TIME locale ``lang``: each %B format
+    follows its %b twin, whose shape is the same, so strptime also tries the
+    abbreviation first. Kept across calls, since the answer depends only on
+    the word and the locale, which ``_strptime`` checks for its own cache."""
     for directive in ("%b", "%B"):
         try:
             return f"{datetime.strptime(word, directive).month:02d}"
@@ -472,9 +472,9 @@ def normalize(table: Table) -> NormalizedTable:
 
     Total and idempotent; unparseable cells in a typed column stay verbatim and
     are flagged in the per-column provenance, which is built only when read.
-    One pass per column gives its tally and its cells' forms, from which the
-    canonical cells are taken; the transpose is scored from those forms and
-    built only when it wins.
+    One pass per column classifies each distinct cell shape once and gives
+    the tally and forms the canonical cells are taken from; the transpose is
+    scored from those forms and built only when it wins.
     """
     parses = _Parses()
     work, transposed = table, False

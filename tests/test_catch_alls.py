@@ -16,6 +16,7 @@ ALLOWED = {
     "tablefocus/evaluation.py:evaluate.outcome",  # scores the instance wrong and counts it in error_records
     "tablefocus/cli.py:cmd_eval.run_one",  # names the instance on stderr, then re-raises
     "tablefocus/forkserver.py:_run_main",  # a generated program's uncaught exception: exit status 1, as in CPython
+    "tablefocus/gateway.py:Cassette.store",  # removes the temp file a failed write left, then re-raises
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import calendar
 import importlib
+import locale
 import random
 import re
 import sys
@@ -374,7 +375,8 @@ def _ascii_dates(draw):
 class _ChainParses(normalize_module._Parses):
     """The column pass before it searched the joined column: each run read
     with C-level ``map`` chains over the cells, kept as it was but for the
-    fields ``_built`` now takes, as the reference for where runs start."""
+    fields ``_built`` now takes and its None for a date that names none, at
+    which a run ends: a second reference for the forms of long columns."""
 
     def column(self, cells):
         forms = ([], [], [])
@@ -400,6 +402,7 @@ class _ChainParses(normalize_module._Parses):
             ]
             matches = takewhile(bool, map(ascii_date.fullmatch, stripped))
             dates = self._built(list(chain.from_iterable(map(methodcaller("groups"), matches))), layout)
+            dates = list(takewhile(bool, dates))
             return [None] * len(dates), [None] * len(dates), dates
         if decimal is None:
             none = [None] * len(list(takewhile(not_, map(_MAY_HAVE_FORM, stripped))))
@@ -487,10 +490,8 @@ class TestColumnPass:
         assert list(zip(*forms)) == expected
         assert counts == [sum(parsed[k] is not None for parsed in expected) for k in range(3)]
         assert (counts, forms) == chains.column(cells)
-        # The runs start at the same cells as the chains' runs: the memo
-        # holds the first cell of each run, then the cells gone one by one.
-        # A column in which some cell holds a NUL goes one by one from the start.
-        assert list(parses) == (list(chains) if "\x00" not in "".join(cells) else list(dict.fromkeys(cells)))
+        # The memo holds only correct entries.
+        assert dict(parses).items() <= dict(zip(cells, expected)).items()
 
     @pytest.mark.parametrize(
         "cells,settled",
@@ -512,20 +513,25 @@ class TestColumnPass:
         ],
     )
     def test_settles_the_cells_before_the_first_of_another_form(self, cells, settled):
-        # The first run reads the cells up to the first of another form, which
-        # starts the next run; ``settled`` counts the distinct cells of the
-        # first run. Only the first cell of each run enters the memo. Eight
-        # cells of another form after them make the column long enough for runs.
+        # Eight cells of another form after them give the column two classes
+        # of shapes at least, so each class is converted into the memo, and
+        # every cell enters it with its own forms. The run pass kept here as a
+        # reference (``_ChainParses``) reads the cells up to the first of
+        # another form, which starts its next run; ``settled`` counts the
+        # distinct cells of its first run, whose dates ``_built`` reads.
         column = cells + ["x" if any(normalize_module._Parses()[cells[0]]) else "0"] * 8
         parses = normalize_module._Parses()
         _, forms = parses.column(column)
         assert list(zip(*forms)) == [normalize_module._Parses()[cell] for cell in column]
-        starts = list(parses)
+        assert dict(parses) == {cell: normalize_module._Parses()[cell] for cell in column}
+        chains = _ChainParses()
+        chains.column(column)
+        starts = list(chains)
         assert len(set(column[: column.index(starts[1])])) == settled
 
     def test_a_column_with_a_nul_goes_cell_by_cell(self):
-        # A NUL ends a run, so a column in which some cell holds one takes
-        # each cell's forms from the memo, as a column under eight cells does.
+        # A NUL would split a cell's shape, so a column in which some cell
+        # holds one takes each cell's forms from the memo.
         column = ["7", "7", "x\x00y", "7", *map(str, range(8, 16)), "\x00"]
         parses = normalize_module._Parses()
         counts, forms = parses.column(column)
@@ -534,7 +540,8 @@ class TestColumnPass:
         assert list(parses) == list(dict.fromkeys(column))
 
     def test_settles_only_cells_new_to_the_memo(self):
-        # A run's first cell that is in the memo is read, not classified again.
+        # A cell in the memo is read, not classified again; the cells of a
+        # class are converted at once, never one by one.
         classified: list[str] = []
 
         class CountingParses(normalize_module._Parses):
@@ -547,11 +554,14 @@ class TestColumnPass:
         column = ["7", "x", *map(str, range(8, 16))]
         integers = ["7", None, *column[2:]]
         assert parses.column(column) == ([9, 9, 0], (integers, integers, [None] * 10))
-        # "8" starts a run that settles the cells after it.
-        assert classified == ["7", "x", "8"]
-        assert list(parses) == ["7", "x", "8"]
+        assert classified == ["7"]
+        assert dict(parses) == {cell: normalize_module._Parses()[cell] for cell in column}
         parses.column(column)
-        assert classified == ["7", "x", "8"]
+        assert classified == ["7"]
+        # A date outside the ASCII forms goes one by one, each distinct cell once.
+        odd = ["Mar\u00a05, 1999", "Mar\u00a06, 1999"]
+        parses.column([odd[0], *column, odd[1], odd[0]])
+        assert classified == ["7", *odd]
 
     @settings(max_examples=300, deadline=None)
     @given(_ascii_dates())
@@ -569,12 +579,72 @@ class TestColumnPass:
         cells = [f"{m}/28/{yy:02d}" for yy in range(100) for m in (1, 12)]
         parses = normalize_module._Parses()
         _, forms = parses.column(cells)
-        assert len(parses) == 1  # one run
+        assert not parses  # one class, converted at once
         assert forms[2] == [datetime.strptime(cell, "%m/%d/%y").date().isoformat() for cell in cells]
 
     def test_spaces_are_every_character_strip_removes(self):
         spaces = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
         assert normalize_module._SPACES == spaces
+
+    def test_each_distinct_shape_is_classified_at_most_once_per_call(self, monkeypatch):
+        # Two integer columns of the same shapes, a column of two classes, and
+        # headers that the transpose's score reads as a column.
+        rng = random.Random(36)
+        rows = [
+            [f"{rng.randint(1, 99_999):,}", str(rng.randint(1, 99_999)), rng.choice(["7", "n/a", "12", "x y"])]
+            for _ in range(300)
+        ]
+        classified: list[str] = []
+
+        def counting(shape):
+            classified.append(shape)
+            return shape_class(shape)
+
+        shape_class = normalize_module._shape_class
+        monkeypatch.setattr(normalize_module, "_shape_class", counting)
+        for table in (Table.make(["a", "1", "2,000"], rows), Table.make(["1", "22", "333"], rows)):
+            classified.clear()
+            normalize(table)
+            assert classified and len(classified) == len(set(classified))
+
+    def test_a_column_of_a_shape_per_cell_matches_the_per_cell_memo(self):
+        # 300 distinct three-word titles, one shape each: words, numbers and
+        # month names of any length, so that some read as dates, some as
+        # dates whose words or days name none, and some as no form.
+        rng = random.Random(36)
+        words = ["a", "Go", "May", "Live", "March", "12", "5", "1999", "30", "Sept", "n/a", "Über"]
+        titles: dict[str, str] = {}
+        while len(titles) < 300:
+            title = " ".join(rng.choice(words) + "x" * rng.randint(0, 3) * (rng.random() < 0.3) for _ in range(3))
+            titles.setdefault(title.translate(normalize_module._SHAPE), title)
+        cells = list(titles.values())
+        reference = normalize_module._Parses()
+        counts, forms = normalize_module._Parses().column(cells)
+        assert list(zip(*forms)) == [reference[cell] for cell in cells]
+        assert counts == [sum(reference[cell][k] is not None for cell in cells) for k in range(3)]
+        classes = [normalize_module._shape_class(shape) for shape in titles]
+        assert {"none", "f7", "f9"} <= set(classes) and counts[2] > 0
+
+    def test_month_words_are_kept_across_calls_per_locale(self, monkeypatch):
+        parsed: list[str] = []
+
+        class CountingDatetime(datetime):
+            @classmethod
+            def strptime(cls, date_string, fmt):
+                parsed.append(date_string)
+                return super().strptime(date_string, fmt)
+
+        normalize_module._month_in.cache_clear()
+        monkeypatch.setattr(normalize_module, "datetime", CountingDatetime)
+        cells = ["Mar 5, 1999", "apr 6, 2001"] * 5
+        for expected in (["Mar", "apr"], ["Mar", "apr"]):
+            assert normalize_module._Parses().column(cells)[1][2] == ["1999-03-05", "2001-04-06"] * 5
+            assert sorted(parsed) == expected
+        # ``_strptime`` keys its own cache by this locale, and so does the month memo.
+        lang = locale.getlocale(locale.LC_TIME)
+        monkeypatch.setattr(locale, "getlocale", lambda category=locale.LC_CTYPE: (f"x{lang[0]}", lang[1]))
+        assert normalize_module._Parses().column(cells)[1][2] == ["1999-03-05", "2001-04-06"] * 5
+        assert sorted(parsed) == ["Mar", "Mar", "apr", "apr"]
 
     def test_normalize_peak_memory_on_a_5000_row_table(self):
         # The table of uniform columns, and the same table with a blank first
@@ -883,6 +953,7 @@ class TestNormalize:
             )
 
     def test_each_distinct_cell_is_classified_once_and_month_words_reach_strptime_once(self, monkeypatch):
+        normalize_module._month_in.cache_clear()  # month words are kept across calls
         rng = random.Random(4)
         months = calendar.month_abbr[1:]
         rows = [
@@ -916,12 +987,30 @@ class TestNormalize:
         out = normalize(table)
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date", "date"]
         # Every column is homogeneous, so the transpose, and its header cells,
-        # is never classified. A column whose cells share one form is one run,
-        # and only its first cell goes on its own; the column outside the
-        # ASCII date forms goes one cell at a time, each distinct cell once.
-        assert sorted(one_by_one) == sorted({row[4] for row in rows} | set(rows[0][:4]))
+        # is never classified. A column whose shapes share one class is
+        # converted at once; the column outside the ASCII date forms goes one
+        # cell at a time, each distinct cell once.
+        assert sorted(one_by_one) == sorted({row[4] for row in rows})
         month_words = {row[3].split()[0] for row in rows}
         assert sorted(parsed) == sorted(month_words | {row[4] for row in rows})
+
+    def test_a_5000_row_number_column_with_an_odd_cell_every_ninth_matches_the_reference(self):
+        # A blank, "n/a" or "-" in every ninth cell of the integer column.
+        rng = random.Random(36)
+        rows = [
+            [
+                f"{rng.choice(['Cedar', 'Maple', 'Harbor'])} {rng.randint(100, 99_999)}",
+                ["", "n/a", "-"][i // 9 % 3] if i % 9 == 8 else f"{rng.randint(1, 99_999):,}",
+                f"${rng.randint(1, 99_999):,}.{rng.randint(0, 99):02d}",
+                f"{rng.choice(calendar.month_abbr[1:])} {rng.randint(1, 31)}, {rng.randint(1950, 2020)}",
+            ]
+            for i in range(5000)
+        ]
+        table = Table.make(["Store", "Units", "Revenue", "Opened"], rows)
+        table_, kinds, transposed, provenance, _ = _reference_normalize(table)
+        out = normalize(table)
+        assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
+        assert (out.table, out.column_kinds, out.transposed, out.provenance) == (table_, kinds, transposed, provenance)
 
     def test_each_column_is_tallied_once(self, monkeypatch):
         rng = random.Random(9)
@@ -955,10 +1044,10 @@ class TestNormalize:
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
         assert not out.transposed
         assert passed == [list(column) for column in zip(*rows)]
-        # A column whose cells share one form is looked up once, at its first
-        # cell, and never again. The other column's runs are one cell long, so
-        # after three of them it goes on cell by cell: each cell once.
-        assert lookups == 3 + 200
+        # A column whose shapes share one class is never looked up. The other
+        # column's two classes are converted into the memo, from which each
+        # of its cells is read once.
+        assert lookups == 200
 
     @settings(max_examples=300, deadline=None)
     @given(wild_tables())

@@ -1,8 +1,8 @@
 """Guards for Python 3.10, the oldest version ``pyproject.toml`` allows, on
 whatever newer interpreter runs the tests: the source parses as 3.10 code,
-and no regular expression, whether held by a module attribute, written as a
-literal or compiled on first use by the normalizer, uses the possessive
-repeats or atomic groups that ``re`` accepts only from 3.11 on."""
+and no regular expression, whether held by a module attribute or written as
+a literal, uses the possessive repeats or atomic groups that ``re`` accepts
+only from 3.11 on."""
 
 from __future__ import annotations
 
@@ -32,16 +32,6 @@ def _patterns(values):
             yield value.__self__
         elif isinstance(value, (tuple, list, dict)):
             yield from _patterns(value.values() if isinstance(value, dict) else value)
-
-
-def _run_checks(values):
-    """The normalizer's run-check sources among ``values`` and the tuples and
-    dicts that hold them: pattern text that reads the NUL after each cell."""
-    for value in values:
-        if isinstance(value, str) and r"\x00" in value:
-            yield value
-        elif isinstance(value, (tuple, dict)):
-            yield from _run_checks(value.values() if isinstance(value, dict) else value)
 
 
 def _is_re(node: ast.AST, name=None) -> bool:
@@ -95,16 +85,6 @@ def test_patterns_use_no_syntax_newer_than_python_3_10():
     for path in (ROOT / "src").rglob("*.py"):
         for pattern, flags in _literal_patterns(ast.parse(path.read_text(encoding="utf-8"))):
             assert not _newer_syntax(pattern, flags), (path.name, pattern)
-
-
-def test_run_checks_use_no_syntax_newer_than_python_3_10():
-    # The normalizer keeps its run checks as pattern text and compiles each
-    # on first use; no module attribute holds the compiled patterns.
-    normalize = importlib.import_module("tablefocus.normalize")
-    written = [*_run_checks(vars(normalize).values())]
-    assert len(written) > 3
-    for source in written:
-        assert not _newer_syntax(normalize._compiled(source).pattern, 0), source
 
 
 def test_the_pattern_checks_find_possessive_repeats_and_atomic_groups():
