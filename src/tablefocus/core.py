@@ -11,7 +11,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -35,7 +34,8 @@ class Table:
         if not self.headers:
             raise ValueError("table must have at least one header")
         n = len(self.headers)
-        if not set(map(len, self.rows)) <= {n}:
+        # Late rows (``normalize``) come from columns of one length; reading them would build them.
+        if isinstance(self.rows, tuple) and not set(map(len, self.rows)) <= {n}:
             i = next(i for i, row in enumerate(self.rows) if len(row) != n)
             raise ValueError(f"row {i} has {len(self.rows[i])} cells, expected {n}")
 
@@ -249,7 +249,7 @@ def measure(table: Table) -> SizeMetrics:
     """Size metrics over the canonical markdown rendering, which is counted,
     not built: ``token_estimate`` is ``heuristic_token_count(render_markdown(table))``."""
     m, n = table.row_count, table.column_count
-    cells = "".join(chain(table.headers, *table.rows))
+    cells = "".join(table.headers) + "".join(map("".join, table.rows))
     # Escaping adds a backslash before each "|" and keeps the length otherwise.
     # Each of the m + 2 lines adds "| ", " | " between cells, " |" and a
     # newline (the last line none), and the separator line "---" per column.

@@ -10,10 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import compress
 from operator import itemgetter, not_
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Table, transpose
 
@@ -118,6 +118,8 @@ _ASCII_SHAPES = {
 # Each day or month field of an ASCII date in range, as two digits.
 _DAYS = {field: f"{n:02d}" for n in range(1, 32) for field in (str(n), f"{n:02d}")}
 _MONTHS = {field: two for field, two in _DAYS.items() if two <= "12"}
+_EVERY_MONTH_DAYS = {field for field, two in _DAYS.items() if two <= "28"}
+_CLASS_TALLIES = {"integer": (1, 1, 0), "decimal": (0, 1, 0), "none": (0, 0, 0)}  # per cell of a column of one class
 # A column pass joins its cells with NULs, which no number or date holds, and
 # reads their forms from one ``translate`` and ``split`` of that text.
 _NUMBER_MARKS = str.maketrans("", "", _NUMBER_LEAD + ",")  # what a number's form drops
@@ -149,6 +151,8 @@ class Orientation:
 
 @dataclass(frozen=True, repr=False)
 class NormalizedTable:
+    """A normalized table, whose canonical cells are converted as stages read them (``columns``)."""
+
     table: Table
     column_kinds: tuple[ColumnKind, ...]
     transposed: bool
@@ -156,16 +160,20 @@ class NormalizedTable:
     # The cells before canonicalization, from which ``provenance`` is rebuilt;
     # None when nothing was canonicalized (``skip_normalization``).
     source: Table | None = None
-    # The data cells of ``table`` column by column, which the row-lookup table
-    # is loaded from: the columns ``normalize`` built its rows from, or else
-    # read from ``table``.
-    columns: tuple[Sequence[str], ...] = field(default=(), compare=False)
+    # The data cells column by column, which the row-lookup table, ``table`` and
+    # ``view`` read: converted as read (``normalize``), or else from ``table``.
+    columns: _Columns | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.column_kinds) != self.table.column_count:
             raise ValueError("one ColumnKind per column required")
-        if not self.columns:
-            object.__setattr__(self, "columns", tuple(map(self.table.column, range(self.table.column_count))))
+        if self.columns is None:
+            object.__setattr__(self, "columns", _Columns(self.table))
+
+    def view(self, rows: Sequence[int], columns: Sequence[int]) -> Table:
+        """``core.project`` of ``table`` onto ascending ``rows`` and ``columns``, read by ``columns.some``."""
+        headers = tuple(map(self.table.headers.__getitem__, columns))
+        return Table(headers, tuple(zip(*(self.columns.some(j, rows) for j in columns))))
 
     @cached_property
     def provenance(self) -> tuple[tuple[str, ...], ...]:
@@ -201,12 +209,12 @@ _KINDS = ("integer", "decimal", "date")
 
 
 class _Parses(dict):
-    """Memo for one call: cell -> its (integer, decimal, date) canonical forms,
+    """Memo for one table: cell -> its (integer, decimal, date) canonical forms,
     None where the cell does not parse as that kind. ``shapes`` maps each
     shape seen to its class (``_shape_class``), and ``months`` each month word
     seen to its month as two digits, or None when it names none.
 
-    ``__missing__`` classifies one cell and is the reference. ``column``
+    ``__missing__`` classifies one cell and is the reference. ``tally``
     classifies each distinct shape once and converts each class's cells in
     bulk, into the memo where a column's shapes are of several classes."""
 
@@ -230,15 +238,20 @@ class _Parses(dict):
         return parsed
 
     def column(self, cells: Sequence[str]) -> tuple[list[int], tuple[list, list, list]]:
+        """``tally``, with the forms built."""
+        counts, forms = self.tally(cells)
+        return counts, forms()
+
+    def tally(self, cells: Sequence[str]) -> tuple[list[int], Callable[[], tuple[list, list, list]]]:
         """A column's tally, how many of its cells parse as each kind of
-        ``_KINDS``, and the forms of each kind of its cells, in cell order.
+        ``_KINDS``, and a call giving each kind's forms of its cells in order.
 
         The column is joined once, the cells apart by NULs, and one
-        ``translate`` and ``split`` give each cell's shape. A column whose
-        shapes share one class is converted from that text at once. Otherwise
-        each class's cells are converted at once into the memo, and the rest
-        (dates outside the ASCII forms) go through it one by one, as does each
-        cell of a column in which some cell holds a NUL."""
+        ``translate`` and ``split`` give each cell's shape. A column of one
+        class (a date class if every date exists) is tallied by it and
+        converted at once on the first call. Any other is converted now: each
+        class at once into the memo, and the rest (dates outside the ASCII
+        forms) one by one, as is a column in which some cell holds a NUL."""
         text = "\x00".join(cells)
         shapes = text.translate(_SHAPE).split("\x00")
         if len(shapes) == len(cells):  # no cell holds a NUL
@@ -247,8 +260,13 @@ class _Parses(dict):
                 self.shapes[shape] = _shape_class(shape)
             classes = set(map(self.shapes.__getitem__, distinct))
             if len(classes) == 1 and "cell" not in classes:
-                forms = self._forms(classes.pop(), cells, text)
-                return [len(cells) - out.count(None) for out in forms], forms
+                group = classes.pop()
+                fields = text.translate(_DATE_MARKS).split() if group in _ASCII_DATES else None
+                if fields is None or self._exist(fields, _ASCII_DATES[group][2]):
+                    forms = partial(self._forms, group, cells, text, fields)
+                    return [len(cells) * one for one in _CLASS_TALLIES.get(group, (0, 0, 1))], forms
+                forms = self._forms(group, cells, text, fields)
+                return [len(cells) - out.count(None) for out in forms], lambda: forms
             of = list(map(self.shapes.__getitem__, shapes))
             for group in classes.difference(("cell",)):
                 some = list(compress(cells, map(group.__eq__, of)))
@@ -256,16 +274,16 @@ class _Parses(dict):
         forms = ([], [], [])
         for out, rest in zip(forms, zip(*map(self.__getitem__, cells))):
             out.extend(rest)
-        return [len(cells) - out.count(None) for out in forms], forms
+        return [len(cells) - out.count(None) for out in forms], lambda: forms
 
-    def _forms(self, group: str, cells: list[str], text: str) -> tuple[list, list, list]:
+    def _forms(self, group: str, cells: list[str], text: str, fields: list | None = None) -> tuple[list, list, list]:
         """The forms of each kind of ``cells``, all of class ``group``, which
-        ``text`` joins with NULs."""
+        ``text`` joins with NULs (and, for dates, ``fields`` splits)."""
         none = [None] * len(cells)
         if group == "none":
             return none, none, none
         if group in _ASCII_DATES:
-            dates = self._built(text.translate(_DATE_MARKS).split(), _ASCII_DATES[group][2])
+            dates = self._built(fields or text.translate(_DATE_MARKS).split(), _ASCII_DATES[group][2])
             if None in dates:  # a cell whose fields name no date goes through the memo
                 dates = [iso or self[cell][2] for cell, iso in zip(cells, dates)]
             return none, none, dates
@@ -277,22 +295,29 @@ class _Parses(dict):
             run = list(map(str, map(int, run)))
         return run, run, none
 
+    def _exist(self, fields: list[str], layout: tuple) -> bool:
+        """Whether every date ``fields`` name (``_built``) exists: so if no
+        day is past the 28th, no %Y year is 0000 and every month is named."""
+        year_at, month_at, day_at, two_digit, word = layout
+        months = set(fields[month_at::3])
+        for name in months.difference(self.months) if word else ():
+            self.months[name] = _month_number(name)
+        named = self.months if word else _MONTHS
+        days, years = fields[day_at::3], () if two_digit else fields[year_at::3]
+        return all(map(named.get, months)) and _EVERY_MONTH_DAYS.issuperset(days) and "0000" not in years
+
     def _built(self, fields: list[str], layout: tuple) -> list[str | None]:
         """The ISO date each date names, from its ``fields`` in an ASCII
         format's shape, three a date in format order, or None where its month
         or day is out of range, its word names no month or its date does not
         exist."""
         year_at, month_at, day_at, two_digit, word = layout
+        exist = self._exist(fields, layout)
         years, months, days = fields[year_at::3], fields[month_at::3], fields[day_at::3]
-        if word:
-            for name in set(months).difference(self.months):
-                self.months[name] = _month_number(name)
         numbers = self.months if word else _MONTHS
         pivoted = map(_PIVOT.__getitem__, years) if two_digit else years
         built = _each("-".join, zip(pivoted, map(numbers.get, months), map(_DAYS.get, days)))
-        if "0000" in years or not {"29", "30", "31"}.isdisjoint(days):  # then some may name no date
-            built = _each(date.isoformat, _each(date.fromisoformat, built))
-        return built
+        return built if exist else _each(date.isoformat, _each(date.fromisoformat, built))  # some may name no date
 
     def _date(self, s: str) -> str | None:
         shape = _ANY_DATE_SHAPE.fullmatch(s) if _MAY_BE_DATE(s) else None
@@ -373,6 +398,73 @@ def _month_in(word: str, lang: tuple) -> str | None:
     return None
 
 
+class _Columns(Sequence):
+    """A table's canonical columns: ``columns[j]`` is converted on its first
+    read and kept; ``some`` converts only the cells it reads, if no more than
+    half. One table is read by one run, so its memo and columns take no lock."""
+
+    def __init__(self, source: Table, cells: list | None = None, typed: list | None = None, parses=None) -> None:
+        self.row_count, self.parses = source.row_count, _Parses() if parses is None else parses
+        self.cells = cells or list(map(source.column, range(source.column_count)))  # as given
+        self.typed = typed or [None] * len(self.cells)  # per typed column: its kind's index, tally and forms
+        self.kept: list[Sequence[str] | None] = [None] * len(self.cells)
+
+    def __len__(self) -> int:
+        return len(self.kept)
+
+    def __getitem__(self, j: int) -> Sequence[str]:
+        if self.kept[j] is None:
+            self.kept[j] = self._canonical(self.cells[j], self.typed[j])
+        return self.kept[j]
+
+    def some(self, j: int, rows: Sequence[int]) -> Sequence[str]:
+        """The canonical cells of column ``j`` in ``rows``, ascending and in bounds."""
+        if self.kept[j] is not None or 2 * len(rows) > self.row_count:  # most rows: convert the column once
+            column = self[j]
+            return column if len(rows) == len(column) else list(map(column.__getitem__, rows))
+        cells, typed = list(map(self.cells[j].__getitem__, rows)), self.typed[j]
+        return self._canonical(cells, typed and (typed[0], *self.parses.tally(cells)))
+
+    @staticmethod
+    def _canonical(cells: Sequence[str], typed: tuple | None) -> Sequence[str]:
+        """``cells`` with each form of the kind that ``typed`` names made that form."""
+        if not typed:
+            return cells
+        k, counts, forms = typed
+        parsed = forms()[k]
+        return parsed if counts[k] == len(cells) else [cell if p is None else p for cell, p in zip(cells, parsed)]
+
+
+class _Rows(Sequence):
+    """A table's rows, counted at once and zipped from its columns when first
+    read; equal to, hashed and written as the tuple of them."""
+
+    def __init__(self, columns: _Columns) -> None:
+        self.columns = columns
+
+    @cached_property
+    def built(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(zip(*self.columns))
+
+    def __len__(self) -> int:
+        return self.columns.row_count
+
+    def __getitem__(self, i):
+        return self.built[i]
+
+    def __iter__(self):
+        return iter(self.built)
+
+    def __eq__(self, other: object) -> bool:
+        return self.built == other
+
+    def __hash__(self) -> int:
+        return hash(self.built)
+
+    def __repr__(self) -> str:
+        return repr(self.built)
+
+
 def _kind(counts: list[int], n: int) -> ColumnKind:
     """The kind of a column of ``n`` cells with tally ``counts``; one without cells is text."""
     best_count = max(counts)
@@ -393,10 +485,10 @@ def infer_column_kind(cells: list[str]) -> ColumnKind:
     """
     if not cells:
         raise ValueError("cannot infer kind of an empty column")
-    return _kind(_Parses().column(cells)[0], len(cells))
+    return _kind(_Parses().tally(cells)[0], len(cells))
 
 
-def _score(columns: list[tuple[list[int], tuple]], rows: int) -> float:
+def _score(columns: list[tuple[list[int], Callable]], rows: int) -> float:
     """The homogeneity of a table of ``rows`` rows with ``columns``: the
     fraction of columns whose data cells all parse as one primitive (ratio
     1.0) or none parses as any (pure text, ratio 0.0)."""
@@ -405,20 +497,19 @@ def _score(columns: list[tuple[list[int], tuple]], rows: int) -> float:
     return sum(max(counts) in (0, rows) for counts, _ in columns) / len(columns)
 
 
-def _flipped_score(table: Table, columns: list[tuple[list[int], tuple]], parses: _Parses) -> tuple[float, tuple]:
+def _flipped_score(table: Table, columns: list[tuple[list[int], Callable]], parses: _Parses) -> float:
     """``_score`` of ``transpose(table)``, without building it, from the
-    ``columns`` of ``table``, and the transpose's first column: the headers
-    after the first. Its column i + 1 is row i after the first cell, which is
+    ``columns`` of ``table``. The transpose's first column is the headers
+    after the first, and its column i + 1 is row i after the first cell, which is
     homogeneous when those cells are all numbers (they have a decimal form),
-    all dates or all of no form. A kind some column lacks is not read, which
-    saves about 2 ms on a 5,000-row table of four columns."""
-    headers, tallies = parses.column(table.headers[1:]), [counts for counts, _ in columns[1:]]
-    numbers, dates = [forms[1] for _, forms in columns[1:]], [forms[2] for _, forms in columns[1:]]
+    all dates or all of no form. A kind some column lacks is not read."""
+    headers, tallies = parses.tally(table.headers[1:])[0], [counts for counts, _ in columns[1:]]
+    _, numbers, dates = zip(*(forms() for _, forms in columns[1:]))
     rows = sum(map(all, zip(*numbers))) if all(counts[1] for counts in tallies) else 0
     rows += sum(map(all, zip(*dates))) if all(counts[2] for counts in tallies) else 0
     if all(counts[1] + counts[2] < table.row_count for counts in tallies):
         rows += sum(map(not_, map(any, zip(*numbers, *dates))))
-    return ((max(headers[0]) in (0, table.column_count - 1)) + rows) / (table.row_count + 1), headers
+    return ((max(headers) in (0, table.column_count - 1)) + rows) / (table.row_count + 1)
 
 
 def _too_small(table: Table) -> bool:
@@ -435,8 +526,8 @@ def detect_orientation(table: Table) -> Orientation:
     if _too_small(table):
         return Orientation(value="row_major", confidence=0.5)
     parses = _Parses()
-    columns = [parses.column(table.column(j)) for j in range(table.column_count)]
-    score_row, (score_col, _) = _score(columns, table.row_count), _flipped_score(table, columns, parses)
+    columns = [parses.tally(table.column(j)) for j in range(table.column_count)]
+    score_row, score_col = _score(columns, table.row_count), _flipped_score(table, columns, parses)
     value = "row_major" if score_row >= score_col else "column_major"
     return Orientation(value=value, confidence=0.5 + abs(score_row - score_col) / 2.0)
 
@@ -473,50 +564,35 @@ def normalize(table: Table) -> NormalizedTable:
     Total and idempotent; unparseable cells in a typed column stay verbatim and
     are flagged in the per-column provenance, which is built only when read.
     One pass per column classifies each distinct cell shape once and gives
-    the tally and forms the canonical cells are taken from; the transpose is
-    scored from those forms and built only when it wins.
+    the tally the kind and orientation are read from; the transpose is scored
+    from the columns' forms and built only when it wins. Canonical cells are
+    converted only as a stage reads them (``NormalizedTable.columns``).
     """
     parses = _Parses()
     work, transposed = table, False
-    columns = [parses.column(table.column(j)) for j in range(table.column_count)]
+    cells = list(map(table.column, range(table.column_count)))
+    columns = list(map(parses.tally, cells))
     score_row = _score(columns, table.row_count)
     # As in ``detect_orientation``; a row score of 1.0 skips the transpose,
-    # which can at best tie, and ties read row_major.
-    flipped = _flipped_score(table, columns, parses) if score_row < 1.0 and not _too_small(table) else (0.0, None)
-    if flipped[0] > score_row:
-        work, transposed = transpose(table), True
-        # Its columns: the headers after the first, then each row after its first cell.
-        rows = [list(zip(*(forms[k] for _, forms in columns[1:]))) for k in range(3)]
-        columns = [flipped[1], *(([len(f) - f.count(None) for f in forms], forms) for forms in zip(*rows))]
+    # which can at best tie, and ties read row_major. Its score reads each column's forms: build them once.
+    if score_row < 1.0 and not _too_small(table):
+        columns = [(counts, lambda forms=forms(): forms) for counts, forms in columns]
+        if _flipped_score(table, columns, parses) > score_row:
+            work, transposed = transpose(table), True
+            cells = list(map(work.column, range(work.column_count)))
+            columns = list(map(parses.tally, cells))
     # Renaming headers leaves the data cells, and so the columns' forms, as they are.
     work, renames = _unique_headers(work)
-
-    kinds: list[ColumnKind] = []
-    cells: list[list[str]] = []
-    for j, (counts, forms) in enumerate(columns):
-        kinds.append(kind := _kind(counts, work.row_count))
-        if kind.kind not in _KINDS:
-            cells.append(work.column(j))
-        elif counts[k := _KINDS.index(kind.kind)] == work.row_count:
-            cells.append(forms[k])
-        else:  # a cell without the column's form stays as it is
-            cells.append([cell if parsed is None else parsed for cell, parsed in zip(work.column(j), forms[k])])
-
-    return NormalizedTable(
-        table=Table(work.headers, tuple(zip(*cells))),
-        column_kinds=tuple(kinds),
-        transposed=transposed,
-        renames=renames,
-        source=work,
-        columns=tuple(cells),
-    )
+    kinds = tuple(_kind(counts, work.row_count) for counts, _ in columns)
+    typed = [(_KINDS.index(kind.kind), *pass_) if kind.kind in _KINDS else None for kind, pass_ in zip(kinds, columns)]
+    store = _Columns(work, cells, typed, parses)
+    return NormalizedTable(Table(work.headers, _Rows(store)), kinds, transposed, renames, work, store)
 
 
 def skip_normalization(table: Table) -> NormalizedTable:
     """Wrap a table without touching it, apart from renaming repeated headers:
     the ``normalization=False`` ablation (``--no-normalize``)."""
     table, renames = _unique_headers(table)
-    parses = _Parses()
-    columns = tuple(map(table.column, range(table.column_count)))
-    kinds = tuple(_kind(parses.column(cells)[0], table.row_count) for cells in columns)
-    return NormalizedTable(table=table, column_kinds=kinds, transposed=False, renames=renames, columns=columns)
+    store = _Columns(table)
+    kinds = tuple(_kind(store.parses.tally(column)[0], table.row_count) for column in store.cells)
+    return NormalizedTable(table, kinds, transposed=False, renames=renames, columns=store)

@@ -258,8 +258,9 @@ def _read_columns(conn: sqlite3.Connection, statements: Sequence[str], table: No
         if not cursors or any(op in ("RowData", "RowCell", "Offset") for _, op, *_ in program):
             return None
         read.update(p2 for _, op, p1, p2, *_ in program if op == "Column" and p1 in cursors)
+    # The cells as given, as a canonical form holds only ASCII or characters of its own cell.
     try:
-        "".join(chain.from_iterable(cells for j, cells in enumerate(table.columns) if j not in read)).encode()
+        "".join(chain.from_iterable(cells for j, cells in enumerate(table.columns.cells) if j not in read)).encode()
     except UnicodeEncodeError:
         return None
     return read

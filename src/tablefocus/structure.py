@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from . import gateway as gw
-from .core import CellSelection, Table, peek, project, render_markdown
+from .core import Table, render_markdown
 from .normalize import NormalizedTable
 from .sqlrows import AggregateOnly, RowSet, SqlError, SqlSchema, execute_row_lookup
 from .trace import ReasoningTrace
@@ -32,7 +32,7 @@ def peek_markdown(table: NormalizedTable, k: int) -> str:
     """The first ``k`` rows as markdown: the view every structure prompt sends."""
     if k < 1:
         raise ValueError("peek size must be >= 1")
-    return render_markdown(peek(table.table, k))
+    return render_markdown(table.view(range(min(k, table.table.row_count)), range(table.table.column_count)))
 
 
 def extract_structure(table: NormalizedTable, peek_md: str, lm: gw.Gateway, trace: ReasoningTrace) -> str:
@@ -142,16 +142,18 @@ def construct_focus(
     columns: list[str] | tuple[str, ...],
     reconstruction_count: int = 0,
 ) -> TableOfFocus:
-    """Project the normalized table onto (rows, columns) in original order."""
+    """Project the normalized table onto (rows, columns) in original order, by
+    ``NormalizedTable.view``; ``rows`` ascend, so two indices bound them."""
     if not columns:
         raise ValueError("focus requires at least one column")
     header_index = {h: j for j, h in enumerate(table.table.headers)}
     unknown = [c for c in columns if c not in header_index]
     if unknown:
         raise IndexError(f"columns not present in table: {unknown}")
-    col_indices = sorted(header_index[c] for c in columns)
-    selection = CellSelection(row_indices=tuple(rows.indices), column_indices=tuple(col_indices))
-    focus_table = project(table.table, selection)
+    indices, m = rows.indices, table.table.row_count
+    if indices and not 0 <= indices[0] <= indices[-1] < m:
+        raise IndexError(f"row indices {indices[0]} to {indices[-1]} out of bounds for {m} rows")
+    focus_table = table.view(indices, sorted(header_index[c] for c in columns))
     area_full = table.table.row_count * table.table.column_count
     area_focus = focus_table.row_count * focus_table.column_count
     ratio = area_focus / area_full if area_full > 0 else 1.0

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tablefocus.core import Table, transpose
+from tablefocus.core import CellSelection, Table, peek, project, render_markdown, transpose
 from tablefocus.normalize import (
     ColumnKind,
     NormalizedTable,
@@ -27,6 +27,8 @@ from tablefocus.normalize import (
     normalize,
     skip_normalization,
 )
+from tablefocus.sqlrows import RowSet
+from tablefocus.structure import construct_focus, peek_markdown
 
 normalize_module = importlib.import_module("tablefocus.normalize")
 
@@ -1035,18 +1037,19 @@ class TestNormalize:
                 lookups += 1
                 return super().__getitem__(cell)
 
-            def column(self, cells):
+            def tally(self, cells):
                 passed.append(list(cells))
-                return super().column(cells)
+                return super().tally(cells)
 
         monkeypatch.setattr(normalize_module, "_Parses", CountingParses)
         out = normalize(Table.make(["Store", "Units", "Price", "Opened"], rows))
         assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
         assert not out.transposed
         assert passed == [list(column) for column in zip(*rows)]
-        # A column whose shapes share one class is never looked up. The other
-        # column's two classes are converted into the memo, from which each
-        # of its cells is read once.
+        # Each column's cells pass through the shape pass once. A column whose
+        # shapes share one class is never looked up. The other column's two
+        # classes are converted into the memo, from which each of its cells
+        # is read once.
         assert lookups == 200
 
     @settings(max_examples=300, deadline=None)
@@ -1075,6 +1078,120 @@ class TestNormalize:
             assert out.table.column_count == t.row_count + 1
         else:
             assert (out.table.row_count, out.table.column_count) == (t.row_count, t.column_count)
+
+
+def _eager(out: NormalizedTable, reference: Table) -> None:
+    """Checks ``out``, read late, against ``reference``, the same table built
+    at once: views of some rows before and after whole columns are read."""
+    m, n = reference.row_count, reference.column_count
+    rng = random.Random(m * 31 + n)
+    for _ in range(3):
+        rows = sorted(rng.sample(range(m), rng.randint(0, m)))
+        columns = sorted(rng.sample(range(n), rng.randint(1, n)))
+        assert out.view(rows, columns) == project(reference, CellSelection(tuple(rows), tuple(columns)))
+    for j in rng.sample(range(n), n):
+        assert list(out.columns[j]) == reference.column(j)
+    rows = sorted(rng.sample(range(m), m // 2))
+    assert out.view(rows, range(n)) == project(reference, CellSelection(tuple(rows), tuple(range(n))))
+    assert out.table == reference and reference == out.table and repr(out.table) == repr(reference)
+
+
+class TestLateCells:
+    """``normalize`` converts a cell only when a stage reads it: these compare
+    what it reads, row subsets first, with the per-cell reference built at once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wild_tables() | _form_tables())
+    def test_views_and_columns_match_the_table_built_at_once(self, t):
+        table_, kinds, transposed, _, orientation = _reference_normalize(t)
+        out = normalize(t)
+        assert (out.column_kinds, out.transposed) == (kinds, transposed)
+        assert detect_orientation(t) == orientation
+        _eager(out, table_)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            ["Feb 29, 2001", "Feb 28, 2001", "Mar 31, 1999", "Apr 31, 1999", "Jan 30, 2000", "Jan 5, 2000"],
+            ["0000-01-05", "1999-01-05", "0001-02-03", "2020-12-28"],
+            ["Mar 5, 1999", "Foo 5, 1999", "Sept 6, 2001", "dec 7, 2001"],
+            ["13/05/1999", "12/05/1999", "00/05/1999", "1/5/1999"],
+            ["03/04/99", "12/28/68", "1/1/69", "02/29/00", "02/29/01"],
+            ["Mar 5, 1999", "Apr 6, 2001", "May 7, 2003", "Jun 8, 2005"],
+        ],
+        ids=["days-29-to-31", "year-0000", "month-words", "month-13", "two-digit-years", "all-exist"],
+    )
+    def test_dates_that_may_name_no_date_match_the_reference(self, cells):
+        t = Table.make(["Name", "When", "Units"], [[f"n{i}", cell, str(i)] for i, cell in enumerate(cells)])
+        table_, kinds, transposed, provenance, _ = _reference_normalize(t)
+        out = normalize(t)
+        assert (out.column_kinds, out.transposed, out.provenance) == (kinds, transposed, provenance)
+        _eager(out, table_)
+
+    def test_a_transposed_table_reads_as_the_reference(self):
+        t = Table.make(["Field", "Alice", "Bob"], [["Age", "34", "1,028"], ["Born", "Mar 5, 1990", "Feb 30, 1991"]])
+        table_, kinds, transposed, _, _ = _reference_normalize(t)
+        out = normalize(t)
+        assert out.transposed and transposed and out.column_kinds == kinds
+        _eager(out, table_)
+
+    @pytest.mark.parametrize("m", [25, 26, 50, 51])
+    def test_a_peek_of_most_rows_converts_and_keeps_whole_columns(self, m):
+        t = Table.make(["Name", "Units", "When"], [[f"n{i}", f"{i:,}", f"Mar {i % 28 + 1}, 1999"] for i in range(m)])
+        table_, *_ = _reference_normalize(t)
+        out = normalize(t)
+        assert peek_markdown(out, 25) == render_markdown(peek(table_, 25))
+        # More than half the rows read convert each column whole, once.
+        kept = [column is not None for column in out.columns.kept]
+        assert kept == [2 * 25 > m] * 3
+        _eager(out, table_)
+
+    def test_a_peek_and_a_one_row_focus_build_the_dates_of_those_rows_only(self, monkeypatch):
+        rng = random.Random(37)
+        rows = [
+            [
+                f"{rng.choice(['Cedar', 'Maple', 'Harbor'])} {rng.randint(100, 99_999)}",
+                f"{rng.randint(1, 99_999):,}",
+                f"${rng.randint(1, 99_999):,}.{rng.randint(0, 99):02d}",
+                f"{rng.choice(calendar.month_abbr[1:])} {rng.randint(1, 28)}, {rng.randint(1950, 2020)}",
+            ]
+            for _ in range(5000)
+        ]
+        t = Table.make(["Store", "Units", "Revenue", "Opened"], rows)
+        converted: list[tuple[str, int]] = []
+        built: list[int] = []
+        forms, built_dates = normalize_module._Parses._forms, normalize_module._Parses._built
+
+        def counting_forms(self, group, cells, *args):
+            converted.append((group, len(cells)))
+            return forms(self, group, cells, *args)
+
+        def counting_built(self, fields, layout):
+            built.append(len(fields) // 3)
+            return built_dates(self, fields, layout)
+
+        monkeypatch.setattr(normalize_module._Parses, "_forms", counting_forms)
+        monkeypatch.setattr(normalize_module._Parses, "_built", counting_built)
+        out = normalize(t)
+        assert [kind.kind for kind in out.column_kinds] == ["text", "integer", "decimal", "date"]
+        assert converted == [] and built == []
+        peek_markdown(out, 25)
+        focus = construct_focus(out, RowSet(indices=(4000,)), ["Store", "Opened"])
+        assert built == [25, 1]
+        assert sorted(size for _, size in converted) == [1, 25, 25, 25]
+        table_, *_ = _reference_normalize(Table.make(t.headers, t.rows[4000:4001]))
+        assert focus.table.rows == ((table_.rows[0][0], table_.rows[0][3]),)
+
+    def test_headers_and_size_build_no_row(self, monkeypatch):
+        t = Table.make(["Name", "Units", "When"], [[f"n{i}", f"{i:,}", f"Mar {i % 28 + 1}, 1999"] for i in range(40)])
+
+        def refuse(*args):
+            raise AssertionError("a cell was converted")
+
+        monkeypatch.setattr(normalize_module._Parses, "_forms", refuse)
+        out = normalize(t)
+        assert (out.table.headers, out.table.row_count, out.table.column_count) == (t.headers, 40, 3)
+        assert "built" not in vars(out.table.rows) and out.columns.kept == [None] * 3
 
 
 class TestSkipNormalization:

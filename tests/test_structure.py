@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tablefocus.core import Table, render_markdown
-from tablefocus.normalize import skip_normalization
+from tablefocus.normalize import normalize, skip_normalization
 from tablefocus.sqlrows import RowSet, build_schema
 from tablefocus.structure import (
     column_lookup,
@@ -169,6 +169,17 @@ class TestConstructFocus:
     def test_unknown_column_raises_index_error(self):
         with pytest.raises(IndexError):
             construct_focus(NORM, self.ROWS, ["Rider", "Bogus"])
+
+    def test_rows_out_of_bounds_raise_index_error(self):
+        for indices in ((0, 6), (-1, 2)):
+            with pytest.raises(IndexError):
+                construct_focus(NORM, RowSet(indices=indices), ["Rider"])
+
+    def test_every_row_reads_each_focus_column_whole(self):
+        norm = normalize(Table.make(["Name", "Units"], [["a", "1,000"], ["b", "2"]]))
+        focus = construct_focus(norm, RowSet(indices=(0, 1)), ["Units"])
+        assert focus.table.rows == (("1000",), ("2",))
+        assert [column is not None for column in norm.columns.kept] == [False, True]
 
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError):
